@@ -16,6 +16,8 @@ exact algebraic cancellations test as exactly zero.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -187,7 +189,10 @@ def _parse_atom(toks, variables):
     kind, tok, offset = toks.peek()
     if kind == "num":
         toks.take()
-        return Num(float(tok))
+        value = float(tok)
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok!r} overflows a double", offset)
+        return Num(value)
     if kind == "name":
         if tok not in variables:
             raise ParseError(f"unknown identifier {tok!r}", offset)
@@ -264,15 +269,32 @@ def eval_expression(e: Expression, env: dict[str, float]) -> float:
 # ---------------------------------------------------------------------------
 
 def _canon(terms: dict) -> dict:
-    return {ij: c for ij, c in terms.items() if abs(c) >= CANONICAL_ZERO}
+    # NaN is kept, not dropped, so that non-finite results stay visible.
+    return {ij: c for ij, c in terms.items() if not abs(c) < CANONICAL_ZERO}
 
 
-def _ipow(base: float, n: int) -> float:
-    # Repeated multiplication; bit-identical to the array evaluation path.
-    out = 1.0
-    for _ in range(n):
-        out *= base
-    return out
+@functools.lru_cache(maxsize=256)
+def _kernel_factory(shape: tuple[tuple[int, int, bool], ...]):
+    """Compile a straight-line evaluator for one term structure: ``shape``
+    holds ``(i, j, unit)`` per sorted term, ``unit`` if the coefficient is 1.0.
+    Powers come from ladders shared by all terms (x2 = x*x, x3 = x2*x, ...),
+    the sum runs 0.0 + c*x^i*y^j term by term, and factors of exactly 1.0
+    are left out, which changes no bit.  The coefficients c0, c1, ... never
+    enter the source: the returned factory binds them in a closure."""
+    tops = {"x": max((i for i, _, _ in shape), default=0),
+            "y": max((j for _, j, _ in shape), default=0)}
+    body = [f"{v}{k} = {v}{k - 1 if k > 2 else ''} * {v}"
+            for v, top in tops.items() for k in range(2, top + 1)] + ["s = 0.0"]
+    for n, (i, j, unit) in enumerate(shape):
+        factors = [] if unit else [f"c{n}"]
+        factors += [f"{v}{e if e > 1 else ''}" for v, e in (("x", i), ("y", j)) if e]
+        body.append(f"s = s + {' * '.join(factors) or '1.0'}")
+    src = (f"def factory({', '.join(f'c{n}' for n in range(len(shape)))}):\n"
+           "    def kernel(x, y):\n" + "".join(f"        {line}\n" for line in body)
+           + "        return s\n    return kernel\n")
+    namespace: dict = {}
+    exec(compile(src, "<ilekoop.expr kernel>", "exec"), namespace)
+    return namespace["factory"]
 
 
 class Poly2:
@@ -282,10 +304,11 @@ class Poly2:
     immutable by convention: every operation returns a new polynomial.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_kernel")
 
     def __init__(self, terms: dict | None = None):
         self._terms = _canon(dict(terms) if terms else {})
+        self._kernel = None
 
     # -- constructors -----------------------------------------------------
 
@@ -401,29 +424,24 @@ class Poly2:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, x: float, y: float = 0.0) -> float:
-        total = 0.0
-        for (i, j), c in self.items_sorted():
-            total += c * _ipow(x, i) * _ipow(y, j)
-        return total
+    def evaluate(self, x, y=0.0):
+        """Value at ``(x, y)``: floats give a float, float arrays an array.
+
+        Both run the same generated kernel (see :func:`_kernel_factory`),
+        built on first use, so per-element results are bit-identical."""
+        kernel = self._kernel
+        if kernel is None:
+            terms = self.items_sorted()
+            factory = _kernel_factory(tuple((i, j, c == 1.0) for (i, j), c in terms))
+            kernel = self._kernel = factory(*(c for _, c in terms))
+        return kernel(x, y)
 
     def eval_array(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Elementwise evaluation; term order and power ladders match
-        :meth:`evaluate` so per-element results are bit-identical."""
-        out = np.zeros(np.broadcast(xs, ys).shape)
-        if not self._terms:
-            return out
-        max_i = max(i for i, _ in self._terms)
-        max_j = max(j for _, j in self._terms)
-        xp = [np.ones_like(out)]
-        for _ in range(max_i):
-            xp.append(xp[-1] * xs)
-        yp = [np.ones_like(out)]
-        for _ in range(max_j):
-            yp.append(yp[-1] * ys)
-        for (i, j), c in self.items_sorted():
-            out = out + c * xp[i] * yp[j]
-        return out
+        """:meth:`evaluate` over arrays, filled out to their broadcast shape
+        (a polynomial free of x or y gives a smaller result)."""
+        out = self.evaluate(xs, ys)
+        shape = np.broadcast(xs, ys).shape
+        return out if np.shape(out) == shape else np.full(shape, out)
 
     # -- substitution ---------------------------------------------------------
 
@@ -454,11 +472,21 @@ class Poly2:
 
     @classmethod
     def from_json_terms(cls, items) -> "Poly2":
+        """Inverse of :meth:`to_json_terms`.  Raises ValueError unless every
+        term has int exponents ``i, j >= 0`` with ``i + j <= MAX_TOTAL_DEGREE``
+        and the summed coefficients are finite numbers."""
         out: dict = {}
         for item in items:
-            ij = (int(item["i"]), int(item["j"]))
-            out[ij] = out.get(ij, 0.0) + float(item["c"])
-        return cls(out)
+            i, j, c = (item.get(k) for k in "ijc") if isinstance(item, dict) else (None,) * 3
+            if not all(type(e) is int and e >= 0 for e in (i, j)):
+                raise ValueError(f"field term needs non-negative integers i and j: {item!r}")
+            if i + j > MAX_TOTAL_DEGREE:
+                raise ValueError(f"term degree exceeds {MAX_TOTAL_DEGREE}: {item!r}")
+            c = float(c) if type(c) is int and abs(c) < 2**1023 else c
+            if type(c) is not float:
+                raise ValueError(f"term coefficient must be a finite number: {item!r}")
+            out[(i, j)] = out.get((i, j), 0.0) + c
+        return _finite(cls(out))
 
 
 def to_polynomial(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Poly2:
@@ -492,12 +520,18 @@ def to_polynomial(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Pol
             return out
         raise TypeError(f"not an expression node: {node!r}")
 
-    return lower(e)
+    return _finite(lower(e))
 
 
 def _checked(p: Poly2) -> Poly2:
     if p.degree() > MAX_TOTAL_DEGREE:
         raise ValueError(f"polynomial expansion exceeds total degree {MAX_TOTAL_DEGREE}")
+    return p
+
+
+def _finite(p: Poly2) -> Poly2:
+    if not all(math.isfinite(c) for c in p._terms.values()):
+        raise ValueError(f"polynomial has a non-finite coefficient: {p!r}")
     return p
 
 

@@ -9,6 +9,7 @@ FTLE are provided as oracles.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .strain import Grid2D, ScalarField, SymTensor2, _row_chunks, _run_chunks
-from .vectorfield import VectorField2D, _check_saddle_domain
+from .vectorfield import VectorField2D, _check_domain
 
 MAX_STEP_COUNT = 1e8
 
@@ -52,91 +53,64 @@ def _step_plan(t: float, step: float) -> tuple[int, float]:
     return n, r
 
 
-def _rk4_step(f: VectorField2D, x: float, y: float, h: float) -> tuple[float, float]:
-    u1, v1 = f.evaluate(x, y)
-    u2, v2 = f.evaluate(x + 0.5 * h * u1, y + 0.5 * h * v1)
-    u3, v3 = f.evaluate(x + 0.5 * h * u2, y + 0.5 * h * v2)
-    u4, v4 = f.evaluate(x + h * u3, y + h * v3)
+def _check_step_budget(t: float, step: float) -> None:
+    """Refuse NaN times and those needing more than MAX_STEP_COUNT steps."""
+    if not abs(t) / step <= MAX_STEP_COUNT:
+        raise ValueError(f"integration time {t!r} is not a number or needs more than 1e8 steps")
+
+
+def _steps(t: float, step: float):
+    """The RK4 plan from time 0 to t as (time reached, signed step) pairs."""
+    _check_step_budget(t, step)
+    n, r = _step_plan(t, step)
+    h = math.copysign(step, t)
+    last = [(t, math.copysign(r, t))] if r > 0.0 else []
+    return itertools.chain(((i * h, h) for i in range(1, n + 1)), last)
+
+
+def _rk4_step(ev, x, y, h):
+    """One classical RK4 step; ``ev`` is ``f.evaluate`` for floats or
+    ``f.evaluate_arrays`` for arrays (elementwise ops only, so array results
+    do not depend on how the arrays were chunked)."""
+    u1, v1 = ev(x, y)
+    u2, v2 = ev(x + 0.5 * h * u1, y + 0.5 * h * v1)
+    u3, v3 = ev(x + 0.5 * h * u2, y + 0.5 * h * v2)
+    u4, v4 = ev(x + h * u3, y + h * v3)
     return (
         x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
         y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
     )
+
+
+def _advance(ev, x, y, t: float, step: float):
+    """Time-t RK4 endpoint of floats or arrays ``x, y``, keeping no history."""
+    for _, h in _steps(t, step):
+        x, y = _rk4_step(ev, x, y, h)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericalError("trajectory became non-finite")
+    return x, y
 
 
 def integrate(
     f: VectorField2D, x0: tuple[float, float], t: float, cfg: IntegratorConfig
 ) -> Trajectory:
     """RK4 trajectory from time 0 to time t (t may be negative or zero)."""
-    if abs(t) / cfg.step > MAX_STEP_COUNT:
-        raise ValueError("requested time needs more than 1e8 steps")
-    times = [0.0]
-    states = [(float(x0[0]), float(x0[1]))]
-    if t == 0.0:
-        return Trajectory(times, states)
-    n, r = _step_plan(t, cfg.step)
-    h = math.copysign(cfg.step, t)
-    x, y = states[0]
-    for i in range(1, n + 1):
-        x, y = _rk4_step(f, x, y, h)
+    x, y = float(x0[0]), float(x0[1])
+    traj = Trajectory([0.0], [(x, y)])
+    for tk, h in _steps(t, cfg.step):
+        x, y = _rk4_step(f.evaluate, x, y, h)
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise NumericalError(f"trajectory became non-finite near t={i * h}")
-        times.append(i * h)
-        states.append((x, y))
-    if r > 0.0:
-        x, y = _rk4_step(f, x, y, math.copysign(r, t))
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise NumericalError("trajectory became non-finite on the final step")
-        times.append(t)
-        states.append((x, y))
-    return Trajectory(times, states)
+            raise NumericalError(f"trajectory became non-finite near t={tk}")
+        traj.times.append(tk)
+        traj.states.append((x, y))
+    return traj
 
 
 def flow_endpoint(
     f: VectorField2D, x0: tuple[float, float], t: float, cfg: IntegratorConfig
 ) -> tuple[float, float]:
     """Endpoint of the time-t flow; same stepping as integrate, no storage."""
-    if abs(t) / cfg.step > MAX_STEP_COUNT:
-        raise ValueError("requested time needs more than 1e8 steps")
-    x, y = float(x0[0]), float(x0[1])
-    if t == 0.0:
-        return (x, y)
-    n, r = _step_plan(t, cfg.step)
-    h = math.copysign(cfg.step, t)
-    for _ in range(n):
-        x, y = _rk4_step(f, x, y, h)
-    if r > 0.0:
-        x, y = _rk4_step(f, x, y, math.copysign(r, t))
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise NumericalError("trajectory became non-finite")
-    return (x, y)
-
-
-def _advance_arrays(f, xs, ys, t, step):
-    """Vectorized RK4 over element arrays; elementwise ops only, so results
-    do not depend on how the arrays were chunked."""
-    if t == 0.0:
-        return xs * 1.0, ys * 1.0
-    n, r = _step_plan(t, step)
-    h = math.copysign(step, t)
-    x, y = xs * 1.0, ys * 1.0
-    for _ in range(n):
-        x, y = _rk4_step_arrays(f, x, y, h)
-    if r > 0.0:
-        x, y = _rk4_step_arrays(f, x, y, math.copysign(r, t))
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-        raise NumericalError("trajectory became non-finite")
-    return x, y
-
-
-def _rk4_step_arrays(f, x, y, h):
-    u1, v1 = f.evaluate_arrays(x, y)
-    u2, v2 = f.evaluate_arrays(x + 0.5 * h * u1, y + 0.5 * h * v1)
-    u3, v3 = f.evaluate_arrays(x + 0.5 * h * u2, y + 0.5 * h * v2)
-    u4, v4 = f.evaluate_arrays(x + h * u3, y + h * v3)
-    return (
-        x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
-        y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
-    )
+    return _advance(f.evaluate, float(x0[0]), float(x0[1]), t, cfg.step)
 
 
 def cauchy_green(
@@ -206,7 +180,7 @@ def ftle_field(
         m = xv.size
         seeds_x = np.concatenate([xv + delta, xv - delta, xv, xv])
         seeds_y = np.concatenate([yv, yv, yv + delta, yv - delta])
-        ex, ey = _advance_arrays(f, seeds_x, seeds_y, t, cfg.step)
+        ex, ey = _advance(f.evaluate_arrays, seeds_x, seeds_y, t, cfg.step)
         f11 = (ex[0:m] - ex[m : 2 * m]) / (2.0 * delta)
         f21 = (ey[0:m] - ey[m : 2 * m]) / (2.0 * delta)
         f12 = (ex[2 * m : 3 * m] - ex[3 * m :]) / (2.0 * delta)
@@ -228,7 +202,7 @@ def ftle_field(
 
 def saddle_cauchy_green(pt: tuple[float, float], t: float) -> SymTensor2:
     """Closed-form Cauchy-Green tensor of the nonlinear saddle."""
-    _check_saddle_domain(pt[1])
+    _check_domain(pt[1])
     y = pt[1]
     denom = (1.0 - y * y) * math.exp(2.0 * t) + y * y
     return SymTensor2(math.exp(2.0 * t), 0.0, math.exp(4.0 * t) / denom**3)
@@ -239,7 +213,7 @@ def saddle_ftle(pt: tuple[float, float], t: float) -> float:
     dominant direction in backward time away from |y| near 1)."""
     if t == 0.0:
         raise ValueError("FTLE needs a nonzero integration time")
-    _check_saddle_domain(pt[1])
+    _check_domain(pt[1])
     y = pt[1]
     denom = (1.0 - y * y) * math.exp(2.0 * t) + y * y
     return -math.log(math.exp(4.0 * t) / denom**3) / (2.0 * t)

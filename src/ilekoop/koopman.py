@@ -17,7 +17,7 @@ from typing import Callable
 
 from .errors import DomainError, NoCrossingError
 from .expr import Poly2
-from .flowmap import IntegratorConfig, _rk4_step, flow_endpoint
+from .flowmap import IntegratorConfig, _check_step_budget, _rk4_step, flow_endpoint
 from .vectorfield import SADDLE_Y_BOUND, VectorField2D, shear_free_defect
 
 #: Step used by the fourth-order finite-difference gradient fallback.
@@ -203,6 +203,9 @@ def pullback_eigenfunction(
     Points already on the line return h(s) exactly.  Crossings are bracketed
     at step boundaries and bisected to a time tolerance of 1e-10.
     """
+    if not t_max > 0.0:
+        raise ValueError(f"t_max must be positive, got {t_max!r}")
+    _check_step_budget(t_max, cfg.step)
     d0 = surf.signed_distance(*x)
     if d0 == 0.0:
         return surf.h(surf.parameter(*x))
@@ -225,10 +228,11 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
     leaving the field's domain (or blowing up) ends the search window."""
     h = time_sign * cfg.step
     steps = int(math.ceil(t_max / cfg.step))
+    ev = f.evaluate
     prev_state = (float(x[0]), float(x[1]))
     for k in range(1, steps + 1):
         try:
-            state = _rk4_step(f, prev_state[0], prev_state[1], h)
+            state = _rk4_step(ev, prev_state[0], prev_state[1], h)
         except DomainError:
             return None
         if not (math.isfinite(state[0]) and math.isfinite(state[1])):
@@ -240,7 +244,7 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
             lo, hi = 0.0, cfg.step
             while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
-                st = _rk4_step(f, prev_state[0], prev_state[1], time_sign * mid)
+                st = _rk4_step(ev, prev_state[0], prev_state[1], time_sign * mid)
                 dm = surf.signed_distance(*st)
                 if dm == 0.0:
                     lo = hi = mid
@@ -249,7 +253,7 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
                 else:
                     lo = mid
             mid = 0.5 * (lo + hi)
-            st = _rk4_step(f, prev_state[0], prev_state[1], time_sign * mid)
+            st = _rk4_step(ev, prev_state[0], prev_state[1], time_sign * mid)
             return (k - 1) * cfg.step + mid, st
         d_prev = d
         prev_state = state

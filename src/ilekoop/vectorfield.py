@@ -1,9 +1,10 @@
-"""Planar autonomous vector fields and the built-in nonlinear saddle.
+"""Planar autonomous polynomial vector fields and the built-in nonlinear saddle.
 
-Two kinds of field are supported: an arbitrary polynomial pair, and the
-cubic nonlinear saddle ``(x, -y + y^3)`` on ``|y| < 1``, which carries an
-explicit flow and therefore serves as the oracle for the numerical
-integrator and the finite-time stretching computations.
+A field is a polynomial pair ``(p, q)``.  The cubic nonlinear saddle
+``(x, -y + y^3)`` is one, plus a guard: outside ``|y| < 1`` its evaluation
+raises :class:`DomainError`.  Its explicit flow is the oracle for the
+numerical integrator and the finite-time stretching computations.  The name
+``"saddle"`` is only an alias in field JSON and on the command line.
 """
 
 from __future__ import annotations
@@ -30,93 +31,64 @@ class Mat2:
     a22: float
 
 
-def _saddle_components() -> tuple[Poly2, Poly2]:
-    return Poly2({(1, 0): 1.0}), Poly2({(0, 1): -1.0, (0, 3): 1.0})
-
-
 class VectorField2D:
-    """A planar autonomous vector field, polynomial or built-in saddle."""
+    """A planar autonomous polynomial field.  Only the saddle is guarded:
+    its evaluation raises :class:`DomainError` outside ``|y| < 1``."""
 
-    __slots__ = ("kind", "p", "q", "_px", "_py", "_qx", "_qy")
+    __slots__ = ("p", "q", "_guarded", "_jac")
 
-    def __init__(self, kind: str, p: Poly2 | None = None, q: Poly2 | None = None):
-        if kind == "polynomial":
-            if p is None or q is None:
-                raise ValueError("polynomial field needs both components")
-        elif kind == "saddle":
-            p, q = _saddle_components()
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
+    def __init__(self, p: Poly2, q: Poly2):
         self.p = p
         self.q = q
-        self._px = p.diff("x")
-        self._py = p.diff("y")
-        self._qx = q.diff("x")
-        self._qy = q.diff("y")
+        self._guarded = False
+        self._jac = (p.diff("x"), p.diff("y"), q.diff("x"), q.diff("y"))
 
     @classmethod
     def polynomial(cls, p: Poly2, q: Poly2) -> "VectorField2D":
-        return cls("polynomial", p, q)
+        return cls(p, q)
 
     @classmethod
     def saddle(cls) -> "VectorField2D":
-        return cls("saddle")
+        f = cls(Poly2({(1, 0): 1.0}), Poly2({(0, 1): -1.0, (0, 3): 1.0}))
+        f._guarded = True
+        return f
 
     @property
     def is_saddle(self) -> bool:
-        return self.kind == "saddle"
+        return self._guarded
 
     def polynomial_components(self) -> tuple[Poly2, Poly2]:
-        """Exact polynomial components; defined for both kinds."""
         return self.p, self.q
 
-    # -- pointwise evaluation -------------------------------------------------
+    # -- evaluation: floats or float arrays ----------------------------------
 
     def evaluate(self, x: float, y: float) -> tuple[float, float]:
-        if self.kind == "saddle":
-            _check_saddle_domain(y)
-            return (x, -y + y * y * y)
+        if self._guarded:
+            _check_domain(y)
         return (self.p.evaluate(x, y), self.q.evaluate(x, y))
 
     def jacobian(self, x: float, y: float) -> Mat2:
-        if self.kind == "saddle":
-            _check_saddle_domain(y)
-            return Mat2(1.0, 0.0, 0.0, -1.0 + 3.0 * y * y)
-        return Mat2(
-            self._px.evaluate(x, y),
-            self._py.evaluate(x, y),
-            self._qx.evaluate(x, y),
-            self._qy.evaluate(x, y),
-        )
-
-    # -- array evaluation (grid paths) ---------------------------------------
+        if self._guarded:
+            _check_domain(y)
+        return Mat2(*(d.evaluate(x, y) for d in self._jac))
 
     def evaluate_arrays(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == "saddle":
-            _check_saddle_domain_arrays(ys)
-            return (xs * 1.0, -ys + ys * ys * ys)
+        if self._guarded:
+            _check_domain_arrays(ys)
         return (self.p.eval_array(xs, ys), self.q.eval_array(xs, ys))
 
     def jacobian_arrays(self, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self.kind == "saddle":
-            _check_saddle_domain_arrays(ys)
-            zeros = np.zeros_like(ys)
-            return (np.ones_like(ys), zeros, zeros, -1.0 + 3.0 * ys * ys)
-        return (
-            self._px.eval_array(xs, ys),
-            self._py.eval_array(xs, ys),
-            self._qx.eval_array(xs, ys),
-            self._qy.eval_array(xs, ys),
-        )
+        if self._guarded:
+            _check_domain_arrays(ys)
+        return tuple(d.eval_array(xs, ys) for d in self._jac)
 
 
-def _check_saddle_domain(y: float) -> None:
+def _check_domain(y: float) -> None:
     if not abs(y) < SADDLE_Y_BOUND:
         raise DomainError(f"saddle field is only defined for |y| < 1 (got y={y!r})")
 
 
-def _check_saddle_domain_arrays(ys: np.ndarray) -> None:
+def _check_domain_arrays(ys: np.ndarray) -> None:
     if np.any(np.abs(ys) >= SADDLE_Y_BOUND):
         raise DomainError("saddle field is only defined for |y| < 1")
 
@@ -134,7 +106,7 @@ def shear_free_defect(f: VectorField2D) -> Poly2:
 def analytic_saddle_flow(pt: tuple[float, float], t: float) -> tuple[float, float]:
     """Exact time-t flow of the nonlinear saddle starting from ``pt``."""
     x, y = pt
-    _check_saddle_domain(y)
+    _check_domain(y)
     denom = math.sqrt((1.0 - y * y) * math.exp(2.0 * t) + y * y)
     return (x * math.exp(t), y / denom)
 
@@ -142,17 +114,19 @@ def analytic_saddle_flow(pt: tuple[float, float], t: float) -> tuple[float, floa
 # -- JSON wire format ----------------------------------------------------------
 
 def field_to_json(f: VectorField2D) -> dict:
-    if f.kind == "saddle":
+    if f.is_saddle:
         return {"kind": "saddle"}
     return {"kind": "polynomial", "p": f.p.to_json_terms(), "q": f.q.to_json_terms()}
 
 
-def field_from_json(obj: dict) -> VectorField2D:
-    kind = obj.get("kind")
+def field_from_json(obj) -> VectorField2D:
+    """Field from its JSON form; raises ValueError on anything malformed."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "saddle":
         return VectorField2D.saddle()
     if kind == "polynomial":
-        return VectorField2D.polynomial(
-            Poly2.from_json_terms(obj["p"]), Poly2.from_json_terms(obj["q"])
-        )
+        p, q = obj.get("p"), obj.get("q")
+        if not (isinstance(p, list) and isinstance(q, list)):
+            raise ValueError("polynomial field needs term lists 'p' and 'q'")
+        return VectorField2D.polynomial(Poly2.from_json_terms(p), Poly2.from_json_terms(q))
     raise ValueError(f"unknown field kind {kind!r}")

@@ -331,6 +331,71 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert "|y| < 1" in err
 
 
+@pytest.mark.parametrize(
+    "term",
+    ['{"i": 1, "j": 0, "c": NaN}', '{"i": 1, "j": 0, "c": Infinity}',
+     '{"i": 1, "j": 0, "c": -1e999}', '{"i": -1, "j": 0, "c": 1}', '{"i": 1.7, "j": 0, "c": 1}',
+     '{"i": 1, "j": true, "c": 1}', '{"i": 100000000, "j": 0, "c": 1}'],
+)
+def test_bad_field_json_exit_code(capsys, tmp_path, monkeypatch, term):
+    text = '{"kind": "polynomial", "p": [' + term + '], "q": [{"i": 0, "j": 1, "c": -1}]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    out_file = tmp_path / "out.csv"
+    code, _, err = run(
+        ["ile", "--field", "-", "--grid", "0:1:5,0:1:5", "--out", str(out_file)], capsys
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("expr", ["1e999*x", "(1e200)^2*x", "x - 1e300*1e300*y"])
+def test_overflowing_expression_exit_code(capsys, tmp_path, expr):
+    out_file = tmp_path / "out.csv"
+    code, _, err = run(
+        ["ile", "--field", f"expr:{expr};y", "--grid", "0:1:5,0:1:5", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ftle", "--time", "inf"],
+        ["ftle", "--time=-inf"],
+        ["ftle", "--time", "nan"],
+        ["ftle", "--time", "1e6", "--step", "1e-9"],
+        ["ftle", "--time", "1e6", "--step", "1e-9", "--threads", "2"],
+    ],
+)
+def test_bad_ftle_time_exit_code(capsys, tmp_path, argv):
+    out_file = tmp_path / "ftle.csv"
+    code, _, err = run(
+        argv + ["--field", "saddle", "--grid", "-0.5:0.5:3,-0.5:0.5:3", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 1
+    assert "1e8 steps" in err
+
+
+@pytest.mark.parametrize(
+    "extra", [["--tmax", "inf"], ["--tmax", "nan"], ["--tmax", "0"], ["--tmax", "-1"],
+              ["--tmax", "1e6", "--step", "1e-9"]]
+)
+def test_bad_pullback_tmax_exit_code(capsys, tmp_path, extra):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.2\n")
+    code, _, err = run(
+        ["pullback", "--field", "saddle", "--line", "0,0.5,1,0", "--h", "1", "--lambda", "-1",
+         "--points", str(pts), "--out", str(tmp_path / "phi.csv")] + extra,
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def _run_process(argv, stdin_bytes=None):
     return subprocess.run(
         [sys.executable, "-m", "ilekoop.cli", *argv],

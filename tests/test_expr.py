@@ -1,8 +1,12 @@
 """Parser and polynomial algebra tests."""
 
 import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ilekoop.expr import (
     Add,
@@ -256,3 +260,106 @@ def test_univariate_parsing():
     assert p.evaluate(3.0) == 8.0
     with pytest.raises(ParseError):
         parse_polynomial("x", variables=("s",))
+
+
+def test_overflowing_number_literal_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("y + 1e999*x")
+    assert info.value.offset == 4
+
+
+@pytest.mark.parametrize("text", ["(1e200)^2*x", "(1e200)^2*x - (1e200)^2*x", "1e300*x*1e300"])
+def test_non_finite_expansion_rejected(text):
+    with pytest.raises(ValueError, match="non-finite"):
+        parse_polynomial(text)
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"i": 1, "j": 0, "c": float("nan")},
+        {"i": 1, "j": 0, "c": float("inf")},
+        {"i": 1, "j": 0, "c": -float("inf")},
+        {"i": -1, "j": 0, "c": 1.0},
+        {"i": 1.7, "j": 0, "c": 1.0},
+        {"i": 1.0, "j": 0, "c": 1.0},
+        {"i": 1, "j": True, "c": 1.0},
+        {"i": 100000000, "j": 0, "c": 1.0},
+        {"i": 40, "j": 25, "c": 1.0},
+        {"i": 1, "j": 0, "c": "1.5"},
+        {"i": 1, "j": 0, "c": True},
+        {"i": 1, "j": 0, "c": 10**400},
+        {"i": 1, "j": 0},
+        [1, 0, 1.0],
+    ],
+)
+def test_json_terms_rejected(item):
+    with pytest.raises(ValueError):
+        Poly2.from_json_terms([item])
+
+
+def test_json_terms_overflowing_sum_rejected():
+    with pytest.raises(ValueError, match="non-finite"):
+        Poly2.from_json_terms([{"i": 0, "j": 0, "c": 1e308}, {"i": 0, "j": 0, "c": 1e308}])
+
+
+def test_json_terms_accept_int_coefficients_and_top_degree():
+    p = Poly2.from_json_terms([{"i": 40, "j": 24, "c": 2}, {"i": 0, "j": 0, "c": -1}])
+    assert p.coefficients() == {(40, 24): 2.0, (0, 0): -1.0}
+
+
+# -- generated evaluation kernel vs. the repeated-multiplication reference ------
+
+def _ref_ipow(base, n):
+    out = 1.0
+    for _ in range(n):
+        out *= base
+    return out
+
+
+def _ref_evaluate(p, x, y):
+    total = 0.0
+    for (i, j), c in p.items_sorted():
+        total += c * _ref_ipow(x, i) * _ref_ipow(y, j)
+    return total
+
+
+def _bits(v):
+    return struct.pack("<d", float(v))
+
+
+_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+_coeffs = st.one_of(
+    st.sampled_from([1.0, -1.0]), st.floats(-1e3, 1e3).filter(lambda c: abs(c) >= 1e-12)
+)
+_terms = st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), _coeffs, max_size=8)
+
+
+@settings(deadline=None)
+@given(_terms, st.lists(st.tuples(_values, _values), min_size=1, max_size=6))
+@example({}, [(0.5, -0.0)])
+@example({(0, 0): 1.0}, [(-0.0, -0.0)])
+@example({(0, 0): -1.0}, [(2.0, 3.0)])
+@example({(0, 0): 2.5}, [(0.0, 1.0)])
+@example({(1, 0): 1.0, (0, 1): -1.0, (0, 3): 1.0}, [(-0.0, 0.0), (0.0, -0.0)])
+def test_kernel_bitwise_matches_reference(terms, points):
+    p = Poly2(terms)
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    arr = p.eval_array(xs, ys)
+    assert arr.shape == xs.shape
+    for k, (x, y) in enumerate(points):
+        ref = _bits(_ref_evaluate(p, x, y))
+        assert _bits(p.evaluate(x, y)) == ref
+        assert _bits(arr[k]) == ref
+
+
+@pytest.mark.parametrize("text", ["0", "2.5", "-1", "x^2", "y - 3"])
+def test_eval_array_fills_input_shape(text):
+    p = parse_polynomial(text)
+    xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    ys = xs.T.copy().reshape(3, 4)
+    out = p.eval_array(xs, ys)
+    assert out.shape == (3, 4)
+    assert all(_bits(out[r, c]) == _bits(_ref_evaluate(p, xs[r, c], ys[r, c]))
+               for r in range(3) for c in range(4))

@@ -237,3 +237,28 @@ def test_ftle_to_rate_limit_linear_in_time():
     errs = [abs(ftle(f, pt, t, 1e-5, CFG) + s1) for t in (-0.08, -0.04, -0.02)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.35)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e6])
+def test_step_budget_shared_by_every_driver(t):
+    f = VectorField2D.saddle()
+    cfg = IntegratorConfig(step=1e-9)
+    grid = Grid2D(-0.5, 0.5, 3, -0.5, 0.5, 3)
+    with pytest.raises(ValueError):
+        integrate(f, (0.1, 0.1), t, cfg)
+    with pytest.raises(ValueError):
+        flow_endpoint(f, (0.1, 0.1), t, cfg)
+    with pytest.raises(ValueError):
+        ftle_field(f, grid, t, 1e-5, cfg, threads=2)
+
+
+def test_array_and_scalar_stepping_agree_bitwise():
+    from ilekoop.flowmap import _advance
+
+    for f in (VectorField2D.saddle(), make_transformed_family(-1.0, [-0.5])):
+        xs = np.linspace(-0.6, 0.6, 5)
+        ys = np.linspace(-0.5, 0.4, 5)
+        ex, ey = _advance(f.evaluate_arrays, xs, ys, -0.0537, 1e-2)
+        for k in range(5):
+            end = flow_endpoint(f, (float(xs[k]), float(ys[k])), -0.0537, IntegratorConfig(1e-2))
+            assert end == (ex[k], ey[k])

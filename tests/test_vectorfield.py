@@ -175,3 +175,37 @@ def test_field_json_round_trip():
 def test_field_json_unknown_kind():
     with pytest.raises(ValueError):
         field_from_json({"kind": "spiral"})
+
+
+def test_saddle_is_guarded_polynomial():
+    f = VectorField2D.saddle()
+    assert f.p == parse_polynomial("x") and f.q == parse_polynomial("-y + y^3")
+    rng = random.Random(3)
+    for _ in range(200):
+        x, y = rng.uniform(-2.0, 2.0), rng.uniform(-0.99, 0.99)
+        assert f.evaluate(x, y) == (x, -y + y * y * y)
+        assert f.jacobian(x, y).a22 == -1.0 + 3.0 * (y * y)
+    us, vs = f.evaluate_arrays(np.array([0.3, -0.2]), np.array([0.5, -0.5]))
+    assert list(us) == [0.3, -0.2] and list(vs) == [-0.5 + 0.125, 0.5 - 0.125]
+
+
+def test_polynomial_field_with_saddle_components_is_not_the_saddle():
+    f = VectorField2D.polynomial(parse_polynomial("x"), parse_polynomial("-y + y^3"))
+    assert not f.is_saddle
+    assert f.evaluate(0.0, 2.0) == (0.0, 6.0)
+    assert field_to_json(f)["kind"] == "polynomial"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ["saddle"],
+        {"kind": "polynomial", "p": []},
+        {"kind": "polynomial", "p": 5, "q": []},
+        {"kind": "polynomial", "p": [{"i": 1, "j": 0, "c": float("nan")}], "q": []},
+        {"kind": "polynomial", "p": [], "q": [{"i": 0, "j": -1, "c": 1.0}]},
+    ],
+)
+def test_field_json_malformed_rejected(obj):
+    with pytest.raises(ValueError):
+        field_from_json(obj)
