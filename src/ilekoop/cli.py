@@ -12,6 +12,7 @@ files), 2 domain or numeric error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -31,8 +32,7 @@ def main() -> None:
 
 def run_command(argv) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
         args.handler(args)
         return 0
     except (UsageError, ParseError, ValueError, OSError) as exc:
@@ -58,8 +58,14 @@ class _Parser(argparse.ArgumentParser):
 # Deterministic output helpers
 # ---------------------------------------------------------------------------
 
+class _RawJSON(str):
+    """Text that ``_json_text`` emits verbatim (already rendered JSON)."""
+
+
 def _json_text(obj) -> str:
     """JSON with floats rendered at 17 significant digits."""
+    if isinstance(obj, _RawJSON):
+        return obj
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(str(k))}: {_json_text(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -156,17 +162,16 @@ def _cmd_ile(args) -> None:
     if args.extract:
         grad_tol = args.grad_tol if args.grad_tol is not None else strain.default_grad_tol(sf)
         hits = strain.extract_extremal_set(sf, args.extract, grad_tol, args.curv_tol)
-        xs = grid.xs()
-        ys = grid.ys()
+        xt, yt = strain.axis_text(grid)
+        points = ", ".join(
+            [f'{{"ix": {ix}, "iy": {iy}, "x": {xt[ix]}, "y": {yt[iy]}}}' for ix, iy in hits]
+        )
         _emit(
             {
                 "mode": args.extract,
                 "grad_tol": grad_tol,
                 "curv_tol": args.curv_tol,
-                "points": [
-                    {"ix": ix, "iy": iy, "x": float(xs[ix]), "y": float(ys[iy])}
-                    for ix, iy in hits
-                ],
+                "points": _RawJSON(f"[{points}]"),
             }
         )
 
@@ -228,11 +233,16 @@ def _cmd_pullback(args) -> None:
         with open(args.points, "r", encoding="ascii") as fh:
             text = fh.read()
     points = [_parse_pair(line.strip(), "point") for line in text.splitlines() if line.strip()]
+    # Every value is computed before --out is opened, so a failing point
+    # leaves no partial table behind.
+    values = [
+        koopman.pullback_eigenfunction(f, surf, args.lam, pt, cfg, t_max=args.tmax)
+        for pt in points
+    ]
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("x,y,value\n")
-        for pt in points:
-            val = koopman.pullback_eigenfunction(f, surf, args.lam, pt, cfg, t_max=args.tmax)
-            fh.write(f"{format_float(pt[0])},{format_float(pt[1])},{format_float(val)}\n")
+        for (x, y), val in zip(points, values):
+            fh.write(f"{format_float(x)},{format_float(y)},{format_float(val)}\n")
 
 
 def _cmd_family(args) -> None:
@@ -307,7 +317,10 @@ def _cmd_oned(args) -> None:
 # Parser wiring
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused: ``parse_args``
+    does not mutate it, and building it costs more than most requests."""
     top = _Parser(prog="ilekoop", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -180,6 +180,10 @@ def _parse_factor(toks, variables):
             raise ParseError("expected integer exponent after '^'", offset)
         if not _UINT_RE.match(tok):
             raise ParseError("exponent must be a non-negative integer literal", offset)
+        # A larger exponent fails the degree cap on any non-constant base,
+        # and on a constant one it would only cost time.
+        if len(tok.lstrip("0")) > 3 or int(tok) > MAX_TOTAL_DEGREE:
+            raise ParseError(f"exponent exceeds the total degree cap {MAX_TOTAL_DEGREE}", offset)
         toks.take()
         node = Pow(node, int(tok))
     return node

@@ -6,7 +6,9 @@ repulsion rate.  Both come from closed forms, so no general eigensolver is
 involved.  Grids are sampled into ScalarField values that can be written as
 CSV or PGM; grid evaluation may be chunked across threads and is
 bit-reproducible for any thread count because every node is computed by the
-same elementwise operations.
+same elementwise operations.  Ridge/trench extraction is vectorized over the
+whole grid with the same per-node operations, in the same order, as a
+node-by-node loop, so it returns the same hit list.
 """
 
 from __future__ import annotations
@@ -162,13 +164,15 @@ def extract_extremal_set(
     grad_tol: float | None = None,
     curv_tol: float = 1e-6,
 ) -> list[tuple[int, int]]:
-    """Grid-local ridge or trench nodes, sorted row-major as (ix, iy) pairs.
+    """Grid-local ridge or trench nodes, row-major as (ix, iy) pairs.
 
     At each interior node the centered-difference Hessian is diagonalized;
     the eigenvector of the extreme eigenvalue is the transverse direction.
     A trench node needs transverse curvature above ``curv_tol`` and the
     gradient component along that direction below ``grad_tol``; a ridge is
     the mirrored test.  No sub-cell interpolation or curve linking is done.
+    The eigenvector norm comes from ``math.hypot``: ``np.hypot`` may differ
+    in the last bit and flip borderline nodes.
     """
     if mode not in ("ridge", "trench"):
         raise ValueError("mode must be 'ridge' or 'trench'")
@@ -178,38 +182,32 @@ def extract_extremal_set(
         grad_tol = default_grad_tol(f)
     v = f.values
     dx, dy = f.grid.dx, f.grid.dy
-    hits: list[tuple[int, int]] = []
-    for iy in range(1, f.grid.ny - 1):
-        for ix in range(1, f.grid.nx - 1):
-            gx = (v[iy, ix + 1] - v[iy, ix - 1]) / (2.0 * dx)
-            gy = (v[iy + 1, ix] - v[iy - 1, ix]) / (2.0 * dy)
-            hxx = (v[iy, ix + 1] - 2.0 * v[iy, ix] + v[iy, ix - 1]) / (dx * dx)
-            hyy = (v[iy + 1, ix] - 2.0 * v[iy, ix] + v[iy - 1, ix]) / (dy * dy)
-            hxy = (
-                v[iy + 1, ix + 1] - v[iy + 1, ix - 1] - v[iy - 1, ix + 1] + v[iy - 1, ix - 1]
-            ) / (4.0 * dx * dy)
-            lo, hi = SymTensor2(hxx, hxy, hyy).eigenvalues()
-            lam = hi if mode == "trench" else lo
-            if mode == "trench" and not lam > curv_tol:
-                continue
-            if mode == "ridge" and not lam < -curv_tol:
-                continue
-            ex, ey = _eigenvector(hxx, hxy, hyy, lam)
-            if abs(gx * ex + gy * ey) < grad_tol:
-                hits.append((ix, iy))
-    hits.sort(key=lambda p: (p[1], p[0]))
-    return hits
-
-
-def _eigenvector(hxx: float, hxy: float, hyy: float, lam: float) -> tuple[float, float]:
-    if abs(hxy) > 1e-300:
-        vx, vy = hxy, lam - hxx
-    elif abs(lam - hxx) <= abs(lam - hyy):
-        vx, vy = 1.0, 0.0
-    else:
-        vx, vy = 0.0, 1.0
-    norm = math.hypot(vx, vy)
-    return (vx / norm, vy / norm)
+    c = v[1:-1, 1:-1]
+    e, w = v[1:-1, 2:], v[1:-1, :-2]
+    n, s = v[2:, 1:-1], v[:-2, 1:-1]
+    with np.errstate(all="ignore"):
+        hxx = (e - 2.0 * c + w) / (dx * dx)
+        hyy = (n - 2.0 * c + s) / (dy * dy)
+        hxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * dx * dy)
+        mean = 0.5 * (hxx + hyy)
+        d = hxx - hyy
+        rad = 0.5 * np.sqrt(d * d + 4.0 * hxy * hxy)
+        if mode == "trench":
+            lam = mean + rad
+            iy, ix = np.nonzero(lam > curv_tol)
+        else:
+            lam = mean - rad
+            iy, ix = np.nonzero(lam < -curv_tol)
+        lam, hxx, hyy, hxy = lam[iy, ix], hxx[iy, ix], hyy[iy, ix], hxy[iy, ix]
+        gx = (e[iy, ix] - w[iy, ix]) / (2.0 * dx)
+        gy = (n[iy, ix] - s[iy, ix]) / (2.0 * dy)
+        off_diag = np.abs(hxy) > 1e-300
+        along_x = np.abs(lam - hxx) <= np.abs(lam - hyy)
+        vx = np.where(off_diag, hxy, np.where(along_x, 1.0, 0.0))
+        vy = np.where(off_diag, lam - hxx, np.where(along_x, 0.0, 1.0))
+        norm = np.fromiter(map(math.hypot, vx.tolist(), vy.tolist()), float, len(vx))
+        hit = np.abs(gx * (vx / norm) + gy * (vy / norm)) < grad_tol
+    return list(zip((ix[hit] + 1).tolist(), (iy[hit] + 1).tolist()))
 
 
 # -- file formats ---------------------------------------------------------------
@@ -219,16 +217,19 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def axis_text(grid: Grid2D) -> tuple[list[str], list[str]]:
+    """``format_float`` of every x and every y node coordinate."""
+    return ([format_float(v) for v in grid.xs().tolist()],
+            [format_float(v) for v in grid.ys().tolist()])
+
+
 def write_csv(f: ScalarField, stream) -> None:
     """Rows are emitted row-major: the y index varies slowest."""
-    xs = f.grid.xs()
-    ys = f.grid.ys()
+    xt, yt = axis_text(f.grid)
     stream.write("x,y,value\n")
-    for iy in range(f.grid.ny):
-        for ix in range(f.grid.nx):
-            stream.write(
-                f"{format_float(xs[ix])},{format_float(ys[iy])},{format_float(f.values[iy, ix])}\n"
-            )
+    for y, row in zip(yt, f.values.tolist()):
+        # the value format is format_float's, inlined
+        stream.write("".join([f"{x},{y},{v:.17g}\n" for x, v in zip(xt, row)]))
 
 
 def write_pgm(f: ScalarField, stream) -> None:
@@ -237,7 +238,7 @@ def write_pgm(f: ScalarField, stream) -> None:
     lo = f.min()
     hi = f.max()
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
+    pixels = ((f.values - lo) * scale).round().astype(int)
     stream.write(f"P2\n{f.grid.nx} {f.grid.ny}\n255\n")
-    for iy in range(f.grid.ny - 1, -1, -1):
-        row = ((f.values[iy] - lo) * scale).round().astype(int)
-        stream.write(" ".join(str(int(p)) for p in row) + "\n")
+    for row in pixels[::-1].tolist():
+        stream.write(" ".join(map(str, row)) + "\n")

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import math
@@ -7,7 +8,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ilekoop import cli, strain
 from ilekoop.cli import run_command
 from ilekoop.expr import Poly2, parse_polynomial
 
@@ -349,7 +353,7 @@ def test_bad_field_json_exit_code(capsys, tmp_path, monkeypatch, term):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("expr", ["1e999*x", "(1e200)^2*x", "x - 1e300*1e300*y"])
+@pytest.mark.parametrize("expr", ["1e999*x", "(1e200)^2*x", "x - 1e300*1e300*y", "1^2000000*x"])
 def test_overflowing_expression_exit_code(capsys, tmp_path, expr):
     out_file = tmp_path / "out.csv"
     code, _, err = run(
@@ -466,3 +470,79 @@ def test_pgm_output(capsys, tmp_path):
     assert lines[1] == "4 3"
     assert lines[2] == "255"
     assert len(lines) == 6
+
+
+def test_pullback_failure_leaves_no_output(capsys, tmp_path):
+    # The second point has no crossing; the first one succeeds on its own.
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.2\n0.1,0.0\n")
+    out_file = tmp_path / "phi.csv"
+    code, out, err = run(
+        ["pullback", "--field", "saddle", "--line", "0,0.5,1,0", "--h", "1", "--lambda", "-1",
+         "--points", str(pts), "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_cached_parser_gives_standalone_results(capsys):
+    """The parser is built once per process; earlier requests, including a
+    usage error, must not change what a later one prints."""
+    requests = [
+        ["ile", "--field", "saddle", "--grid", "0:1:5,0:1:5", "--out", "x", "--bogus"],
+        ["series", "--target", "s1", "--N", "3", "--y", "0.25"],
+        ["oned", "--f", "x - x^3", "--xmin", "-1", "--xmax", "1", "--n", "7"],
+    ]
+    alone = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        alone.append(run(argv, capsys))
+    cli._parser.cache_clear()
+    together = [run(argv, capsys) for argv in requests]
+    assert together == alone
+    assert [code for code, _, _ in alone] == [1, 0, 0]
+
+
+def _reference_extract_json(sf, mode, grad_tol, curv_tol):
+    hits = strain.extract_extremal_set(sf, mode, grad_tol, curv_tol)
+    xs, ys = sf.grid.xs(), sf.grid.ys()
+    return cli._json_text(
+        {
+            "mode": mode,
+            "grad_tol": grad_tol,
+            "curv_tol": curv_tol,
+            "points": [
+                {"ix": ix, "iy": iy, "x": float(xs[ix]), "y": float(ys[iy])} for ix, iy in hits
+            ],
+        }
+    ) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.sampled_from(["saddle", "expr:x*y - y^3;x^2 + 0.3*y", "expr:0.5*x;-0.5*y"]),
+    x0=st.floats(-1.0, 0.0),
+    y0=st.floats(-0.9, 0.0),
+    nx=st.integers(3, 30),
+    ny=st.integers(3, 30),
+    mode=st.sampled_from(["trench", "ridge"]),
+    grad_tol=st.one_of(st.none(), st.floats(1e-3, 10.0)),
+)
+def test_extract_json_matches_generic_rendering(
+    field, x0, y0, nx, ny, mode, grad_tol, tmp_path_factory
+):
+    out_file = tmp_path_factory.mktemp("ile") / "s1.csv"
+    grid_text = f"{x0!r}:{x0 + 1.7!r}:{nx},{y0!r}:{y0 + 0.8!r}:{ny}"
+    argv = ["ile", "--field", field, "--grid", grid_text, "--out", str(out_file),
+            "--extract", mode]
+    if grad_tol is not None:
+        argv += ["--grad-tol", repr(grad_tol)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert run_command(argv) == 0
+    sf = strain.rate_field(cli._load_field(field), cli._parse_grid(grid_text))
+    tol = grad_tol if grad_tol is not None else strain.default_grad_tol(sf)
+    assert stdout.getvalue() == _reference_extract_json(sf, mode, tol, 1e-6)

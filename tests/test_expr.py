@@ -2,6 +2,7 @@
 
 import random
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -363,3 +364,14 @@ def test_eval_array_fills_input_shape(text):
     assert out.shape == (3, 4)
     assert all(_bits(out[r, c]) == _bits(_ref_evaluate(p, xs[r, c], ys[r, c]))
                for r in range(3) for c in range(4))
+
+
+def test_huge_exponent_literal_is_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="degree"):
+        parse_polynomial("1^2000000")
+    with pytest.raises(ParseError, match="degree"):
+        parse_polynomial("2^" + "9" * 5000)
+    assert time.perf_counter() - start < 0.5
+    assert parse_polynomial("x^64") == Poly2.monomial(64, 0)
+    assert parse_polynomial("1^64 + x^0064") == parse_polynomial("1 + x^64")

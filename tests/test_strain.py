@@ -6,12 +6,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ilekoop import strain
 from ilekoop.expr import parse_polynomial
 from ilekoop.families import QuadraticParams, make_quadratic_family, make_transformed_family
 from ilekoop.strain import (
     Grid2D,
     ScalarField,
+    SymTensor2,
     extract_extremal_set,
     rate_field,
     strain_rates,
@@ -222,3 +226,166 @@ def test_scalar_field_rejects_nonfinite():
     grid = Grid2D(0.0, 1.0, 2, 0.0, 1.0, 2)
     with pytest.raises(ValueError):
         ScalarField(grid, np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+
+# -- the whole-grid extraction and writers against the scalar loops they replaced --
+
+def _loop_extract(f, mode, grad_tol, curv_tol, projections=None):
+    """The node-by-node extraction, kept as the reference.  Appends
+    (ix, iy, |projection|) for every node that passes the curvature test to
+    ``projections`` when given."""
+    v = f.values
+    dx, dy = f.grid.dx, f.grid.dy
+    hits = []
+    for iy in range(1, f.grid.ny - 1):
+        for ix in range(1, f.grid.nx - 1):
+            gx = (v[iy, ix + 1] - v[iy, ix - 1]) / (2.0 * dx)
+            gy = (v[iy + 1, ix] - v[iy - 1, ix]) / (2.0 * dy)
+            hxx = (v[iy, ix + 1] - 2.0 * v[iy, ix] + v[iy, ix - 1]) / (dx * dx)
+            hyy = (v[iy + 1, ix] - 2.0 * v[iy, ix] + v[iy - 1, ix]) / (dy * dy)
+            hxy = (
+                v[iy + 1, ix + 1] - v[iy + 1, ix - 1] - v[iy - 1, ix + 1] + v[iy - 1, ix - 1]
+            ) / (4.0 * dx * dy)
+            lo, hi = SymTensor2(hxx, hxy, hyy).eigenvalues()
+            lam = hi if mode == "trench" else lo
+            if mode == "trench" and not lam > curv_tol:
+                continue
+            if mode == "ridge" and not lam < -curv_tol:
+                continue
+            ex, ey = _loop_eigenvector(hxx, hxy, hyy, lam)
+            proj = abs(gx * ex + gy * ey)
+            if projections is not None:
+                projections.append((ix, iy, float(proj)))
+            if proj < grad_tol:
+                hits.append((ix, iy))
+    hits.sort(key=lambda p: (p[1], p[0]))
+    return hits
+
+
+def _loop_eigenvector(hxx, hxy, hyy, lam):
+    if abs(hxy) > 1e-300:
+        vx, vy = hxy, lam - hxx
+    elif abs(lam - hxx) <= abs(lam - hyy):
+        vx, vy = 1.0, 0.0
+    else:
+        vx, vy = 0.0, 1.0
+    norm = math.hypot(vx, vy)
+    return (vx / norm, vy / norm)
+
+
+def _loop_write_csv(f, stream):
+    xs = f.grid.xs()
+    ys = f.grid.ys()
+    stream.write("x,y,value\n")
+    for iy in range(f.grid.ny):
+        for ix in range(f.grid.nx):
+            stream.write(f"{xs[ix]:.17g},{ys[iy]:.17g},{f.values[iy, ix]:.17g}\n")
+
+
+def _loop_write_pgm(f, stream):
+    lo = f.min()
+    hi = f.max()
+    scale = 255.0 / (hi - lo) if hi > lo else 0.0
+    stream.write(f"P2\n{f.grid.nx} {f.grid.ny}\n255\n")
+    for iy in range(f.grid.ny - 1, -1, -1):
+        row = ((f.values[iy] - lo) * scale).round().astype(int)
+        stream.write(" ".join(str(int(p)) for p in row) + "\n")
+
+
+# Ordinary magnitudes mixed with signed zeros, subnormals, values near the
+# 1e-300 off-diagonal cut and values whose differences overflow.
+_special = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 2e-300, 1e-308, 1e300, -1e300, 1.0, -1.0]
+)
+_value = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e-6, 1e-6), _special)
+_bound = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([0.0, -0.0, 0.1, 1.0 / 3.0, 1e-7]))
+
+
+@st.composite
+def _fields(draw, min_side=2):
+    nx = draw(st.integers(min_side, 9))
+    ny = draw(st.integers(min_side, 9))
+    x0, y0 = draw(_bound), draw(_bound)
+    wx = draw(st.sampled_from([1.0, 2.0, 0.3, 1e-3, 7.0]))
+    wy = draw(st.sampled_from([1.0, 2.0, 0.3, 1e-3, 7.0]))
+    grid = Grid2D(x0, x0 + wx, nx, y0, y0 + wy, ny)
+    kind = draw(st.sampled_from(["random", "constant", "zero"]))
+    if kind == "random":
+        values = draw(st.lists(_value, min_size=nx * ny, max_size=nx * ny))
+    elif kind == "constant":
+        values = [draw(_value)] * (nx * ny)
+    else:
+        values = [0.0] * (nx * ny)
+    return ScalarField(grid, np.array(values, dtype=float).reshape(ny, nx))
+
+
+def _field3(rows) -> ScalarField:
+    # 3x3 on the unit square: 4*dx*dy == 1, so the corners give the centre
+    # node's hxy exactly.
+    return ScalarField(Grid2D(0.0, 1.0, 3, 0.0, 1.0, 3), np.array(rows, dtype=float))
+
+
+# The centre node's hxy sits on the 1e-300 cut; the two eigenvector branches
+# give projections 0 and 2.5e-301 in ridge mode.
+_CUT = _field3([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1e-300]])
+# np.hypot and math.hypot differ in the last bit at the centre node, which
+# moves its trench projection by one ulp.
+_HYPOT = _field3(
+    [[0.0, 0.0, 0.1615357394073358], [0.6745889310405622, 0.0, -0.2042340124879214],
+     [0.0, 0.0, 0.0]]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    f=_fields(min_side=3),
+    mode=st.sampled_from(["trench", "ridge"]),
+    curv_tol=st.sampled_from([1e-6, 0.0, -1.0, 1e-300, 5.0]),
+)
+@example(f=_CUT, mode="ridge", curv_tol=-1.0)
+@example(f=_CUT, mode="trench", curv_tol=-1.0)
+@example(f=_field3([[0.0] * 3, [0.0] * 3, [0.0, 0.0, 2e-300]]), mode="trench", curv_tol=-1.0)
+@example(f=_HYPOT, mode="trench", curv_tol=1e-6)
+def test_extraction_matches_node_loop(f, mode, curv_tol):
+    """grad_tol is placed on every computed projection and on the next float
+    above it, where the strict ``<`` decides each node; any change in a
+    projection, even by one ulp, changes one of these hit lists."""
+    with np.errstate(all="ignore"):
+        projections = []
+        _loop_extract(f, mode, math.inf, curv_tol, projections)
+        default_tol = strain.default_grad_tol(f)
+        tols = {default_tol, 0.0, 1.0, math.inf}
+        for _, _, p in projections:
+            tols.update((p, math.nextafter(p, math.inf)))
+        for grad_tol in tols:
+            expected = [(ix, iy) for ix, iy, p in projections if p < grad_tol]
+            got = extract_extremal_set(f, mode, grad_tol, curv_tol)
+            assert got == expected, grad_tol
+        assert extract_extremal_set(f, mode, None, curv_tol) == _loop_extract(
+            f, mode, default_tol, curv_tol
+        )
+    assert all(type(i) is int for pair in got for i in pair)
+
+
+def test_extraction_on_rate_fields_matches_node_loop():
+    grid = Grid2D(-1.3, 0.9, 61, -0.8, 0.7, 47)
+    fields = [VectorField2D.saddle(), cubic_example_field(), make_transformed_family(-1.0, [0.3])]
+    for field in fields:
+        for which in ("s1", "s2"):
+            sf = rate_field(field, grid, which)
+            for mode in ("trench", "ridge"):
+                for tol in (None, 0.5, 3.0):
+                    grad_tol = strain.default_grad_tol(sf) if tol is None else tol
+                    expected = _loop_extract(sf, mode, grad_tol, 1e-6)
+                    assert extract_extremal_set(sf, mode, grad_tol) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_fields())
+def test_csv_and_pgm_match_row_loops(f):
+    for new, old in ((write_csv, _loop_write_csv), (write_pgm, _loop_write_pgm)):
+        a, b = io.StringIO(), io.StringIO()
+        with np.errstate(all="ignore"):
+            new(f, a)
+            old(f, b)
+        assert a.getvalue() == b.getvalue()
