@@ -98,16 +98,19 @@ def _load_field(source: str) -> VectorField2D:
         if len(parts) != 2:
             raise UsageError("inline field must be expr:P;Q")
         return VectorField2D.polynomial(parse_polynomial(parts[0]), parse_polynomial(parts[1]))
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
     try:
-        obj = json.loads(text)
+        obj = json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
         raise UsageError(f"field JSON is invalid: {exc}") from exc
     return field_from_json(obj)
+
+
+def _read_text(source: str) -> str:
+    """The text of the file ``source``, or of stdin when it is '-'."""
+    if source == "-":
+        return sys.stdin.read()
+    with open(source, "r", encoding="ascii") as fh:
+        return fh.read()
 
 
 def _parse_grid(text: str) -> Grid2D:
@@ -155,6 +158,9 @@ def _write_field_outputs(sf, out_path: str, pgm_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ile(args) -> None:
+    for flag, tol in (("--grad-tol", args.grad_tol), ("--curv-tol", args.curv_tol)):
+        if tol is not None and not math.isfinite(tol):
+            raise UsageError(f"{flag} must be finite, got {tol!r}")
     f = _load_field(args.field)
     grid = _parse_grid(args.grid)
     sf = strain.rate_field(f, grid, which=args.rate, threads=args.threads)
@@ -227,12 +233,8 @@ def _cmd_pullback(args) -> None:
         h = lambda s, p=hp: p.evaluate(s)  # noqa: E731
     surf = koopman.DataSurface((x0, y0), (dx, dy), h)
     cfg = IntegratorConfig(step=args.step)
-    if args.points == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.points, "r", encoding="ascii") as fh:
-            text = fh.read()
-    points = [_parse_pair(line.strip(), "point") for line in text.splitlines() if line.strip()]
+    lines = _read_text(args.points).splitlines()
+    points = [_parse_pair(line.strip(), "point") for line in lines if line.strip()]
     # Every value is computed before --out is opened, so a failing point
     # leaves no partial table behind.
     values = [

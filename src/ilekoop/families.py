@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .expr import Poly2
-from .koopman import best_lambda, generator_apply
+from .koopman import KeigCandidate, best_lambda, keig_residual
 from .vectorfield import VectorField2D
 
 
@@ -179,7 +179,7 @@ def claimed_s1_report(lam: float, coeffs, samples=None) -> dict:
     """
     f = make_transformed_family(lam, coeffs)
     g = transformed_claimed_attraction_rate(lam, coeffs)
-    residual = generator_apply(f, g) - lam * g
+    residual = keig_residual(f, KeigCandidate(g, lam))
     report = {
         "claimed_lambda": lam,
         "exact_keig": residual.is_zero(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .strain import Grid2D, ScalarField, SymTensor2, _row_chunks, _run_chunks
+from .strain import Grid2D, ScalarField, SymTensor2, _sample_grid
 from .vectorfield import VectorField2D, _check_domain
 
 MAX_STEP_COUNT = 1e8
@@ -113,6 +113,16 @@ def flow_endpoint(
     return _advance(f.evaluate, float(x0[0]), float(x0[1]), t, cfg.step)
 
 
+def _gradient_tensor(xp, xm, yp, ym, delta):
+    """Cauchy-Green tensor from the (x, y) endpoints of the trajectories
+    started at +x, -x, +y and -y offsets ``delta``; floats or arrays."""
+    f11 = (xp[0] - xm[0]) / (2.0 * delta)
+    f21 = (xp[1] - xm[1]) / (2.0 * delta)
+    f12 = (yp[0] - ym[0]) / (2.0 * delta)
+    f22 = (yp[1] - ym[1]) / (2.0 * delta)
+    return SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22)
+
+
 def cauchy_green(
     f: VectorField2D,
     x0: tuple[float, float],
@@ -124,15 +134,8 @@ def cauchy_green(
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     x, y = x0
-    xp = flow_endpoint(f, (x + delta, y), t, cfg)
-    xm = flow_endpoint(f, (x - delta, y), t, cfg)
-    yp = flow_endpoint(f, (x, y + delta), t, cfg)
-    ym = flow_endpoint(f, (x, y - delta), t, cfg)
-    f11 = (xp[0] - xm[0]) / (2.0 * delta)
-    f21 = (xp[1] - xm[1]) / (2.0 * delta)
-    f12 = (yp[0] - ym[0]) / (2.0 * delta)
-    f22 = (yp[1] - ym[1]) / (2.0 * delta)
-    return SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22)
+    seeds = ((x + delta, y), (x - delta, y), (x, y + delta), (x, y - delta))
+    return _gradient_tensor(*(flow_endpoint(f, s, t, cfg) for s in seeds), delta)
 
 
 def ftle(
@@ -168,32 +171,19 @@ def ftle_field(
         raise ValueError("FTLE needs a nonzero integration time")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    xs = grid.xs()
-    ys = grid.ys()
-    lam2 = np.empty((grid.ny, grid.nx))
 
-    def worker(chunk):
-        r0, r1 = chunk
-        yv, xv = np.meshgrid(ys[r0:r1], xs, indexing="ij")
-        xv = xv.ravel()
-        yv = yv.ravel()
-        m = xv.size
-        seeds_x = np.concatenate([xv + delta, xv - delta, xv, xv])
-        seeds_y = np.concatenate([yv, yv, yv + delta, yv - delta])
-        ex, ey = _advance(f.evaluate_arrays, seeds_x, seeds_y, t, cfg.step)
-        f11 = (ex[0:m] - ex[m : 2 * m]) / (2.0 * delta)
-        f21 = (ey[0:m] - ey[m : 2 * m]) / (2.0 * delta)
-        f12 = (ex[2 * m : 3 * m] - ex[3 * m :]) / (2.0 * delta)
-        f22 = (ey[2 * m : 3 * m] - ey[3 * m :]) / (2.0 * delta)
-        c11 = f11 * f11 + f21 * f21
-        c12 = f11 * f12 + f21 * f22
-        c22 = f12 * f12 + f22 * f22
-        mean = 0.5 * (c11 + c22)
-        d = c11 - c22
-        rad = 0.5 * np.sqrt(d * d + 4.0 * c12 * c12)
-        lam2[r0:r1] = (mean + rad).reshape(r1 - r0, grid.nx)
+    def stretch(xv, yv):
+        ex, ey = _advance(
+            f.evaluate_arrays,
+            np.concatenate([xv + delta, xv - delta, xv, xv]),
+            np.concatenate([yv, yv, yv + delta, yv - delta]),
+            t,
+            cfg.step,
+        )
+        ends = zip(np.split(ex, 4), np.split(ey, 4))
+        return _gradient_tensor(*ends, delta).eigenvalues()[1]
 
-    _run_chunks(_row_chunks(grid.ny, threads), worker, threads)
+    lam2 = _sample_grid(grid, stretch, threads)
     vals = np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
     return ScalarField(grid, vals)
 
@@ -213,7 +203,4 @@ def saddle_ftle(pt: tuple[float, float], t: float) -> float:
     dominant direction in backward time away from |y| near 1)."""
     if t == 0.0:
         raise ValueError("FTLE needs a nonzero integration time")
-    _check_domain(pt[1])
-    y = pt[1]
-    denom = (1.0 - y * y) * math.exp(2.0 * t) + y * y
-    return -math.log(math.exp(4.0 * t) / denom**3) / (2.0 * t)
+    return -math.log(saddle_cauchy_green(pt, t).syy) / (2.0 * t)

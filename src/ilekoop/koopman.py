@@ -86,11 +86,16 @@ def keig_residual(f: VectorField2D, cand: KeigCandidate):
         return generator_apply(f, cand.g) - cand.lam * cand.g
 
     def residual(x: float, y: float) -> float:
-        u, v = f.evaluate(x, y)
-        gx, gy = observable_gradient(cand.g, x, y)
-        return u * gx + v * gy - cand.lam * observable_value(cand.g, x, y)
+        return _generator_at(f, cand.g, x, y) - cand.lam * observable_value(cand.g, x, y)
 
     return residual
+
+
+def _generator_at(f: VectorField2D, g, x: float, y: float) -> float:
+    """v . grad(g) at one point, for any observable."""
+    u, v = f.evaluate(x, y)
+    gx, gy = observable_gradient(g, x, y)
+    return u * gx + v * gy
 
 
 def residual_report(f: VectorField2D, cand: KeigCandidate, points) -> dict:
@@ -122,13 +127,8 @@ def best_lambda(f: VectorField2D, g, samples) -> tuple[float, float]:
         lg_vals = [lg_poly.evaluate(x, y) for x, y in samples]
         g_vals = [g.evaluate(x, y) for x, y in samples]
     else:
-        lg_vals = []
-        g_vals = []
-        for x, y in samples:
-            u, v = f.evaluate(x, y)
-            gx, gy = observable_gradient(g, x, y)
-            lg_vals.append(u * gx + v * gy)
-            g_vals.append(observable_value(g, x, y))
+        pairs = [(_generator_at(f, g, x, y), observable_value(g, x, y)) for x, y in samples]
+        lg_vals, g_vals = zip(*pairs)
     den = sum(gv * gv for gv in g_vals)
     if den == 0.0:
         raise ValueError("observable vanishes at every sample point")
@@ -353,8 +353,8 @@ def keig_condition_residual(f: VectorField2D, which: str, lam: float) -> Poly2:
     p, q = f.polynomial_components()
     if which == "s2":
         rate = p.diff("x")
-        return p * rate.diff("x") + q * rate.diff("y") - lam * rate
-    if which == "s1":
+    elif which == "s1":
         rate = q.diff("y")
-        return p * rate.diff("x") + q * rate.diff("y") - lam * rate
-    raise ValueError("which must be 's1' or 's2'")
+    else:
+        raise ValueError("which must be 's1' or 's2'")
+    return keig_residual(f, KeigCandidate(rate, lam))

@@ -166,24 +166,18 @@ def decompose_monomial(x_power: int, y_power: int, n_terms: int) -> list[tuple[f
         raise ValueError("monomial powers must be nonnegative")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    order = n_terms + 2
-    # q^(m+2j) = 3^((m+2j)/2) * y^(m+2j) * (1-y^2)^(-(m+2j)/2); factor out
-    # y^m and expand the rest in u = y^2 so basis j leads at u^j.
-    basis = []
-    for j in range(n_terms):
-        power = m + 2 * j
+
+    def basis(k: int) -> list[float]:
+        # q^(m+2j) = 3^((m+2j)/2) * y^(m+2j) * (1-y^2)^(-(m+2j)/2); factor
+        # out y^m and expand the rest in u = y^2, so basis j leads at u^j.
+        # The greedy scheme counts from 1, so every series (the target 1
+        # included) is shifted up one order: element k = j + 1 leads at u^k.
+        power = m + 2 * (k - 1)
         scale = 3.0 ** (power / 2.0)
-        series = _binomial_series(-power / 2.0, order)
-        basis.append([0.0] * j + [scale * bc for bc in series[: order + 1 - j]])
-    target = [1.0]
-    residual = list(target) + [0.0] * order
-    out = []
-    for j in range(n_terms):
-        bj = basis[j] + [0.0] * (order + 1)
-        dj = residual[j] / bj[j]
-        out.append((float(n - m - 2 * j), dj))
-        residual = [r - dj * b for r, b in zip(residual, bj)]
-    return out
+        return [0.0] * k + [scale * bc for bc in _binomial_series(-power / 2.0, n_terms - k)]
+
+    coeffs = greedy_series_coefficients([0.0, 1.0], basis, n_terms)
+    return [(float(n - m - 2 * j), c) for j, c in enumerate(coeffs)]
 
 
 def monomial_partial_sum(x_power: int, terms, x: float, y: float) -> float:

@@ -30,11 +30,14 @@ class SymTensor2:
     sxy: float
     syy: float
 
-    def eigenvalues(self) -> tuple[float, float]:
-        """(min, max) eigenvalue pair, via the closed-form quadratic."""
+    def eigenvalues(self):
+        """(min, max) eigenvalue pair, via the closed-form quadratic.  The
+        entries may be floats (floats come back) or arrays (elementwise)."""
         mean = 0.5 * (self.sxx + self.syy)
         d = self.sxx - self.syy
-        rad = 0.5 * math.sqrt(d * d + 4.0 * self.sxy * self.sxy)
+        rad = 0.5 * np.sqrt(d * d + 4.0 * self.sxy * self.sxy)
+        if not isinstance(rad, np.ndarray):
+            rad = float(rad)
         return (mean - rad, mean + rad)
 
 
@@ -100,29 +103,33 @@ def strain_tensor(f: VectorField2D, x: float, y: float) -> SymTensor2:
 def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
     """Attraction and repulsion rates (s1, s2) at a point; s1 <= s2 and
     s1 + s2 equals the divergence."""
-    j = f.jacobian(x, y)
-    mean = 0.5 * (j.a11 + j.a22)
-    d = j.a11 - j.a22
-    shear = j.a12 + j.a21
-    rad = 0.5 * math.sqrt(d * d + shear * shear)
-    return (mean - rad, mean + rad)
+    return strain_tensor(f, x, y).eigenvalues()
 
 
-def _row_chunks(ny: int, threads: int) -> list[tuple[int, int]]:
+def _sample_grid(grid: Grid2D, fn, threads: int) -> np.ndarray:
+    """``fn(xv, yv)`` over every node, as one ``(ny, nx)`` array.
+
+    The rows are cut into one contiguous chunk per thread and ``fn`` gets
+    each chunk's meshgrid.  ``fn`` must be elementwise, so that the result
+    does not depend on the cut.
+    """
+    xs, ys = grid.xs(), grid.ys()
+    out = np.empty((grid.ny, grid.nx))
     threads = max(1, int(threads))
-    bounds = [round(ny * i / threads) for i in range(threads + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    bounds = [round(grid.ny * i / threads) for i in range(threads + 1)]
+    chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
+    def fill(chunk):
+        r0, r1 = chunk
+        yv, xv = np.meshgrid(ys[r0:r1], xs, indexing="ij")
+        out[r0:r1] = fn(xv, yv)
 
-def _run_chunks(chunks, worker, threads: int):
-    if threads <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            worker(chunk)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, chunk) for chunk in chunks]
-        for fut in futures:
-            fut.result()
+    if len(chunks) == 1:
+        fill(chunks[0])
+    else:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            list(pool.map(fill, chunks))
+    return out
 
 
 def rate_field(f: VectorField2D, grid: Grid2D, which: str = "s1", threads: int = 1) -> ScalarField:
@@ -134,22 +141,13 @@ def rate_field(f: VectorField2D, grid: Grid2D, which: str = "s1", threads: int =
     """
     if which not in ("s1", "s2"):
         raise ValueError("which must be 's1' or 's2'")
-    xs = grid.xs()
-    ys = grid.ys()
-    out = np.empty((grid.ny, grid.nx))
+    k = 0 if which == "s1" else 1
 
-    def worker(chunk):
-        r0, r1 = chunk
-        yv, xv = np.meshgrid(ys[r0:r1], xs, indexing="ij")
+    def rate(xv, yv):
         a11, a12, a21, a22 = f.jacobian_arrays(xv, yv)
-        mean = 0.5 * (a11 + a22)
-        d = a11 - a22
-        shear = a12 + a21
-        rad = 0.5 * np.sqrt(d * d + shear * shear)
-        out[r0:r1] = mean - rad if which == "s1" else mean + rad
+        return SymTensor2(a11, 0.5 * (a12 + a21), a22).eigenvalues()[k]
 
-    _run_chunks(_row_chunks(grid.ny, threads), worker, threads)
-    return ScalarField(grid, out)
+    return ScalarField(grid, _sample_grid(grid, rate, threads))
 
 
 def default_grad_tol(f: ScalarField) -> float:
@@ -189,15 +187,9 @@ def extract_extremal_set(
         hxx = (e - 2.0 * c + w) / (dx * dx)
         hyy = (n - 2.0 * c + s) / (dy * dy)
         hxy = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * dx * dy)
-        mean = 0.5 * (hxx + hyy)
-        d = hxx - hyy
-        rad = 0.5 * np.sqrt(d * d + 4.0 * hxy * hxy)
-        if mode == "trench":
-            lam = mean + rad
-            iy, ix = np.nonzero(lam > curv_tol)
-        else:
-            lam = mean - rad
-            iy, ix = np.nonzero(lam < -curv_tol)
+        trench = mode == "trench"
+        lam = SymTensor2(hxx, hxy, hyy).eigenvalues()[1 if trench else 0]
+        iy, ix = np.nonzero(lam > curv_tol if trench else lam < -curv_tol)
         lam, hxx, hyy, hxy = lam[iy, ix], hxx[iy, ix], hyy[iy, ix], hxy[iy, ix]
         gx = (e[iy, ix] - w[iy, ix]) / (2.0 * dx)
         gy = (n[iy, ix] - s[iy, ix]) / (2.0 * dy)
@@ -235,10 +227,12 @@ def write_csv(f: ScalarField, stream) -> None:
 def write_pgm(f: ScalarField, stream) -> None:
     """Plain (P2) PGM; values mapped affinely min -> 0, max -> 255, top row
     at ymax so the image is in conventional orientation."""
-    lo = f.min()
-    hi = f.max()
+    lo, hi, values = f.min(), f.max(), f.values
+    if math.isinf(hi - lo):
+        # The span overflows; halving every value keeps it finite.
+        lo, hi, values = 0.5 * lo, 0.5 * hi, 0.5 * values
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    pixels = ((f.values - lo) * scale).round().astype(int)
+    pixels = ((values - lo) * scale).round().astype(int)
     stream.write(f"P2\n{f.grid.nx} {f.grid.ny}\n255\n")
     for row in pixels[::-1].tolist():
         stream.write(" ".join(map(str, row)) + "\n")

@@ -89,7 +89,7 @@ def _check_domain(y: float) -> None:
 
 
 def _check_domain_arrays(ys: np.ndarray) -> None:
-    if np.any(np.abs(ys) >= SADDLE_Y_BOUND):
+    if not np.all(np.abs(ys) < SADDLE_Y_BOUND):
         raise DomainError("saddle field is only defined for |y| < 1")
 
 

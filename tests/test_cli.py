@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -125,6 +126,23 @@ def test_ile_extract_output(capsys, tmp_path):
     report = json.loads(out)
     assert report["mode"] == "trench"
     assert report["points"] == []  # constant field has no curvature
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--grad-tol", "nan"), ("--grad-tol", "inf"), ("--curv-tol", "inf"),
+     ("--curv-tol", "-inf"), ("--curv-tol", "nan")],
+)
+def test_ile_nonfinite_tolerance_exit_code(capsys, tmp_path, flag, value):
+    out_file = tmp_path / "s1.csv"
+    code, out, err = run(
+        ["ile", "--field", "saddle", "--grid", "-1:1:5,-0.5:0.5:5", "--out", str(out_file),
+         "--extract", "trench", f"{flag}={value}"],
+        capsys,
+    )
+    assert code == 1
+    assert flag in err and out == ""
+    assert not out_file.exists()
 
 
 def test_ile_threads_byte_identical(capsys, tmp_path):
@@ -401,11 +419,15 @@ def test_bad_pullback_tmax_exit_code(capsys, tmp_path, extra):
 
 
 def _run_process(argv, stdin_bytes=None):
+    # The child imports the same ilekoop as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ilekoop.cli", *argv],
         input=stdin_bytes,
         capture_output=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -161,6 +161,14 @@ def test_ftle_linear_field_any_time():
         assert ftle(f, (0.2, -0.1), t, 1e-5, CFG) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_point_paths_return_floats():
+    f = VectorField2D.saddle()
+    assert type(ftle(f, (0.3, 0.2), -0.1, 1e-5, CFG)) is float
+    assert [type(v) for v in strain_rates(f, 0.3, 0.2)] == [float, float]
+    c = cauchy_green(f, (0.3, 0.2), -0.1, 1e-5, CFG)
+    assert [type(v) for v in c.eigenvalues()] == [float, float]
+
+
 def test_ftle_rejects_zero_time():
     with pytest.raises(ValueError):
         ftle(VectorField2D.saddle(), (0.0, 0.0), 0.0, 1e-5, CFG)

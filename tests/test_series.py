@@ -7,6 +7,7 @@ import pytest
 from ilekoop.errors import DomainError
 from ilekoop.koopman import KeigCandidate, keig_residual
 from ilekoop.series import (
+    _binomial_series,
     _w_power_taylor,
     attraction_series_coefficients,
     decompose_monomial,
@@ -177,6 +178,34 @@ def test_decompose_mixed_monomial_converges():
     for x, y in [(1.3, 0.4), (-0.7, -0.3), (0.5, 0.5)]:
         approx = monomial_partial_sum(2, terms, x, y)
         assert approx == pytest.approx(x * x * y * y, abs=5e-4)
+
+
+def _loop_decompose(n, m, n_terms):
+    """The greedy loop decompose_monomial used to carry, kept as the reference."""
+    order = n_terms + 2
+    basis = []
+    for j in range(n_terms):
+        power = m + 2 * j
+        scale = 3.0 ** (power / 2.0)
+        series = _binomial_series(-power / 2.0, order)
+        basis.append([0.0] * j + [scale * bc for bc in series[: order + 1 - j]])
+    residual = [1.0] + [0.0] * order
+    out = []
+    for j in range(n_terms):
+        bj = basis[j] + [0.0] * (order + 1)
+        dj = residual[j] / bj[j]
+        out.append((float(n - m - 2 * j), dj))
+        residual = [r - dj * b for r, b in zip(residual, bj)]
+    return out
+
+
+def test_decompose_matches_inline_greedy_loop():
+    for n in range(5):
+        for m in range(5):
+            for n_terms in range(1, 15):
+                got = decompose_monomial(n, m, n_terms)
+                want = _loop_decompose(n, m, n_terms)
+                assert [(lam, c.hex()) for lam, c in got] == [(lam, c.hex()) for lam, c in want]
 
 
 def test_decompose_rejects_negative_powers():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilekoop import strain
-from ilekoop.expr import parse_polynomial
+from ilekoop.expr import Poly2, parse_polynomial
 from ilekoop.families import QuadraticParams, make_quadratic_family, make_transformed_family
 from ilekoop.strain import (
     Grid2D,
@@ -246,7 +246,7 @@ def _loop_extract(f, mode, grad_tol, curv_tol, projections=None):
             hxy = (
                 v[iy + 1, ix + 1] - v[iy + 1, ix - 1] - v[iy - 1, ix + 1] + v[iy - 1, ix - 1]
             ) / (4.0 * dx * dy)
-            lo, hi = SymTensor2(hxx, hxy, hyy).eigenvalues()
+            lo, hi = _old_eigenvalues(hxx, hxy, hyy)
             lam = hi if mode == "trench" else lo
             if mode == "trench" and not lam > curv_tol:
                 continue
@@ -260,6 +260,34 @@ def _loop_extract(f, mode, grad_tol, curv_tol, projections=None):
                 hits.append((ix, iy))
     hits.sort(key=lambda p: (p[1], p[0]))
     return hits
+
+
+def _old_eigenvalues(sxx, sxy, syy):
+    """The scalar closed form SymTensor2.eigenvalues had before it served
+    arrays too, kept as the reference."""
+    mean = 0.5 * (sxx + syy)
+    d = sxx - syy
+    rad = 0.5 * math.sqrt(d * d + 4.0 * sxy * sxy)
+    return (mean - rad, mean + rad)
+
+
+def _old_rates(a11, a12, a21, a22, sqrt):
+    """The rate formula strain_rates (math.sqrt) and rate_field (np.sqrt)
+    used to inline, kept as the reference: the shear enters unhalved."""
+    mean = 0.5 * (a11 + a22)
+    d = a11 - a22
+    shear = a12 + a21
+    rad = 0.5 * sqrt(d * d + shear * shear)
+    return (mean - rad, mean + rad)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, signed zeros included; any NaN matches any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+    )
 
 
 def _loop_eigenvector(hxx, hxy, hyy, lam):
@@ -389,3 +417,60 @@ def test_csv_and_pgm_match_row_loops(f):
             new(f, a)
             old(f, b)
         assert a.getvalue() == b.getvalue()
+
+
+def test_pgm_overflowing_range_maps_ends():
+    grid = Grid2D(0.0, 1.0, 3, 0.0, 1.0, 2)
+    f = ScalarField(grid, np.array([[-1e308, 0.0, 1e308], [1e308, 1e308, -1e308]]))
+    buf = io.StringIO()
+    write_pgm(f, buf)
+    assert buf.getvalue() == "P2\n3 2\n255\n255 255 0\n0 128 255\n"
+
+
+# -- one eigen-solve for points, grids and extraction ----------------------------
+
+# Signed zeros, subnormals, and magnitudes whose squares or sums overflow.
+_entry = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1e154, -1e154, 1.4e154,
+                     1e308, 1.7e308, -1.7e308, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_entry, _entry, _entry, _entry), min_size=1, max_size=12))
+def test_eigen_solve_matches_old_formulas(rows):
+    a11, a12, a21, a22 = (np.array(col) for col in zip(*rows))
+    with np.errstate(all="ignore"):
+        got = SymTensor2(a11, 0.5 * (a12 + a21), a22).eigenvalues()
+        want = _old_rates(a11, a12, a21, a22, np.sqrt)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    for x11, x12, x21, x22 in rows:
+        got = SymTensor2(x11, 0.5 * (x12 + x21), x22).eigenvalues()
+        assert [type(v) for v in got] == [float, float]
+        assert all(_same_bits(g, w) for g, w in zip(got, _old_rates(x11, x12, x21, x22, math.sqrt)))
+        got = SymTensor2(x11, x12, x22).eigenvalues()
+        assert all(_same_bits(g, w) for g, w in zip(got, _old_eigenvalues(x11, x12, x22)))
+
+
+_poly = st.dictionaries(
+    st.sampled_from([(i, j) for i in range(4) for j in range(4 - i)]),
+    st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_poly, q=_poly, threads=st.sampled_from([1, 2]))
+def test_strain_rates_match_rate_field_nodes(p, q, threads):
+    f = VectorField2D(Poly2(p), Poly2(q))
+    grid = Grid2D(-1.5, 0.5, 6, -0.3, 1.1, 5)
+    s1 = rate_field(f, grid, "s1", threads).values
+    s2 = rate_field(f, grid, "s2", threads).values
+    for iy, y in enumerate(grid.ys().tolist()):
+        for ix, x in enumerate(grid.xs().tolist()):
+            r1, r2 = strain_rates(f, x, y)
+            assert [type(r1), type(r2)] == [float, float]
+            assert _same_bits(r1, s1[iy, ix]) and _same_bits(r2, s2[iy, ix])
+            j = f.jacobian(x, y)
+            assert _same_bits((r1, r2), _old_rates(j.a11, j.a12, j.a21, j.a22, math.sqrt))

@@ -44,6 +44,13 @@ def test_saddle_domain_guard():
         f.jacobian(0.0, -1.2)
     with pytest.raises(DomainError):
         f.evaluate_arrays(np.zeros(3), np.array([0.0, 0.5, 1.0]))
+    # NaN is outside the strip too, for floats and for arrays alike.
+    with pytest.raises(DomainError):
+        f.evaluate(0.0, math.nan)
+    with pytest.raises(DomainError):
+        f.evaluate_arrays(np.zeros(2), np.array([0.0, math.nan]))
+    with pytest.raises(DomainError):
+        f.jacobian_arrays(np.zeros(2), np.array([0.0, math.nan]))
 
 
 def test_saddle_jacobian_diagonal():
