@@ -33,7 +33,6 @@ from .flowmap import (
 from .koopman import (
     DataSurface,
     KeigCandidate,
-    SaddleEigenfunction,
     best_lambda,
     evolution_check,
     generator_apply,
@@ -41,9 +40,9 @@ from .koopman import (
     keig_residual,
     pullback_eigenfunction,
     residual_report,
-    saddle_eigenfunction,
 )
 from .series import (
+    SaddleEigenfunction,
     SeriesTerm,
     attraction_series_coefficients,
     decompose_monomial,
@@ -53,6 +52,7 @@ from .series import (
     monomial_partial_sum,
     partial_sum_check,
     phi_minus_2k,
+    saddle_eigenfunction,
     series_term,
 )
 from .strain import (

@@ -6,7 +6,7 @@ byte-identical output; grid subcommands accept --threads and the result does
 not depend on the thread count.
 
 Exit codes: 0 success, 1 usage error (bad flags, unparsable expressions or
-files), 2 domain or numeric error.
+files, non-finite numbers), 2 domain or numeric error (overflow included).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 from . import families, flowmap, koopman, series, strain
 from .errors import DomainError, NumericalError, UsageError
@@ -27,6 +28,8 @@ from .vectorfield import VectorField2D, field_from_json, field_to_json
 
 
 def main() -> None:
+    # Results are checked for finiteness; numpy's overflow warnings are noise.
+    warnings.simplefilter("ignore", RuntimeWarning)
     sys.exit(run_command(sys.argv[1:]))
 
 
@@ -38,7 +41,7 @@ def run_command(argv) -> int:
     except (UsageError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, NumericalError) as exc:
+    except (DomainError, NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -113,21 +116,36 @@ def _read_text(source: str) -> str:
         return fh.read()
 
 
+def _finite(text: str) -> float:
+    """The one finiteness check for every number the CLI reads (a flag ``type``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _floats(text: str, what: str, count: int | None = None) -> tuple[float, ...]:
+    """Comma-separated finite numbers, ``count`` of them when given."""
+    parts = text.split(",")
+    if count is not None and len(parts) != count:
+        raise UsageError(f"{what} must be {count} comma-separated numbers")
+    try:
+        return tuple(_finite(part) for part in parts)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{what}: {exc}") from None
+
+
 def _parse_grid(text: str) -> Grid2D:
     try:
         xpart, ypart = text.split(",")
         xmin, xmax, nx = xpart.split(":")
         ymin, ymax, ny = ypart.split(":")
-        return Grid2D(float(xmin), float(xmax), int(nx), float(ymin), float(ymax), int(ny))
-    except ValueError as exc:
-        raise UsageError(f"grid must be xmin:xmax:nx,ymin:ymax:ny ({exc})") from exc
-
-
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{what} must be two comma-separated numbers")
-    return (float(parts[0]), float(parts[1]))
+        return Grid2D(_finite(xmin), _finite(xmax), int(nx), _finite(ymin), _finite(ymax), int(ny))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"--grid must be xmin:xmax:nx,ymin:ymax:ny ({exc})") from exc
 
 
 def _sample_box(n: int, box: tuple[float, float, float, float]) -> list:
@@ -158,9 +176,6 @@ def _write_field_outputs(sf, out_path: str, pgm_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ile(args) -> None:
-    for flag, tol in (("--grad-tol", args.grad_tol), ("--curv-tol", args.curv_tol)):
-        if tol is not None and not math.isfinite(tol):
-            raise UsageError(f"{flag} must be finite, got {tol!r}")
     f = _load_field(args.field)
     grid = _parse_grid(args.grid)
     sf = strain.rate_field(f, grid, which=args.rate, threads=args.threads)
@@ -197,16 +212,8 @@ def _cmd_keig_check(args) -> None:
     if args.exact:
         residual = koopman.keig_residual(f, cand)
         coeffs = [c for _, c in residual.items_sorted()]
-        sq = sum(c * c for c in coeffs)
-        _emit(
-            {
-                "lambda": args.lam,
-                "max_abs_residual": residual.max_abs_coeff(),
-                "rms_residual": (sq / len(coeffs)) ** 0.5 if coeffs else 0.0,
-                "samples": len(coeffs),
-                "exact": True,
-            }
-        )
+        _emit({"lambda": args.lam, "max_abs_residual": residual.max_abs_coeff(),
+               "rms_residual": koopman.rms(coeffs), "samples": len(coeffs), "exact": True})
         return
     pts = _sample_box(args.samples, _parse_box(args.box))
     _emit(koopman.residual_report(f, cand, pts))
@@ -217,34 +224,34 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
         xpart, ypart = text.split(",")
         xmin, xmax = xpart.split(":")
         ymin, ymax = ypart.split(":")
-        return (float(xmin), float(xmax), float(ymin), float(ymax))
-    except ValueError as exc:
-        raise UsageError(f"box must be xmin:xmax,ymin:ymax ({exc})") from exc
+        return (_finite(xmin), _finite(xmax), _finite(ymin), _finite(ymax))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"--box must be xmin:xmax,ymin:ymax ({exc})") from exc
 
 
 def _cmd_pullback(args) -> None:
     f = _load_field(args.field)
-    x0, y0, dx, dy = (float(v) for v in args.line.split(","))
+    x0, y0, dx, dy = _floats(args.line, "--line", 4)
     try:
-        const = float(args.h)
-        h = lambda s, c=const: c  # noqa: E731
+        float(args.h)
     except ValueError:
         hp = parse_polynomial(args.h, variables=("s",))
         h = lambda s, p=hp: p.evaluate(s)  # noqa: E731
+    else:
+        (const,) = _floats(args.h, "--h")
+        h = lambda s, c=const: c  # noqa: E731
     surf = koopman.DataSurface((x0, y0), (dx, dy), h)
     cfg = IntegratorConfig(step=args.step)
     lines = _read_text(args.points).splitlines()
-    points = [_parse_pair(line.strip(), "point") for line in lines if line.strip()]
-    # Every value is computed before --out is opened, so a failing point
-    # leaves no partial table behind.
-    values = [
-        koopman.pullback_eigenfunction(f, surf, args.lam, pt, cfg, t_max=args.tmax)
-        for pt in points
-    ]
+    points = [_floats(line.strip(), "--points", 2) for line in lines if line.strip()]
+    # Every row is computed and formatted (format_float refuses non-finite
+    # values) before --out is opened, so a failure leaves no partial table.
+    rows = []
+    for x, y in points:
+        val = koopman.pullback_eigenfunction(f, surf, args.lam, (x, y), cfg, t_max=args.tmax)
+        rows.append(f"{format_float(x)},{format_float(y)},{format_float(val)}\n")
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), val in zip(points, values):
-            fh.write(f"{format_float(x)},{format_float(y)},{format_float(val)}\n")
+        fh.write("x,y,value\n" + "".join(rows))
 
 
 def _cmd_family(args) -> None:
@@ -254,13 +261,13 @@ def _cmd_family(args) -> None:
         params = families.CubicParams.from_rate_eigenvalue(args.lam, args.c, args.k, args.a00)
         f = families.make_cubic_family(params)
     else:
-        coeffs = [float(v) for v in args.coeffs.split(",")]
+        coeffs = _floats(args.coeffs, "--coeffs")
         f = families.make_transformed_family(args.lam, coeffs)
     _emit(field_to_json(f))
 
 
 def _cmd_carleman(args) -> None:
-    x0 = _parse_pair(args.x0, "--x0")
+    x0 = _floats(args.x0, "--x0", 2)
     x1t, x2t = families.carleman_solve(args.lam, args.c, x0, args.time)
     if x0[0] == 0.0 or args.c == 0.0:
         err = None
@@ -269,33 +276,30 @@ def _cmd_carleman(args) -> None:
     _emit({"x1": x1t, "x2": x2t, "s1_evolution_relative_error": err})
 
 
+#: Largest ``series --N``.  The greedy coefficients lose digits as N grows
+#: (relative error 7.6e-9 at N = 20, 1.9e-5 at N = 28, 17 at N = 40).
+_MAX_SERIES_N = 64
+
+
 def _cmd_series(args) -> None:
+    if not 1 <= args.n <= _MAX_SERIES_N:
+        raise UsageError(f"--N must be between 1 and {_MAX_SERIES_N}, got {args.n}")
+    # The coefficients do not depend on N: one pass gives every partial sum.
     if args.target in ("3y2", "s1"):
-        coeffs = list(series.attraction_series_coefficients(args.n))
+        out = {"coefficients": list(series.attraction_series_coefficients(args.n))}
         offset = -1.0 if args.target == "s1" else 0.0
         reference = offset + 3.0 * args.y * args.y
-        sums = []
-        for n in range(1, args.n + 1):
-            value = offset + series.partial_sum_check(n, args.y)[0]
-            sums.append({"N": n, "y": args.y, "value": value, "error": abs(value - reference)})
-        _emit({"target": args.target, "coefficients": coeffs, "partial_sums": sums})
-        return
-    # target y: decomposition over the closed-form family with x-power 0
-    if not abs(args.y) < 0.5 + 1e-12:
-        raise DomainError("the y decomposition is evaluated on |y| <= 0.5")
-    terms = series.decompose_monomial(0, 1, args.n)
-    sums = []
-    for n in range(1, args.n + 1):
-        value = series.monomial_partial_sum(0, terms[:n], 1.0, args.y)
-        sums.append({"N": n, "y": args.y, "value": value, "error": abs(value - args.y)})
-    _emit(
-        {
-            "target": "y",
-            "coefficients": [c for _, c in terms],
-            "eigenvalues": [lam for lam, _ in terms],
-            "partial_sums": sums,
-        }
-    )
+        sums = [offset + v for v in series._attraction_partial_sums(args.n, args.y)]
+    else:
+        # target y: decomposition over the closed-form family with x-power 0
+        if not abs(args.y) < 0.5 + 1e-12:
+            raise DomainError("the y decomposition is evaluated on |y| <= 0.5")
+        terms = series.decompose_monomial(0, 1, args.n)
+        out = {"coefficients": [c for _, c in terms], "eigenvalues": [lam for lam, _ in terms]}
+        reference, sums = args.y, series._monomial_partial_sums(0, terms, 1.0, args.y)
+    rows = [{"N": n, "y": args.y, "value": v, "error": abs(v - reference)}
+            for n, v in enumerate(sums[1:], start=1)]
+    _emit({"target": args.target, **out, "partial_sums": rows})
 
 
 def _cmd_oned(args) -> None:
@@ -333,16 +337,16 @@ def _parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--pgm")
     p.add_argument("--extract", choices=["ridge", "trench"])
-    p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--curv-tol", type=float, default=1e-6)
+    p.add_argument("--grad-tol", type=_finite, default=None)
+    p.add_argument("--curv-tol", type=_finite, default=1e-6)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=_cmd_ile)
 
     p = sub.add_parser("ftle", help="sample a finite-time stretching field")
     _add_field(p)
     p.add_argument("--time", type=float, required=True)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--delta", type=float, default=1e-5)
+    p.add_argument("--step", type=_finite, default=1e-3)
+    p.add_argument("--delta", type=_finite, default=1e-5)
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm")
@@ -352,7 +356,7 @@ def _parser() -> _Parser:
     p = sub.add_parser("keig-check", help="residual report for a trial eigenpair")
     _add_field(p)
     p.add_argument("--g", required=True, help="observable expression in x, y")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--exact", action="store_true", help="report residual coefficients")
     p.add_argument("--box", default="-1:1,-1:1", help="sample box xmin:xmax,ymin:ymax")
@@ -362,47 +366,47 @@ def _parser() -> _Parser:
     _add_field(p)
     p.add_argument("--line", required=True, help="x0,y0,dx,dy")
     p.add_argument("--h", required=True, help="data function: constant or expression in s")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
     p.add_argument("--points", required=True, help="file of x,y lines")
     p.add_argument("--out", required=True)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_finite, default=1e-3)
     p.add_argument("--tmax", type=float, default=50.0)
     p.set_defaults(handler=_cmd_pullback)
 
     p = sub.add_parser("family", help="emit a family field as JSON")
     fam = p.add_subparsers(dest="family", required=True)
     q = fam.add_parser("quadratic")
-    q.add_argument("--lambda", dest="lam", type=float, required=True)
-    q.add_argument("--a20", type=float, required=True)
+    q.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    q.add_argument("--a20", type=_finite, required=True)
     q.set_defaults(handler=_cmd_family)
     cub = fam.add_parser("cubic")
-    cub.add_argument("--lambda", dest="lam", type=float, required=True)
-    cub.add_argument("--c", type=float, required=True)
-    cub.add_argument("--k", type=float, required=True)
-    cub.add_argument("--a00", type=float, required=True)
+    cub.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    cub.add_argument("--c", type=_finite, required=True)
+    cub.add_argument("--k", type=_finite, required=True)
+    cub.add_argument("--a00", type=_finite, required=True)
     cub.set_defaults(handler=_cmd_family)
     tr = fam.add_parser("transformed")
-    tr.add_argument("--lambda", dest="lam", type=float, required=True)
+    tr.add_argument("--lambda", dest="lam", type=_finite, required=True)
     tr.add_argument("--coeffs", required=True, help="c3[,c4,...]")
     tr.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("carleman", help="exact normal-form endpoint and rate evolution")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    p.add_argument("--c", type=_finite, required=True)
     p.add_argument("--x0", required=True, help="x1,x2")
-    p.add_argument("--time", type=float, required=True)
+    p.add_argument("--time", type=_finite, required=True)
     p.set_defaults(handler=_cmd_carleman)
 
     p = sub.add_parser("series", help="eigenfunction series coefficients and partial sums")
     p.add_argument("--target", choices=["s1", "3y2", "y"], required=True)
     p.add_argument("--N", dest="n", type=int, required=True)
-    p.add_argument("--y", type=float, required=True)
+    p.add_argument("--y", type=_finite, required=True)
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("oned", help="one-dimensional rate/eigenfunction obstruction")
     p.add_argument("--f", required=True, help="polynomial in x")
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmin", type=_finite, required=True)
+    p.add_argument("--xmax", type=_finite, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_cmd_oned)
 

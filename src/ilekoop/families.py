@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .expr import Poly2
-from .koopman import KeigCandidate, best_lambda, keig_residual
+from .koopman import KeigCandidate, best_lambda, keig_residual, rms
 from .vectorfield import VectorField2D
 
 
@@ -217,8 +217,7 @@ def one_d_residual(fpoly: Poly2, lam: float, samples) -> tuple[float, float]:
     f2 = f1.diff("x")
     prod = [f2.evaluate(x) * fpoly.evaluate(x) for x in samples]
     slope = [f1.evaluate(x) for x in samples]
-    res = [p - lam * s for p, s in zip(prod, slope)]
-    resnorm = math.sqrt(sum(r * r for r in res) / len(samples))
+    resnorm = rms(p - lam * s for p, s in zip(prod, slope))
     den = sum(s * s for s in slope)
     lam_star = 0.0 if den == 0.0 else sum(p * s for p, s in zip(prod, slope)) / den
     return (resnorm, lam_star)

@@ -5,7 +5,8 @@ v . grad(g) = lam * g.  For polynomial observables on polynomial fields the
 residual of that identity is an exact polynomial; for closed-form
 observables it is evaluated pointwise with analytic gradients.  New
 eigenfunctions are constructed by pulling a data function back along the
-flow to a line and scaling by exp(lam * time-of-flight).
+flow to a line and scaling by exp(lam * time-of-flight).  The saddle's
+closed-form eigenfunctions live in :mod:`ilekoop.series`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 from .errors import DomainError, NoCrossingError
 from .expr import Poly2
 from .flowmap import IntegratorConfig, _check_step_budget, _rk4_step, flow_endpoint
-from .vectorfield import SADDLE_Y_BOUND, VectorField2D, shear_free_defect
+from .vectorfield import VectorField2D, shear_free_defect
 
 #: Step used by the fourth-order finite-difference gradient fallback.
 _FD_STEP = 1e-4
@@ -98,18 +99,20 @@ def _generator_at(f: VectorField2D, g, x: float, y: float) -> float:
     return u * gx + v * gy
 
 
+def rms(values) -> float:
+    """Root mean square of a sequence of numbers; 0.0 when it is empty."""
+    values = list(values)
+    return math.sqrt(sum(v * v for v in values) / len(values)) if values else 0.0
+
+
 def residual_report(f: VectorField2D, cand: KeigCandidate, points) -> dict:
     """Sampled residual summary in the CLI report shape."""
     res = keig_residual(f, cand)
-    if isinstance(res, Poly2):
-        vals = [res.evaluate(x, y) for x, y in points]
-    else:
-        vals = [res(x, y) for x, y in points]
-    sq = sum(v * v for v in vals)
+    vals = [observable_value(res, x, y) for x, y in points]
     return {
         "lambda": cand.lam,
         "max_abs_residual": max((abs(v) for v in vals), default=0.0),
-        "rms_residual": math.sqrt(sq / len(vals)) if vals else 0.0,
+        "rms_residual": rms(vals),
         "samples": len(vals),
     }
 
@@ -122,19 +125,14 @@ def best_lambda(f: VectorField2D, g, samples) -> tuple[float, float]:
     samples = list(samples)
     if len(samples) < 2:
         raise ValueError("need at least 2 sample points")
-    if isinstance(g, Poly2):
-        lg_poly = generator_apply(f, g)
-        lg_vals = [lg_poly.evaluate(x, y) for x, y in samples]
-        g_vals = [g.evaluate(x, y) for x, y in samples]
-    else:
-        pairs = [(_generator_at(f, g, x, y), observable_value(g, x, y)) for x, y in samples]
-        lg_vals, g_vals = zip(*pairs)
+    lg = generator_apply(f, g) if isinstance(g, Poly2) else lambda x, y: _generator_at(f, g, x, y)
+    lg_vals = [observable_value(lg, x, y) for x, y in samples]
+    g_vals = [observable_value(g, x, y) for x, y in samples]
     den = sum(gv * gv for gv in g_vals)
     if den == 0.0:
         raise ValueError("observable vanishes at every sample point")
     lam_star = sum(lv * gv for lv, gv in zip(lg_vals, g_vals)) / den
-    sq = sum((lv - lam_star * gv) ** 2 for lv, gv in zip(lg_vals, g_vals))
-    return lam_star, math.sqrt(sq / len(samples))
+    return lam_star, rms(lv - lam_star * gv for lv, gv in zip(lg_vals, g_vals))
 
 
 def evolution_check(
@@ -270,71 +268,6 @@ def _warn_if_tangential(f, surf, state):
             "pullback value is low-confidence",
             TangentialCrossingWarning,
         )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form eigenfunctions of the nonlinear saddle
-# ---------------------------------------------------------------------------
-
-def _signed_pow(base: float, e: float) -> float:
-    if base > 0.0:
-        return base**e
-    n = round(e)
-    if abs(e - n) > 1e-9:
-        raise DomainError("negative base with non-integer exponent")
-    return base ** int(n)
-
-
-@dataclass(frozen=True)
-class SaddleEigenfunction:
-    """Eigenfunction h(s) * q^(-lam) of the nonlinear saddle, where
-    q(y) = y * sqrt(3 / (1 - y^2)), s = x * q, and h(s) = h_scale * s^h_degree.
-
-    Valid on 0 < |y| < 1 (the closed form degenerates on the x-axis).  The
-    signed choice of q keeps odd-degree data functions odd in y.
-    """
-
-    lam: float
-    h_degree: int = 0
-    h_scale: float = 1.0
-
-    @classmethod
-    def constant(cls, c: float, lam: float) -> "SaddleEigenfunction":
-        return cls(lam=lam, h_degree=0, h_scale=c)
-
-    @classmethod
-    def monomial(cls, n: int, lam: float) -> "SaddleEigenfunction":
-        return cls(lam=lam, h_degree=int(n), h_scale=1.0)
-
-    def value(self, x: float, y: float) -> float:
-        q = _signed_base(y)
-        s = x * q
-        return self.h_scale * s**self.h_degree * _signed_pow(q, -self.lam)
-
-    def gradient(self, x: float, y: float) -> tuple[float, float]:
-        q = _signed_base(y)
-        qp = math.sqrt(3.0) / ((1.0 - y * y) * math.sqrt(1.0 - y * y))
-        s = x * q
-        hv = self.h_scale * s**self.h_degree
-        hp = self.h_scale * self.h_degree * s ** (self.h_degree - 1) if self.h_degree else 0.0
-        pw = _signed_pow(q, -self.lam)
-        pw1 = _signed_pow(q, -self.lam - 1.0)
-        dx = hp * q * pw
-        dy = hp * x * qp * pw - self.lam * hv * pw1 * qp
-        return (dx, dy)
-
-
-def _signed_base(y: float) -> float:
-    if y == 0.0 or not abs(y) < SADDLE_Y_BOUND:
-        raise DomainError("saddle eigenfunctions need 0 < |y| < 1")
-    return y * math.sqrt(3.0 / (1.0 - y * y))
-
-
-def saddle_eigenfunction(
-    lam: float, pt: tuple[float, float], h_degree: int = 0, h_scale: float = 1.0
-) -> float:
-    """One-shot evaluation of a saddle eigenfunction at a point."""
-    return SaddleEigenfunction(lam, h_degree, h_scale).value(*pt)
 
 
 # ---------------------------------------------------------------------------

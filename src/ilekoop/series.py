@@ -1,4 +1,5 @@
-"""Eigenfunction series for the nonlinear saddle.
+"""The nonlinear saddle's closed-form eigenfunctions x^n * q^(n - lam),
+q = y*sqrt(3/(1-y^2)), and eigenfunction series over them.
 
 The attraction rate of the saddle is not itself an eigenfunction, but it
 expands as -1 plus a series of eigenfunctions with eigenvalues -2, -4, ...
@@ -12,22 +13,71 @@ x-power n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import DomainError
-from .koopman import SaddleEigenfunction, _signed_base, _signed_pow
 from .vectorfield import SADDLE_Y_BOUND
 
 
-def _mul_trunc(a, b, n):
-    out = [0.0] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if ai == 0.0:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            out[i + j] += ai * bj
-    return out
+def _signed_pow(base: float, e: float) -> float:
+    if base > 0.0:
+        return base**e
+    n = round(e)
+    if abs(e - n) > 1e-9:
+        raise DomainError("negative base with non-integer exponent")
+    return base ** int(n)
+
+
+def _signed_base(y: float) -> float:
+    if y == 0.0 or not abs(y) < SADDLE_Y_BOUND:
+        raise DomainError("saddle eigenfunctions need 0 < |y| < 1")
+    return y * math.sqrt(3.0 / (1.0 - y * y))
+
+
+@dataclass(frozen=True)
+class SaddleEigenfunction:
+    """Eigenfunction h(s) * q^(-lam) of the nonlinear saddle, where
+    q(y) = y * sqrt(3 / (1 - y^2)), s = x * q, and h(s) = h_scale * s^h_degree.
+
+    Valid on 0 < |y| < 1 (the closed form degenerates on the x-axis).  The
+    signed choice of q keeps odd-degree data functions odd in y.
+    """
+
+    lam: float
+    h_degree: int = 0
+    h_scale: float = 1.0
+
+    @classmethod
+    def constant(cls, c: float, lam: float) -> "SaddleEigenfunction":
+        return cls(lam=lam, h_degree=0, h_scale=c)
+
+    @classmethod
+    def monomial(cls, n: int, lam: float) -> "SaddleEigenfunction":
+        return cls(lam=lam, h_degree=int(n), h_scale=1.0)
+
+    def value(self, x: float, y: float) -> float:
+        # h(x*q) * q^(-lam) = h_scale * x^n * q^(n - lam)
+        q = _signed_base(y)
+        n = self.h_degree
+        return self.h_scale * x**n * _signed_pow(q, n - self.lam)
+
+    def gradient(self, x: float, y: float) -> tuple[float, float]:
+        q = _signed_base(y)
+        qp = math.sqrt(3.0) / ((1.0 - y * y) * math.sqrt(1.0 - y * y))
+        n, e = self.h_degree, self.h_degree - self.lam
+        dx = self.h_scale * n * x ** (n - 1) * _signed_pow(q, e) if n else 0.0
+        dy = self.h_scale * x**n * e * _signed_pow(q, e - 1.0) * qp
+        return (dx, dy)
+
+
+def saddle_eigenfunction(
+    lam: float, pt: tuple[float, float], h_degree: int = 0, h_scale: float = 1.0
+) -> float:
+    """One-shot evaluation of a saddle eigenfunction at a point."""
+    return SaddleEigenfunction(lam, h_degree, h_scale).value(*pt)
 
 
 def _binomial_series(alpha: float, n: int):
@@ -38,14 +88,19 @@ def _binomial_series(alpha: float, n: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _w_power_taylor(k: int, n: int) -> tuple:
-    """Taylor coefficients of w^k in u = y^2 through u^n, w = 3u/(1-u)."""
-    w = tuple([0.0] + [3.0] * n)
-    out = w
-    for _ in range(k - 1):
-        out = tuple(_mul_trunc(out, w, n))
-    return out
+def _q_power_basis(m: int, n: int):
+    """Greedy basis through u^n, u = y^2: element k is q^(m+2k-2) / y^(m-2).
+
+    q^p = 3^(p/2) * y^p * (1-y^2)^(-p/2), so element k leads at u^k; for
+    m = 2 it is exactly the Taylor series of w^k = q^(2k).
+    """
+
+    def basis(k: int) -> list[float]:
+        power = m + 2 * (k - 1)
+        scale = 3.0 ** (power / 2.0)
+        return [0.0] * k + [scale * bc for bc in _binomial_series(-power / 2.0, n - k)]
+
+    return basis
 
 
 def greedy_series_coefficients(target, basis, n: int) -> list[float]:
@@ -72,8 +127,7 @@ def greedy_series_coefficients(target, basis, n: int) -> list[float]:
 @lru_cache(maxsize=None)
 def attraction_series_coefficients(n: int) -> tuple:
     """Greedy coefficients expanding 3y^2 over the basis w^k, k = 1..n."""
-    target = [0.0, 3.0]
-    return tuple(greedy_series_coefficients(target, lambda k: _w_power_taylor(k, n), n))
+    return tuple(greedy_series_coefficients([0.0, 3.0], _q_power_basis(2, n), n))
 
 
 @dataclass(frozen=True)
@@ -105,6 +159,15 @@ def phi_minus_2k(k: int, pt: tuple[float, float]) -> float:
     return series_term(k).value(*pt)
 
 
+def _attraction_partial_sums(n: int, y: float) -> list[float]:
+    """The partial sums of the first 0, 1, ..., n series terms at height y."""
+    if not y * y < 0.5:
+        raise DomainError("the series diverges for |y| >= 1/sqrt(2)")
+    coeffs = attraction_series_coefficients(n)
+    terms = (SeriesTerm(k, c).value(0.0, y) for k, c in enumerate(coeffs, start=1))
+    return list(accumulate(terms, initial=0.0))
+
+
 def partial_sum_check(n: int, y: float) -> tuple[float, float]:
     """Partial sum of the first n series terms at height y, and its error
     against the limit 3y^2.
@@ -112,13 +175,7 @@ def partial_sum_check(n: int, y: float) -> tuple[float, float]:
     Converges only for y^2 < 1/2; the tail is bounded by the geometric
     estimate 3 u^(n+1) / (1-u) with u = y^2/(1-y^2).
     """
-    if not y * y < 0.5:
-        raise DomainError("the series diverges for |y| >= 1/sqrt(2)")
-    coeffs = attraction_series_coefficients(n)
-    w = 3.0 * y * y / (1.0 - y * y)
-    total = 0.0
-    for k in range(1, n + 1):
-        total += coeffs[k - 1] * w**k
+    total = _attraction_partial_sums(n, y)[n]
     return (total, abs(total - 3.0 * y * y))
 
 
@@ -144,13 +201,7 @@ def monomial_eigenfunction(n: int, lam: float, x: float, y: float) -> float:
         if abs(e - round(e)) < 1e-9 and round(e) >= 0:
             return x**n if round(e) == 0 else 0.0
         raise DomainError("undefined on the x-axis for this (n, lam)")
-    q = _signed_base(y)
-    return x**n * _signed_pow(q, n - lam)
-
-
-def monomial_observable(n: int, lam: float) -> SaddleEigenfunction:
-    """Observable form of the monomial eigenfunction, with gradients."""
-    return SaddleEigenfunction.monomial(n, lam)
+    return SaddleEigenfunction.monomial(n, lam).value(x, y)
 
 
 def decompose_monomial(x_power: int, y_power: int, n_terms: int) -> list[tuple[float, float]]:
@@ -166,23 +217,17 @@ def decompose_monomial(x_power: int, y_power: int, n_terms: int) -> list[tuple[f
         raise ValueError("monomial powers must be nonnegative")
     if n_terms < 1:
         raise ValueError("need at least one term")
-
-    def basis(k: int) -> list[float]:
-        # q^(m+2j) = 3^((m+2j)/2) * y^(m+2j) * (1-y^2)^(-(m+2j)/2); factor
-        # out y^m and expand the rest in u = y^2, so basis j leads at u^j.
-        # The greedy scheme counts from 1, so every series (the target 1
-        # included) is shifted up one order: element k = j + 1 leads at u^k.
-        power = m + 2 * (k - 1)
-        scale = 3.0 ** (power / 2.0)
-        return [0.0] * k + [scale * bc for bc in _binomial_series(-power / 2.0, n_terms - k)]
-
-    coeffs = greedy_series_coefficients([0.0, 1.0], basis, n_terms)
+    # Divided by y^(m-2) like the basis, the target y^m is u.
+    coeffs = greedy_series_coefficients([0.0, 1.0], _q_power_basis(m, n_terms), n_terms)
     return [(float(n - m - 2 * j), c) for j, c in enumerate(coeffs)]
+
+
+def _monomial_partial_sums(x_power: int, terms, x: float, y: float) -> list[float]:
+    """The partial sums of the first 0, 1, ..., len(terms) terms."""
+    values = (coeff * monomial_eigenfunction(x_power, lam, x, y) for lam, coeff in terms)
+    return list(accumulate(values, initial=0.0))
 
 
 def monomial_partial_sum(x_power: int, terms, x: float, y: float) -> float:
     """Evaluate a decomposition returned by :func:`decompose_monomial`."""
-    total = 0.0
-    for lam, coeff in terms:
-        total += coeff * monomial_eigenfunction(x_power, lam, x, y)
-    return total
+    return _monomial_partial_sums(x_power, terms, x, y)[-1]

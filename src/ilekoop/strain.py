@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .vectorfield import VectorField2D
 
 
@@ -206,6 +207,8 @@ def extract_extremal_set(
 
 def format_float(v: float) -> str:
     """17 significant digits, enough to reproduce any double exactly."""
+    if not math.isfinite(v):
+        raise NumericalError(f"a result is not finite ({v!r})")
     return f"{v:.17g}"
 
 

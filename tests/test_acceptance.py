@@ -27,12 +27,12 @@ from ilekoop.flowmap import IntegratorConfig, flow_endpoint, ftle, ftle_field, s
 from ilekoop.koopman import (
     DataSurface,
     KeigCandidate,
-    SaddleEigenfunction,
     evolution_check,
     keig_residual,
     pullback_eigenfunction,
 )
 from ilekoop.series import (
+    SaddleEigenfunction,
     attraction_series_coefficients,
     geometric_tail_bound,
     partial_sum_check,

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 
 from ilekoop import cli, strain
 from ilekoop.cli import run_command
+from ilekoop.errors import NumericalError
 from ilekoop.expr import Poly2, parse_polynomial
+from ilekoop.series import decompose_monomial
+
+from test_series import _old_monomial_eigenfunction, _old_partial_sum
 
 
 def run(argv, capsys):
@@ -568,3 +572,152 @@ def test_extract_json_matches_generic_rendering(
     sf = strain.rate_field(cli._load_field(field), cli._parse_grid(grid_text))
     tol = grad_tol if grad_tol is not None else strain.default_grad_tol(sf)
     assert stdout.getvalue() == _reference_extract_json(sf, mode, tol, 1e-6)
+
+
+# -- arithmetic failures, non-finite numbers and the series range -------------
+
+NF_FIELD = "expr:-0.5*x;x - 0.5*y - 0.5*x^3"  # the normal form with lam = -1, c3 = -0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["carleman", "--lambda", "1", "--c", "1", "--x0", "1,0", "--time", "1e6"],
+        ["carleman", "--lambda", "1e308", "--c", "1", "--x0", "1,0", "--time", "10"],
+        ["family", "cubic", "--lambda", "1", "--c", "1", "--k", "1e-320", "--a00", "0"],
+    ],
+)
+def test_arithmetic_error_exit_code(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_pullback_overflow_exit_code(capsys, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.2\n")  # the backward orbit meets x1 = 1 at t = -2 ln 2
+    out_file = tmp_path / "phi.csv"
+    code, _, err = run(
+        ["pullback", "--field", NF_FIELD, "--line", "1,0,0,1", "--h", "1", "--lambda", "1000",
+         "--points", str(pts), "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_file.exists()
+
+
+def test_arithmetic_errors_map_to_exit_2(capsys, monkeypatch):
+    # the y decomposition overflows in 3.0 ** (power / 2.0) past N ~ 1000,
+    # which --N no longer reaches; the mapping itself is checked here
+    def overflow(*_):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli.series, "decompose_monomial", overflow)
+    code, _, err = run(["series", "--target", "y", "--N", "5", "--y", "0.3"], capsys)
+    assert (code, err) == (2, "error: math range error\n")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["family", "cubic", "--lambda", "nan", "--c", "1", "--k", "1", "--a00", "0"], "--lambda"),
+        (["family", "transformed", "--lambda", "inf", "--coeffs", "1"], "--lambda"),
+        (["family", "transformed", "--lambda", "1", "--coeffs", "1,nan"], "--coeffs"),
+        (["family", "quadratic", "--lambda", "1", "--a20=-inf"], "--a20"),
+        (["carleman", "--lambda", "nan", "--c", "1", "--x0", "1,0", "--time", "1"], "--lambda"),
+        (["carleman", "--lambda", "1", "--c", "1", "--x0", "nan,0", "--time", "1"], "--x0"),
+        (["carleman", "--lambda", "1", "--c", "1", "--x0", "1,0", "--time", "inf"], "--time"),
+        (["keig-check", "--field", "saddle", "--g", "x", "--lambda", "nan", "--exact"],
+         "--lambda"),
+        (["keig-check", "--field", "saddle", "--g", "x", "--lambda", "1", "--box",
+          "-1:inf,-0.5:0.5"], "--box"),
+        (["oned", "--f", "x^3", "--xmin", "nan", "--xmax", "1", "--n", "3"], "--xmin"),
+        (["series", "--target", "s1", "--N", "3", "--y", "nan"], "--y"),
+        (["ftle", "--field", "saddle", "--time", "0.1", "--step", "nan", "--grid",
+          "-0.5:0.5:3,-0.5:0.5:3", "--out", "never.csv"], "--step"),
+        (["ile", "--field", "saddle", "--grid", "-inf:1:3,-0.5:0.5:3", "--out", "never.csv"],
+         "--grid"),
+    ],
+)
+def test_nonfinite_number_exit_code(capsys, argv, flag):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and flag in err
+    assert out == ""
+    assert not os.path.exists("never.csv")
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [("--h", "nan"), ("--line", "1,0,inf,1"), ("--lambda", "nan"), ("--step", "inf"),
+     ("--points", None)],
+)
+def test_pullback_nonfinite_number_exit_code(capsys, tmp_path, option, value):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1.5,nan\n" if value is None else "1.5,0.2\n")
+    out_file = tmp_path / "phi.csv"
+    args = {"--field": NF_FIELD, "--line": "1,0,0,1", "--h": "1", "--lambda": "-1",
+            "--points": str(pts), "--out": str(out_file)}
+    if value is not None:
+        args[option] = value
+    argv = ["pullback"] + [f"{k}={v}" for k, v in args.items()]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and option in err
+    assert not out_file.exists()
+
+
+def test_nonfinite_result_exit_code(capsys):
+    # finite inputs whose result overflows: refused before anything is printed
+    code, out, err = run(["oned", "--f", "x^3", "--xmin", "-1e200", "--xmax", "1e200",
+                          "--n", "5"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+    with pytest.raises(NumericalError):
+        cli._json_text({"value": [1.0, math.nan]})
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "65", "1000"])
+@pytest.mark.parametrize("target", ["s1", "3y2", "y"])
+def test_series_n_range(capsys, target, n):
+    code, out, err = run(["series", "--target", target, "--N", n, "--y", "0.3"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "--N" in err and out == ""
+
+
+@pytest.mark.parametrize("target", ["s1", "3y2", "y"])
+def test_series_n_range_ends(capsys, target):
+    for n in ("1", "64"):
+        code, out, _ = run(["series", "--target", target, "--N", n, "--y", "0.3"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["partial_sums"]) == int(n)
+
+
+def _old_series_sums(target, n_max, y):
+    """The per-N loop the series command used to run, with the old formulas."""
+    if target == "y":
+        terms = decompose_monomial(0, 1, n_max)
+        sums = []
+        for n in range(1, n_max + 1):
+            total = 0.0
+            for lam, c in terms[:n]:
+                total += c * _old_monomial_eigenfunction(0, lam, 1.0, y)
+            sums.append(total)
+        return sums
+    offset = -1.0 if target == "s1" else 0.0
+    return [offset + _old_partial_sum(n, y) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("target", ["s1", "3y2", "y"])
+def test_series_partial_sums_equal_per_n_loop(capsys, target):
+    for y in (-0.45, 0.0, 0.3, 0.5):
+        for n_max in (1, 2, 7, 12, 20, 28):
+            code, out, _ = run(
+                ["series", "--target", target, "--N", str(n_max), f"--y={y!r}"], capsys
+            )
+            assert code == 0
+            got = [row["value"] for row in json.loads(out)["partial_sums"]]
+            want = _old_series_sums(target, n_max, y)
+            assert [float(v).hex() for v in got] == [v.hex() for v in want]

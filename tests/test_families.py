@@ -283,6 +283,22 @@ def test_one_d_cubic_has_large_min_residual():
         assert r >= resnorm - 1e-12
 
 
+def test_one_d_residual_equals_old_formula():
+    rng = random.Random(223)
+    for _ in range(50):
+        coeffs = {(i, 0): rng.uniform(-3, 3) for i in range(rng.randrange(1, 6))}
+        f = Poly2(coeffs)
+        samples = [rng.uniform(-2, 2) for _ in range(rng.randrange(2, 40))]
+        lam = rng.choice([0.0, 1.0, -2.5, rng.uniform(-5, 5)])
+        f1 = f.diff("x")
+        f2 = f1.diff("x")
+        prod = [f2.evaluate(x) * f.evaluate(x) for x in samples]
+        slope = [f1.evaluate(x) for x in samples]
+        res = [p - lam * s for p, s in zip(prod, slope)]
+        want = math.sqrt(sum(r * r for r in res) / len(samples))
+        assert one_d_residual(f, lam, samples)[0].hex() == want.hex()
+
+
 def test_one_d_rejects_bivariate_input():
     with pytest.raises(ValueError):
         one_d_residual(parse_polynomial("x*y"), 0.0, _uniform_samples())

@@ -19,18 +19,20 @@ from ilekoop.flowmap import IntegratorConfig, flow_endpoint
 from ilekoop.koopman import (
     DataSurface,
     KeigCandidate,
-    SaddleEigenfunction,
     TangentialCrossingWarning,
+    _generator_at,
     _warn_if_tangential,
     best_lambda,
     evolution_check,
     generator_apply,
     keig_condition_residual,
     keig_residual,
+    observable_value,
     pullback_eigenfunction,
     residual_report,
-    saddle_eigenfunction,
+    rms,
 )
+from ilekoop.series import SaddleEigenfunction, saddle_eigenfunction
 from ilekoop.vectorfield import VectorField2D
 
 from test_vectorfield import cubic_example_field
@@ -130,6 +132,79 @@ def test_residual_report_shape():
     assert set(report) == {"lambda", "max_abs_residual", "rms_residual", "samples"}
     assert report["samples"] == 10
     assert report["max_abs_residual"] < 1e-12
+
+
+def _old_residual_report(f, cand, points):
+    """residual_report with its own Poly2/callable branch and RMS."""
+    res = keig_residual(f, cand)
+    if isinstance(res, Poly2):
+        vals = [res.evaluate(x, y) for x, y in points]
+    else:
+        vals = [res(x, y) for x, y in points]
+    sq = sum(v * v for v in vals)
+    return {
+        "lambda": cand.lam,
+        "max_abs_residual": max((abs(v) for v in vals), default=0.0),
+        "rms_residual": math.sqrt(sq / len(vals)) if vals else 0.0,
+        "samples": len(vals),
+    }
+
+
+def _old_best_lambda(f, g, samples):
+    """best_lambda with its own RMS.  The old code squared with ``** 2``;
+    ``r * r`` is kept here because libm ``pow`` is not always correctly
+    rounded, so ``r ** 2`` and ``r * r`` can differ in the last bit."""
+    if isinstance(g, Poly2):
+        lg_poly = generator_apply(f, g)
+        lg_vals = [lg_poly.evaluate(x, y) for x, y in samples]
+        g_vals = [g.evaluate(x, y) for x, y in samples]
+    else:
+        pairs = [(_generator_at(f, g, x, y), observable_value(g, x, y)) for x, y in samples]
+        lg_vals, g_vals = zip(*pairs)
+    den = sum(gv * gv for gv in g_vals)
+    lam_star = sum(lv * gv for lv, gv in zip(lg_vals, g_vals)) / den
+    res = [lv - lam_star * gv for lv, gv in zip(lg_vals, g_vals)]
+    return lam_star, math.sqrt(sum(r * r for r in res) / len(samples))
+
+
+def _hexed(obj):
+    if isinstance(obj, dict):
+        return {k: _hexed(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(_hexed(v) for v in obj)
+    return obj.hex() if isinstance(obj, float) else obj
+
+
+def _observables():
+    return [
+        parse_polynomial("(x + y - 1)^2"),
+        parse_polynomial("-1 + 3*y^2"),
+        parse_polynomial("x*y - 0.25*x^3 + 2"),
+        SaddleEigenfunction.monomial(1, 1.0),
+        SaddleEigenfunction.constant(0.7, -2.0),
+        lambda x, y: 3.0 * y * y / (1.0 - y * y) + 0.1 * x,
+    ]
+
+
+def test_residual_report_and_best_lambda_equal_old_formulas():
+    rng = random.Random(211)
+    fields = [VectorField2D.saddle(), cubic_example_field()]
+    for f in fields:
+        for g in _observables():
+            for lam in (-2.0, 0.5, 1.0, 3.7):
+                pts = [(rng.uniform(-1, 1), rng.uniform(0.05, 0.9)) for _ in range(37)]
+                cand = KeigCandidate(g, lam)
+                assert _hexed(residual_report(f, cand, pts)) == _hexed(
+                    _old_residual_report(f, cand, pts))
+            assert _hexed(residual_report(f, KeigCandidate(g, 1.0), [])) == _hexed(
+                _old_residual_report(f, KeigCandidate(g, 1.0), []))
+            assert _hexed(best_lambda(f, g, pts)) == _hexed(_old_best_lambda(f, g, pts))
+
+
+def test_rms():
+    assert rms([]) == 0.0
+    assert rms(iter([3.0, -4.0])) == math.sqrt(12.5)
+    assert rms([1e200, 1e200]) == math.inf
 
 
 # -- best_lambda ----------------------------------------------------------------

@@ -1,20 +1,25 @@
 """Eigenfunction series coefficients, partial sums, and monomial expansions."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilekoop.errors import DomainError
 from ilekoop.koopman import KeigCandidate, keig_residual
 from ilekoop.series import (
+    SaddleEigenfunction,
     _binomial_series,
-    _w_power_taylor,
+    _q_power_basis,
+    _signed_base,
+    _signed_pow,
     attraction_series_coefficients,
     decompose_monomial,
     geometric_tail_bound,
     greedy_series_coefficients,
     monomial_eigenfunction,
-    monomial_observable,
     monomial_partial_sum,
     partial_sum_check,
     phi_minus_2k,
@@ -26,14 +31,14 @@ from ilekoop.vectorfield import VectorField2D
 def test_first_term_taylor_prefix():
     # coefficient 1 on w, whose expansion starts 3y^2 + 3y^4 + 3y^6
     c = attraction_series_coefficients(1)[0]
-    taylor = [c * v for v in _w_power_taylor(1, 4)]
+    taylor = [c * v for v in _q_power_basis(2, 4)(1)]
     assert taylor[1:4] == [3.0, 3.0, 3.0]
 
 
 def test_second_term_taylor_prefix():
     # coefficient -1/3 on w^2: -3y^4 - 6y^6 - 9y^8
     c = attraction_series_coefficients(2)[1]
-    taylor = [c * v for v in _w_power_taylor(2, 5)]
+    taylor = [c * v for v in _q_power_basis(2, 5)(2)]
     assert taylor[2] == pytest.approx(-3.0, abs=1e-14)
     assert taylor[3] == pytest.approx(-6.0, abs=1e-14)
     assert taylor[4] == pytest.approx(-9.0, abs=1e-14)
@@ -52,13 +57,13 @@ def test_greedy_coefficients_independent_of_truncation():
 
 
 def test_greedy_target_zero():
-    coeffs = greedy_series_coefficients([0.0], lambda k: _w_power_taylor(k, 6), 6)
+    coeffs = greedy_series_coefficients([0.0], _q_power_basis(2, 6), 6)
     assert coeffs == [0.0] * 6
 
 
 def test_greedy_target_basis_element():
-    target = list(_w_power_taylor(1, 6))
-    coeffs = greedy_series_coefficients(target, lambda k: _w_power_taylor(k, 6), 6)
+    target = list(_q_power_basis(2, 6)(1))
+    coeffs = greedy_series_coefficients(target, _q_power_basis(2, 6), 6)
     assert coeffs[0] == 1.0
     assert all(abs(c) < 1e-15 for c in coeffs[1:])
 
@@ -142,7 +147,7 @@ def test_monomial_eigenfunctions_satisfy_generator_identity():
         if abs(y) >= 0.05:
             pts.append((rng.uniform(-2, 2), y))
     for n, lam in [(1, 1.0), (2, 0.0), (0, -1.0), (0, -3.0), (1, 0.0), (2, 1.0)]:
-        obs = monomial_observable(n, lam)
+        obs = SaddleEigenfunction.monomial(n, lam)
         res = keig_residual(f, KeigCandidate(obs, lam))
         assert max(abs(res(x, y)) for x, y in pts) < 1e-10
 
@@ -211,3 +216,106 @@ def test_decompose_matches_inline_greedy_loop():
 def test_decompose_rejects_negative_powers():
     with pytest.raises(ValueError):
         decompose_monomial(-1, 0, 3)
+
+
+# -- the one basis and the one value against the formulas they replaced -------
+
+def _mul_trunc(a, b, n):
+    """Truncated series product; with _w_power_taylor, the old attraction basis."""
+    out = [0.0] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai == 0.0:
+            continue
+        for j, bj in enumerate(b[: n + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def _w_power_taylor(k, n):
+    """Taylor coefficients of w^k in u = y^2 through u^n by repeated products."""
+    w = tuple([0.0] + [3.0] * n)
+    out = w
+    for _ in range(k - 1):
+        out = tuple(_mul_trunc(out, w, n))
+    return out
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_q_power_basis_equals_repeated_products():
+    for n in range(1, 29):
+        basis = _q_power_basis(2, n)
+        for k in range(1, n + 1):
+            assert _hex(basis(k)) == _hex(_w_power_taylor(k, n)), (n, k)
+
+
+def test_attraction_coefficients_equal_old_basis():
+    for n in range(1, 29):
+        old = greedy_series_coefficients([0.0, 3.0], lambda k, n=n: _w_power_taylor(k, n), n)
+        assert _hex(attraction_series_coefficients(n)) == _hex(old), n
+
+
+def _old_partial_sum(n, y):
+    """The old partial_sum_check total: its own copy of coeff * w**k."""
+    coeffs = attraction_series_coefficients(n)
+    w = 3.0 * y * y / (1.0 - y * y)
+    total = 0.0
+    for k in range(1, n + 1):
+        total += coeffs[k - 1] * w**k
+    return total
+
+
+def test_partial_sum_check_equals_old_sum():
+    for y in (-0.7, -0.45, -1e-300, 0.0, 0.1, 0.3, 0.5, 0.7):
+        for n in range(0, 29):
+            total, err = partial_sum_check(n, y)
+            want = _old_partial_sum(n, y)
+            assert total.hex() == want.hex()
+            assert err.hex() == abs(want - 3.0 * y * y).hex()
+
+
+def _old_monomial_eigenfunction(n, lam, x, y):
+    """monomial_eigenfunction as it was before it used SaddleEigenfunction."""
+    if n < 0:
+        raise ValueError("monomial degree must be nonnegative")
+    if y == 0.0:
+        e = n - lam
+        if abs(e - round(e)) < 1e-9 and round(e) >= 0:
+            return x**n if round(e) == 0 else 0.0
+        raise DomainError("undefined on the x-axis for this (n, lam)")
+    q = _signed_base(y)
+    return x**n * _signed_pow(q, n - lam)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", float(fn(*args)).hex())
+    except (DomainError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    lam=st.one_of(st.integers(-8, 8).map(float), st.floats(-8.0, 8.0),
+                  st.sampled_from([0.5, -0.5, 1.0 + 1e-10, 3.0 - 1e-12])),
+    x=st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+    y=st.one_of(st.floats(-0.99, 0.99), st.sampled_from([0.0, -0.0, 1e-300, -0.5, 1.0, -1.0])),
+)
+def test_monomial_eigenfunction_equals_old_formula(n, lam, x, y):
+    got = _outcome(monomial_eigenfunction, n, lam, x, y)
+    assert got == _outcome(_old_monomial_eigenfunction, n, lam, x, y)
+
+
+def test_saddle_eigenfunction_value_is_the_family_value():
+    # h_scale * (x q)^n * q^(-lam) and h_scale * x^n * q^(n - lam) agree to
+    # rounding; only the second is computed.
+    rng = random.Random(11)
+    for _ in range(300):
+        n, lam = rng.randrange(4), rng.choice([-3.0, -2.0, 0.0, 1.0, 2.5])
+        x, y, c = rng.uniform(-2, 2), rng.uniform(0.05, 0.95), rng.uniform(-2, 2)
+        q = y * math.sqrt(3.0 / (1.0 - y * y))
+        old = c * (x * q) ** n * q**-lam
+        assert SaddleEigenfunction(lam, n, c).value(x, y) == pytest.approx(old, rel=1e-13)
