@@ -127,6 +127,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1 (a flag ``type``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _floats(text: str, what: str, count: int | None = None) -> tuple[float, ...]:
     """Comma-separated finite numbers, ``count`` of them when given."""
     parts = text.split(",")
@@ -357,7 +368,7 @@ def _parser() -> _Parser:
     _add_field(p)
     p.add_argument("--g", required=True, help="observable expression in x, y")
     p.add_argument("--lambda", dest="lam", type=_finite, required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--exact", action="store_true", help="report residual coefficients")
     p.add_argument("--box", default="-1:1,-1:1", help="sample box xmin:xmax,ymin:ymax")
     p.set_defaults(handler=_cmd_keig_check)

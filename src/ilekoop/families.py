@@ -264,6 +264,8 @@ def carleman_solve(lam: float, c: float, x0: tuple[float, float], t: float) -> t
     lift = (x1, x2, x1**3)
     m = model.flow_matrix(t)
     closed = tuple(sum(m[i][j] * lift[j] for j in range(3)) for i in range(3))
+    if not (math.isfinite(closed[0]) and math.isfinite(closed[1])):
+        raise NumericalError("normal-form endpoint overflows a double")
     check = _expm3(model.matrix, t) @ np.array(lift)
     for a, b in zip(closed, check):
         if abs(a - b) > 1e-12 * max(1.0, abs(a), abs(b)):

@@ -2,6 +2,10 @@
 
 Integration is classical fixed-step RK4 (deterministic, bit-reproducible);
 the final partial step is shortened to land exactly on the requested time.
+Every driver (``integrate``, ``flow_endpoint``, ``ftle_field`` and the
+pullback march in :mod:`ilekoop.koopman`) runs the field's one generated
+step ``VectorField2D._rk4()``: P, Q and all four stages as straight-line
+code, the same source for floats and arrays.
 Flow-map gradients come from centered differences of four auxiliary
 trajectories.  For the built-in saddle the analytic Cauchy-Green tensor and
 FTLE are provided as oracles.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .strain import Grid2D, ScalarField, SymTensor2, _sample_grid
+from .strain import Grid2D, ScalarField, SymTensor2, _sample_grid, _finite_field
 from .vectorfield import VectorField2D, _check_domain
 
 MAX_STEP_COUNT = 1e8
@@ -68,24 +72,11 @@ def _steps(t: float, step: float):
     return itertools.chain(((i * h, h) for i in range(1, n + 1)), last)
 
 
-def _rk4_step(ev, x, y, h):
-    """One classical RK4 step; ``ev`` is ``f.evaluate`` for floats or
-    ``f.evaluate_arrays`` for arrays (elementwise ops only, so array results
-    do not depend on how the arrays were chunked)."""
-    u1, v1 = ev(x, y)
-    u2, v2 = ev(x + 0.5 * h * u1, y + 0.5 * h * v1)
-    u3, v3 = ev(x + 0.5 * h * u2, y + 0.5 * h * v2)
-    u4, v4 = ev(x + h * u3, y + h * v3)
-    return (
-        x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
-        y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
-    )
-
-
-def _advance(ev, x, y, t: float, step: float):
-    """Time-t RK4 endpoint of floats or arrays ``x, y``, keeping no history."""
+def _advance(rk4, x, y, t: float, step: float):
+    """Time-t endpoint of floats or arrays ``x, y`` under a field's RK4 step
+    ``rk4`` (``VectorField2D._rk4()``), keeping no history."""
     for _, h in _steps(t, step):
-        x, y = _rk4_step(ev, x, y, h)
+        x, y = rk4(x, y, h)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NumericalError("trajectory became non-finite")
     return x, y
@@ -97,8 +88,9 @@ def integrate(
     """RK4 trajectory from time 0 to time t (t may be negative or zero)."""
     x, y = float(x0[0]), float(x0[1])
     traj = Trajectory([0.0], [(x, y)])
+    rk4 = f._rk4()
     for tk, h in _steps(t, cfg.step):
-        x, y = _rk4_step(f.evaluate, x, y, h)
+        x, y = rk4(x, y, h)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise NumericalError(f"trajectory became non-finite near t={tk}")
         traj.times.append(tk)
@@ -110,7 +102,7 @@ def flow_endpoint(
     f: VectorField2D, x0: tuple[float, float], t: float, cfg: IntegratorConfig
 ) -> tuple[float, float]:
     """Endpoint of the time-t flow; same stepping as integrate, no storage."""
-    return _advance(f.evaluate, float(x0[0]), float(x0[1]), t, cfg.step)
+    return _advance(f._rk4(), float(x0[0]), float(x0[1]), t, cfg.step)
 
 
 def _gradient_tensor(xp, xm, yp, ym, delta):
@@ -172,9 +164,11 @@ def ftle_field(
     if not delta > 0.0:
         raise ValueError("delta must be positive")
 
+    rk4 = f._rk4()
+
     def stretch(xv, yv):
         ex, ey = _advance(
-            f.evaluate_arrays,
+            rk4,
             np.concatenate([xv + delta, xv - delta, xv, xv]),
             np.concatenate([yv, yv, yv + delta, yv - delta]),
             t,
@@ -185,7 +179,7 @@ def ftle_field(
 
     lam2 = _sample_grid(grid, stretch, threads)
     vals = np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
-    return ScalarField(grid, vals)
+    return _finite_field(grid, vals, "FTLE")
 
 
 # -- analytic saddle oracles ------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .errors import DomainError, NoCrossingError
 from .expr import Poly2
-from .flowmap import IntegratorConfig, _check_step_budget, _rk4_step, flow_endpoint
+from .flowmap import IntegratorConfig, _check_step_budget, flow_endpoint
 from .vectorfield import VectorField2D, shear_free_defect
 
 #: Step used by the fourth-order finite-difference gradient fallback.
@@ -226,11 +226,11 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
     leaving the field's domain (or blowing up) ends the search window."""
     h = time_sign * cfg.step
     steps = int(math.ceil(t_max / cfg.step))
-    ev = f.evaluate
+    rk4 = f._rk4()
     prev_state = (float(x[0]), float(x[1]))
     for k in range(1, steps + 1):
         try:
-            state = _rk4_step(ev, prev_state[0], prev_state[1], h)
+            state = rk4(prev_state[0], prev_state[1], h)
         except DomainError:
             return None
         if not (math.isfinite(state[0]) and math.isfinite(state[1])):
@@ -242,7 +242,7 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
             lo, hi = 0.0, cfg.step
             while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
-                st = _rk4_step(ev, prev_state[0], prev_state[1], time_sign * mid)
+                st = rk4(prev_state[0], prev_state[1], time_sign * mid)
                 dm = surf.signed_distance(*st)
                 if dm == 0.0:
                     lo = hi = mid
@@ -251,7 +251,7 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
                 else:
                     lo = mid
             mid = 0.5 * (lo + hi)
-            st = _rk4_step(ev, prev_state[0], prev_state[1], time_sign * mid)
+            st = rk4(prev_state[0], prev_state[1], time_sign * mid)
             return (k - 1) * cfg.step + mid, st
         d_prev = d
         prev_state = state

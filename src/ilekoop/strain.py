@@ -95,6 +95,14 @@ class ScalarField:
         return float(np.max(self.values))
 
 
+def _finite_field(grid: Grid2D, values: np.ndarray, what: str) -> ScalarField:
+    """``ScalarField(grid, values)``, but a non-finite value (an overflow
+    from finite inputs) is a :class:`NumericalError`."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} is not finite at some grid node")
+    return ScalarField(grid, values)
+
+
 def strain_tensor(f: VectorField2D, x: float, y: float) -> SymTensor2:
     """Symmetric part of the velocity gradient at a point."""
     j = f.jacobian(x, y)
@@ -107,16 +115,23 @@ def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
     return strain_tensor(f, x, y).eigenvalues()
 
 
+# Fewest grid nodes per thread chunk: below this, starting threads and
+# handing the GIL between them cost more than the second core gains (FTLE
+# with 2 threads broke even at 71x71 nodes and won 24% at 81x81).
+_MIN_CHUNK_NODES = 3072
+
+
 def _sample_grid(grid: Grid2D, fn, threads: int) -> np.ndarray:
     """``fn(xv, yv)`` over every node, as one ``(ny, nx)`` array.
 
-    The rows are cut into one contiguous chunk per thread and ``fn`` gets
+    The rows are cut into one contiguous chunk per thread, but into no more
+    chunks than leave ``_MIN_CHUNK_NODES`` nodes in each, and ``fn`` gets
     each chunk's meshgrid.  ``fn`` must be elementwise, so that the result
     does not depend on the cut.
     """
     xs, ys = grid.xs(), grid.ys()
     out = np.empty((grid.ny, grid.nx))
-    threads = max(1, int(threads))
+    threads = max(1, min(int(threads), grid.nx * grid.ny // _MIN_CHUNK_NODES))
     bounds = [round(grid.ny * i / threads) for i in range(threads + 1)]
     chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
@@ -148,7 +163,7 @@ def rate_field(f: VectorField2D, grid: Grid2D, which: str = "s1", threads: int =
         a11, a12, a21, a22 = f.jacobian_arrays(xv, yv)
         return SymTensor2(a11, 0.5 * (a12 + a21), a22).eigenvalues()[k]
 
-    return ScalarField(grid, _sample_grid(grid, rate, threads))
+    return _finite_field(grid, _sample_grid(grid, rate, threads), f"{which} rate")
 
 
 def default_grad_tol(f: ScalarField) -> float:

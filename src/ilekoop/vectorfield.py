@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Poly2
+from .expr import Poly2, rk4_step_kernel
 
 # The explicit saddle solution is singular at |y| = 1; stay strictly inside.
 SADDLE_Y_BOUND = 1.0 - 1e-12
@@ -35,13 +35,14 @@ class VectorField2D:
     """A planar autonomous polynomial field.  Only the saddle is guarded:
     its evaluation raises :class:`DomainError` outside ``|y| < 1``."""
 
-    __slots__ = ("p", "q", "_guarded", "_jac")
+    __slots__ = ("p", "q", "_guarded", "_jac", "_step")
 
     def __init__(self, p: Poly2, q: Poly2):
         self.p = p
         self.q = q
         self._guarded = False
         self._jac = (p.diff("x"), p.diff("y"), q.diff("x"), q.diff("y"))
+        self._step = None
 
     @classmethod
     def polynomial(cls, p: Poly2, q: Poly2) -> "VectorField2D":
@@ -82,6 +83,17 @@ class VectorField2D:
             _check_domain_arrays(ys)
         return tuple(d.eval_array(xs, ys) for d in self._jac)
 
+    def _rk4(self):
+        """The field's generated RK4 step ``step(x, y, h) -> (x, y)`` for
+        floats or float arrays, built on first use.  On the saddle every
+        stage checks its y first, with the check that ``evaluate`` (floats)
+        or ``evaluate_arrays`` (arrays) runs."""
+        step = self._step
+        if step is None:
+            step = self._step = rk4_step_kernel(
+                self.p, self.q, _domain_check if self._guarded else None)
+        return step
+
 
 def _check_domain(y: float) -> None:
     if not abs(y) < SADDLE_Y_BOUND:
@@ -91,6 +103,11 @@ def _check_domain(y: float) -> None:
 def _check_domain_arrays(ys: np.ndarray) -> None:
     if not np.all(np.abs(ys) < SADDLE_Y_BOUND):
         raise DomainError("saddle field is only defined for |y| < 1")
+
+
+def _domain_check(y):
+    """The saddle guard that suits ``y``: the array check or the float check."""
+    return _check_domain_arrays if isinstance(y, np.ndarray) else _check_domain
 
 
 def shear_free_defect(f: VectorField2D) -> Poly2:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -721,3 +722,35 @@ def test_series_partial_sums_equal_per_n_loop(capsys, target):
             got = [row["value"] for row in json.loads(out)["partial_sums"]]
             want = _old_series_sums(target, n_max, y)
             assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ile", "--field", "expr:x*y - y^3;x^2 + 0.3*y", "--grid=-1.0:0.5:3,-1e+308:0.4:3"],
+    ["ftle", "--field", "expr:360*x;0", "--time", "1", "--grid", "0:1:3,0:1:3"],
+])
+def test_overflowing_grid_result_exit_code(capsys, tmp_path, argv):
+    # finite inputs whose rate or FTLE overflows: a numeric error, not a usage error
+    out_file = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run([*argv, "--out", str(out_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("is not finite at some grid node\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_keig_check_samples_must_be_positive(capsys, value):
+    code, out, err = run(["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1",
+                          "--samples", value], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --samples: ") and err.count("\n") == 1
+
+
+def test_carleman_overflow_is_one_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            ["carleman", "--lambda", "1e308", "--c", "1", "--x0", "1,0", "--time", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: normal-form endpoint overflows a double\n"

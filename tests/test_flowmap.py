@@ -5,10 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ilekoop.errors import DomainError
+from ilekoop import strain
+from ilekoop.errors import DomainError, NumericalError
+from ilekoop.expr import Poly2
 from ilekoop.expr import parse_polynomial
-from ilekoop.families import make_transformed_family
+from ilekoop.families import CubicParams, make_cubic_family, make_transformed_family
 from ilekoop.flowmap import (
     IntegratorConfig,
     cauchy_green,
@@ -261,12 +265,141 @@ def test_step_budget_shared_by_every_driver(t):
 
 
 def test_array_and_scalar_stepping_agree_bitwise():
-    from ilekoop.flowmap import _advance
+    from ilekoop.flowmap import _advance  # the generated step, on arrays
 
     for f in (VectorField2D.saddle(), make_transformed_family(-1.0, [-0.5])):
         xs = np.linspace(-0.6, 0.6, 5)
         ys = np.linspace(-0.5, 0.4, 5)
-        ex, ey = _advance(f.evaluate_arrays, xs, ys, -0.0537, 1e-2)
+        ex, ey = _advance(f._rk4(), xs, ys, -0.0537, 1e-2)
         for k in range(5):
             end = flow_endpoint(f, (float(xs[k]), float(ys[k])), -0.0537, IntegratorConfig(1e-2))
             assert end == (ex[k], ey[k])
+
+
+@pytest.mark.parametrize("side", [21, 101])
+def test_grid_bytes_do_not_depend_on_threads(side):
+    f = make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0))
+    grid = Grid2D(0.1, 0.9, side, 0.1, 0.9, side)
+    cfg = IntegratorConfig(step=1e-2)
+    ftles = [ftle_field(f, grid, -0.05, 1e-5, cfg, threads=n).values.tobytes() for n in (1, 2, 3)]
+    rates = [strain.rate_field(f, grid, "s1", threads=n).values.tobytes() for n in (1, 2, 3)]
+    assert ftles[0] == ftles[1] == ftles[2]
+    assert rates[0] == rates[1] == rates[2]
+
+
+def test_small_grids_run_serially(monkeypatch):
+    def no_pool(*_, **__):
+        raise AssertionError("a small grid started a thread pool")
+
+    monkeypatch.setattr(strain, "ThreadPoolExecutor", no_pool)
+    grid = Grid2D(0.1, 0.9, 21, 0.1, 0.9, 21)
+    ftle_field(make_transformed_family(-1.0, [-0.5]), grid, -0.05, 1e-5, CFG, threads=4)
+
+
+def test_ftle_overflow_is_a_numerical_error():
+    # finite endpoints near 1e156, whose squared gradient overflows
+    f = VectorField2D.polynomial(Poly2({(1, 0): 360.0}), Poly2())
+    with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+        ftle_field(f, Grid2D(0.0, 1.0, 3, 0.0, 1.0, 3), 1.0, 1e-5, CFG)
+
+
+# -- the generated RK4 step against the formula it replaced -------------------------
+
+def _old_rk4_step(ev, x, y, h):
+    """The RK4 step as written before the field step was generated; ``ev``
+    is ``f.evaluate`` for floats or ``f.evaluate_arrays`` for arrays."""
+    u1, v1 = ev(x, y)
+    u2, v2 = ev(x + 0.5 * h * u1, y + 0.5 * h * v1)
+    u3, v3 = ev(x + 0.5 * h * u2, y + 0.5 * h * v2)
+    u4, v4 = ev(x + h * u3, y + h * v3)
+    return (
+        x + (h / 6.0) * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
+        y + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
+    )
+
+
+def _outcome(step, *args):
+    """Bit pattern of the result, or the exception type and message."""
+    try:
+        x, y = step(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return np.asarray(x, dtype=float).tobytes(), np.asarray(y, dtype=float).tobytes()
+
+
+_COEFFS = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -0.0]),
+                    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+_COMPONENT = st.one_of(
+    st.just({}),
+    st.builds(lambda c: {(0, 0): c}, _COEFFS),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _COEFFS, max_size=6),
+)
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-1.5, 1.5, allow_nan=False))
+_STEP = st.one_of(st.sampled_from([0.0, -0.0, 1e-3, -1e-2, 0.25]),
+                  st.floats(-0.5, 0.5, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_COMPONENT, q=_COMPONENT, h=_STEP,
+       pts=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=4))
+@example(p={(1, 0): 1.0}, q={(0, 1): -1.0, (0, 3): 1.0}, h=-0.0, pts=[(-0.0, 0.0)])
+@example(p={(0, 0): -0.0}, q={}, h=-0.0, pts=[(-0.0, -0.0), (0.0, -0.0)])
+def test_generated_step_matches_old_formula(p, q, h, pts):
+    f = VectorField2D.polynomial(Poly2(p), Poly2(q))
+    step = f._rk4()
+    for x, y in pts:
+        assert _outcome(step, x, y, h) == _outcome(_old_rk4_step, f.evaluate, x, y, h)
+    xs, ys = (np.array(c) for c in zip(*pts))
+    new = _outcome(step, xs, ys, h)
+    assert new == _outcome(_old_rk4_step, f.evaluate_arrays, xs, ys, h)
+    # each array element carries the bits of the scalar step
+    for k, (x, y) in enumerate(pts):
+        assert (new[0][8 * k:8 * k + 8], new[1][8 * k:8 * k + 8]) == _outcome(step, x, y, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_COORD, y=st.floats(0.5, 1.0, exclude_max=True), h=st.floats(-12.0, 12.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_generated_saddle_step_matches_old_formula(x, y, h, sign):
+    f = VectorField2D.saddle()
+    y = sign * y
+    assert _outcome(f._rk4(), x, y, h) == _outcome(_old_rk4_step, f.evaluate, x, y, h)
+    xs, ys = np.array([x, 0.0]), np.array([y, 0.0])
+    assert _outcome(f._rk4(), xs, ys, h) == _outcome(_old_rk4_step, f.evaluate_arrays, xs, ys, h)
+
+
+def _failing_stage(x, y, h):
+    """The stage (1-4) at which the old step leaves the saddle's domain, or
+    None when it stays inside."""
+    f = VectorField2D.saddle()
+    calls = []
+
+    def ev(*point):
+        calls.append(point)
+        return f.evaluate(*point)
+
+    try:
+        _old_rk4_step(ev, x, y, h)
+    except DomainError:
+        return len(calls)
+    return None
+
+
+def test_saddle_step_raises_at_the_same_stage():
+    """Steps whose 2nd, 3rd or 4th stage leaves |y| < 1 raise the old
+    exception type and message, on floats and on arrays."""
+    f = VectorField2D.saddle()
+    found = {}
+    for y in np.linspace(0.5, 0.99, 25).tolist():
+        for h in np.linspace(-12.0, 12.0, 25).tolist():
+            found.setdefault(_failing_stage(0.25, y, h), (0.25, y, h))
+    assert {2, 3, 4} <= set(found)
+    for stage in (2, 3, 4):
+        x, y, h = found[stage]
+        old = _outcome(_old_rk4_step, f.evaluate, x, y, h)
+        assert old[0] is DomainError
+        assert _outcome(f._rk4(), x, y, h) == old
+        xs, ys = np.array([x]), np.array([y])
+        assert (_outcome(f._rk4(), xs, ys, h)
+                == _outcome(_old_rk4_step, f.evaluate_arrays, xs, ys, h))

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilekoop import strain
+from ilekoop.errors import NumericalError
 from ilekoop.expr import Poly2, parse_polynomial
 from ilekoop.families import QuadraticParams, make_quadratic_family, make_transformed_family
 from ilekoop.strain import (
@@ -474,3 +475,10 @@ def test_strain_rates_match_rate_field_nodes(p, q, threads):
             assert _same_bits(r1, s1[iy, ix]) and _same_bits(r2, s2[iy, ix])
             j = f.jacobian(x, y)
             assert _same_bits((r1, r2), _old_rates(j.a11, j.a12, j.a21, j.a22, math.sqrt))
+
+
+def test_rate_field_overflow_is_a_numerical_error():
+    f = VectorField2D.polynomial(parse_polynomial("x*y - y^3"), parse_polynomial("x^2 + 0.3*y"))
+    grid = Grid2D(-1.0, 0.5, 3, -1e308, 0.4, 3)
+    with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+        rate_field(f, grid, "s1")
