@@ -357,7 +357,7 @@ def _kernel_factory(shapes: tuple, rk4: bool = False, guarded: bool = False):
     return namespace["factory"]
 
 
-def rk4_step_kernel(p: "Poly2", q: "Poly2", pick=None):
+def _field_step(p: "Poly2", q: "Poly2", pick=None):
     """Generated RK4 step ``step(x, y, h) -> (x, y)`` of the field (p, q),
     for floats or float arrays (see :func:`_kernel_factory`).  ``pick``, if
     given, maps a y to the domain check run on every stage's y."""

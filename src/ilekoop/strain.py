@@ -117,7 +117,7 @@ def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
 
 # Fewest grid nodes per thread chunk: below this, starting threads and
 # handing the GIL between them cost more than the second core gains (FTLE
-# with 2 threads broke even at 71x71 nodes and won 24% at 81x81).
+# on 2 vCPUs with 2 threads broke even at 71x71 nodes and won 24% at 81x81).
 _MIN_CHUNK_NODES = 3072
 
 

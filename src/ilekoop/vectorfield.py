@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Poly2, rk4_step_kernel
+from .expr import Poly2, _field_step
 
 # The explicit saddle solution is singular at |y| = 1; stay strictly inside.
 SADDLE_Y_BOUND = 1.0 - 1e-12
@@ -90,7 +90,7 @@ class VectorField2D:
         or ``evaluate_arrays`` (arrays) runs."""
         step = self._step
         if step is None:
-            step = self._step = rk4_step_kernel(
+            step = self._step = _field_step(
                 self.p, self.q, _domain_check if self._guarded else None)
         return step
 
