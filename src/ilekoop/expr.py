@@ -280,87 +280,65 @@ def _canon(terms: dict) -> dict:
 
 
 def _shape(terms) -> tuple[tuple[int, int, bool], ...]:
-    """The term structure of sorted ``((i, j), c)`` pairs, as the code
-    generator's cache key: ``(i, j, c == 1.0)`` per term."""
+    """Code-generator cache key of sorted ``((i, j), c)`` terms."""
     return tuple((i, j, c == 1.0) for (i, j), c in terms)
 
 
-def _sum_lines(name: str, shape, coeff: str, xv: str, yv: str) -> list[str]:
-    """``name = 0.0 + c*x^i*y^j + ...`` over the terms of ``shape``, left to
-    right, one statement per 64 terms so the compiler's nesting stays shallow."""
-    parts = ["0.0"]
-    for n, (i, j, unit) in enumerate(shape):
-        factors = [] if unit else [f"{coeff}{n}"]
-        factors += [f"{v}{e if e > 1 else ''}" for v, e in ((xv, i), (yv, j)) if e]
-        parts.append(" * ".join(factors) or "1.0")
-    groups = [parts[k:k + 64] for k in range(0, len(parts), 64)]
-    return [f"{name} = {' + '.join(groups[0])}"] + [
-        f"{name} = {name} + {' + '.join(g)}" for g in groups[1:]]
-
-
-def _ladder_lines(shapes, xv: str, yv: str) -> list[str]:
-    """Powers shared by every component: x2 = x*x, x3 = x2*x, ..."""
-    tops = {xv: max((i for s in shapes for i, _, _ in s), default=0),
-            yv: max((j for s in shapes for _, j, _ in s), default=0)}
-    return [f"{v}{k} = {v}{k - 1 if k > 2 else ''} * {v}"
-            for v, top in tops.items() for k in range(2, top + 1)]
+def _eval_lines(shapes, outs, xv: str, yv: str) -> list[str]:
+    """Source that evaluates component m into ``outs[m]`` at ``(xv, yv)``:
+    power ladders shared by all components (x2 = x*x, x3 = x2*x, ...), then
+    0.0 + c*x^i*y^j in sorted term order with factors of exactly 1.0 left
+    out (which changes no bit), 64 terms per statement at most so that the
+    compiler's nesting stays shallow."""
+    lines = [f"{v}{k} = {v}{k - 1 if k > 2 else ''} * {v}" for d, v in enumerate((xv, yv))
+             for k in range(2, max((t[d] for s in shapes for t in s), default=0) + 1)]
+    for m, (out, shape) in enumerate(zip(outs, shapes)):
+        parts = ["0.0"] + [" * ".join(([] if unit else [f"c{m}_{n}"]) + [
+            f"{v}{e if e > 1 else ''}" for v, e in ((xv, i), (yv, j)) if e]) or "1.0"
+            for n, (i, j, unit) in enumerate(shape)]
+        lines += [f"{out} = {out + ' + ' if k else ''}{' + '.join(parts[k:k + 64])}"
+                  for k in range(0, len(parts), 64)]
+    return lines
 
 
 @functools.lru_cache(maxsize=256)
 def _kernel_factory(shapes: tuple, rk4: bool = False, guarded: bool = False):
-    """Compile straight-line code for the term structures ``shapes`` (one
-    per component, see :func:`_shape`) and return a factory that binds the
-    coefficients in a closure; they never enter the source.
+    """Compile straight-line code for the term structures ``shapes``, one
+    per component (see :func:`_eval_lines`), and return a factory that binds
+    the coefficients c<m>_<n> in a closure; they never enter the source.
 
-    Each component is summed as 0.0 + c*x^i*y^j in sorted term order, from
-    power ladders shared by all components, and factors of exactly 1.0 are
-    left out, which changes no bit.  Without ``rk4`` the one component gives
-    ``kernel(x, y)``.  With ``rk4`` the two components (P, Q) give one
-    classical RK4 step ``step(x, y, h)``: the four stages and the final
-    combination are inlined as
-
-        k1 = F(x, y), k2 = F(x + 0.5*h*k1), k3 = F(x + 0.5*h*k2),
-        k4 = F(x + h*k3), x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
-
-    ``guarded`` adds a last factory argument ``pick``: ``pick(y)`` returns
-    the check that then runs on each stage's y before F is evaluated there.
+    Without ``rk4`` the one component gives ``kernel(x, y)``.  With ``rk4``
+    the components (P, Q) give one classical RK4 step ``step(x, y, h)`` with
+    the stages and the combination written out as
+    k1 = F(x, y), k2 = F(x + 0.5*h*k1), k3 = F(x + 0.5*h*k2),
+    k4 = F(x + h*k3), result x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
+    ``guarded`` adds a last factory argument ``pick``; ``pick(y)`` gives the
+    check that then runs on each stage's y before F is evaluated there.
     Every operation is elementwise, so floats and float arrays run the same
-    source with bit-identical results per element."""
-    names = [f"c{m}_" for m in range(len(shapes))]
-    args = [f"{c}{n}" for c, shape in zip(names, shapes) for n in range(len(shape))]
+    source and agree bit for bit."""
+    args = [f"c{m}_{n}" for m, shape in enumerate(shapes) for n in range(len(shape))]
     if not rk4:
-        body = _ladder_lines(shapes, "x", "y") + _sum_lines("s", shapes[0], names[0], "x", "y")
-        body.append("return s")
-        signature = "kernel(x, y)"
+        head, body = "kernel(x, y)", _eval_lines(shapes, ["s"], "x", "y") + ["return s"]
     else:
-        body = ["hh = 0.5 * h"]
-        if guarded:
-            args.append("pick")
-            body.append("check = pick(y)")
-        stages = (("x", "y", None), ("xs", "ys", "hh"), ("xs", "ys", "hh"), ("xs", "ys", "h"))
-        for k, (xv, yv, scale) in enumerate(stages, 1):
+        head, body = "step(x, y, h)", ["hh = 0.5 * h"] + ["check = pick(y)"] * guarded
+        args += ["pick"] * guarded
+        for k, scale in enumerate((None, "hh", "hh", "h"), 1):
             if scale:
                 body += [f"xs = x + {scale} * u{k - 1}", f"ys = y + {scale} * v{k - 1}"]
-            body += [f"check({yv})"] if guarded else []
-            body += _ladder_lines(shapes, xv, yv)
-            body += _sum_lines(f"u{k}", shapes[0], names[0], xv, yv)
-            body += _sum_lines(f"v{k}", shapes[1], names[1], xv, yv)
-        body += ["h6 = h / 6.0",
-                 "return (x + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4),",
+            xv, yv = ("xs", "ys") if scale else ("x", "y")
+            body += [f"check({yv})"] * guarded + _eval_lines(shapes, [f"u{k}", f"v{k}"], xv, yv)
+        body += ["h6 = h / 6.0", "return (x + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4),",
                  "        y + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4))"]
-        signature = "step(x, y, h)"
-    src = (f"def factory({', '.join(args)}):\n    def {signature}:\n"
-           + "".join(f"        {line}\n" for line in body)
-           + f"    return {signature.split('(')[0]}\n")
+    src = (f"def factory({', '.join(args)}):\n    def {head}:\n"
+           + "".join(f"        {line}\n" for line in body) + f"    return {head[:head.index('(')]}\n")
     namespace: dict = {}
     exec(compile(src, "<ilekoop.expr kernel>", "exec"), namespace)
     return namespace["factory"]
 
 
 def _field_step(p: "Poly2", q: "Poly2", pick=None):
-    """Generated RK4 step ``step(x, y, h) -> (x, y)`` of the field (p, q),
-    for floats or float arrays (see :func:`_kernel_factory`).  ``pick``, if
-    given, maps a y to the domain check run on every stage's y."""
+    """The generated RK4 step ``step(x, y, h) -> (x, y)`` of the field
+    (p, q); ``pick``, if given, is the guard argument of the factory."""
     terms = (p.items_sorted(), q.items_sorted())
     factory = _kernel_factory(tuple(map(_shape, terms)), rk4=True, guarded=pick is not None)
     return factory(*(c for t in terms for _, c in t), *([pick] if pick else []))

@@ -355,6 +355,13 @@ def test_kernel_bitwise_matches_reference(terms, points):
         assert _bits(arr[k]) == ref
 
 
+def test_kernel_with_many_terms_matches_reference():
+    # past 64 terms the generated sum is split over several statements
+    p = Poly2({(i, j): 1.0 + 0.01 * (i - j) for i in range(12) for j in range(12)})
+    for x, y in ((0.3, -0.7), (-0.0, 1.1), (1.01, -0.0)):
+        assert _bits(p.evaluate(x, y)) == _bits(_ref_evaluate(p, x, y))
+
+
 @pytest.mark.parametrize("text", ["0", "2.5", "-1", "x^2", "y - 3"])
 def test_eval_array_fills_input_shape(text):
     p = parse_polynomial(text)

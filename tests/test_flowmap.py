@@ -319,10 +319,10 @@ def _old_rk4_step(ev, x, y, h):
 
 
 def _outcome(step, *args):
-    """Bit pattern of the result, or the exception type and message."""
+    """Bit pattern of the result, or the domain error's type and message."""
     try:
         x, y = step(*args)
-    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+    except DomainError as exc:
         return type(exc), str(exc)
     return np.asarray(x, dtype=float).tobytes(), np.asarray(y, dtype=float).tobytes()
 
