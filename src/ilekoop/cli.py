@@ -41,8 +41,9 @@ def run_command(argv) -> int:
     except (UsageError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, NumericalError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, NumericalError, ArithmeticError, MemoryError) as exc:
+        # A bare MemoryError carries no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 
@@ -190,7 +191,8 @@ def _cmd_ile(args) -> None:
     f = _load_field(args.field)
     grid = _parse_grid(args.grid)
     sf = strain.rate_field(f, grid, which=args.rate, threads=args.threads)
-    _write_field_outputs(sf, args.out, args.pgm)
+    # The extraction and its JSON come first, so a failure there leaves no file.
+    report = ""
     if args.extract:
         grad_tol = args.grad_tol if args.grad_tol is not None else strain.default_grad_tol(sf)
         hits = strain.extract_extremal_set(sf, args.extract, grad_tol, args.curv_tol)
@@ -198,14 +200,10 @@ def _cmd_ile(args) -> None:
         points = ", ".join(
             [f'{{"ix": {ix}, "iy": {iy}, "x": {xt[ix]}, "y": {yt[iy]}}}' for ix, iy in hits]
         )
-        _emit(
-            {
-                "mode": args.extract,
-                "grad_tol": grad_tol,
-                "curv_tol": args.curv_tol,
-                "points": _RawJSON(f"[{points}]"),
-            }
-        )
+        report = _json_text({"mode": args.extract, "grad_tol": grad_tol, "curv_tol": args.curv_tol,
+                             "points": _RawJSON(f"[{points}]")}) + "\n"
+    _write_field_outputs(sf, args.out, args.pgm)
+    sys.stdout.write(report)
 
 
 def _cmd_ftle(args) -> None:

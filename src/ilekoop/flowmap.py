@@ -2,13 +2,15 @@
 
 Integration is classical fixed-step RK4 (deterministic, bit-reproducible);
 the final partial step is shortened to land exactly on the requested time.
-Every driver (``integrate``, ``flow_endpoint``, ``ftle_field`` and the
+Every driver (``integrate``, ``flow_endpoint``, ``cauchy_green`` and the
 pullback march in :mod:`ilekoop.koopman`) runs the field's one generated
 step ``VectorField2D._rk4()``: P, Q and all four stages as straight-line
 code, the same source for floats and arrays.
 Flow-map gradients come from centered differences of four auxiliary
-trajectories.  For the built-in saddle the analytic Cauchy-Green tensor and
-FTLE are provided as oracles.
+trajectories.  ``cauchy_green`` and ``ftle`` take a point or equal-shape
+arrays of points, and ``ftle_field`` is ``ftle`` at every grid node, so a
+point's FTLE equals its node bit for bit.  For the built-in saddle the
+analytic Cauchy-Green tensor and FTLE are provided as oracles.
 """
 
 from __future__ import annotations
@@ -105,9 +107,27 @@ def flow_endpoint(
     return _advance(f._rk4(), float(x0[0]), float(x0[1]), t, cfg.step)
 
 
-def _gradient_tensor(xp, xm, yp, ym, delta):
-    """Cauchy-Green tensor from the (x, y) endpoints of the trajectories
-    started at +x, -x, +y and -y offsets ``delta``; floats or arrays."""
+def cauchy_green(
+    f: VectorField2D, x0: tuple, t: float, delta: float, cfg: IntegratorConfig
+) -> SymTensor2:
+    """Right Cauchy-Green tensor from centered differences of the flow map.
+
+    ``x0`` is a pair of floats (float entries; each offset trajectory runs
+    through ``flow_endpoint``) or of equal-shape arrays (elementwise entries;
+    the four offset families advance as one concatenated array).  The
+    endpoints of the +x, -x, +y and -y offset trajectories give the gradient.
+    """
+    if not delta > 0.0:
+        raise ValueError("delta must be positive")
+    x, y = x0
+    if isinstance(x, np.ndarray):
+        xs = np.concatenate([x + delta, x - delta, x, x])
+        ys = np.concatenate([y, y, y + delta, y - delta])
+        ex, ey = _advance(f._rk4(), xs, ys, t, cfg.step)
+        xp, xm, yp, ym = zip(np.split(ex, 4), np.split(ey, 4))
+    else:
+        seeds = ((x + delta, y), (x - delta, y), (x, y + delta), (x, y - delta))
+        xp, xm, yp, ym = (flow_endpoint(f, s, t, cfg) for s in seeds)
     f11 = (xp[0] - xm[0]) / (2.0 * delta)
     f21 = (xp[1] - xm[1]) / (2.0 * delta)
     f12 = (yp[0] - ym[0]) / (2.0 * delta)
@@ -115,34 +135,18 @@ def _gradient_tensor(xp, xm, yp, ym, delta):
     return SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22)
 
 
-def cauchy_green(
-    f: VectorField2D,
-    x0: tuple[float, float],
-    t: float,
-    delta: float,
-    cfg: IntegratorConfig,
-) -> SymTensor2:
-    """Right Cauchy-Green tensor from centered differences of the flow map."""
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-    x, y = x0
-    seeds = ((x + delta, y), (x - delta, y), (x, y + delta), (x, y - delta))
-    return _gradient_tensor(*(flow_endpoint(f, s, t, cfg) for s in seeds), delta)
-
-
 def ftle(
-    f: VectorField2D,
-    x0: tuple[float, float],
-    t: float,
-    delta: float,
-    cfg: IntegratorConfig,
-) -> float:
-    """Finite-time Lyapunov exponent log(max C eigenvalue) / (2|t|)."""
+    f: VectorField2D, x0: tuple, t: float, delta: float, cfg: IntegratorConfig
+) -> float | np.ndarray:
+    """Finite-time Lyapunov exponent log(max C eigenvalue) / (2|t|): a float
+    for a pair of floats, elementwise for a pair of arrays.  ``np.log`` is
+    elementwise and position-independent, so a point's FTLE equals its grid
+    node bit for bit."""
     if t == 0.0:
         raise ValueError("FTLE needs a nonzero integration time")
-    c = cauchy_green(f, x0, t, delta, cfg)
-    lam2 = c.eigenvalues()[1]
-    return math.log(max(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
+    lam2 = cauchy_green(f, x0, t, delta, cfg).eigenvalues()[1]
+    sigma = np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
+    return sigma if isinstance(sigma, np.ndarray) else float(sigma)
 
 
 def ftle_field(
@@ -153,32 +157,9 @@ def ftle_field(
     cfg: IntegratorConfig,
     threads: int = 1,
 ) -> ScalarField:
-    """FTLE sampled over a grid.
-
-    The four offset trajectory families of a row chunk are advanced as one
-    array.  The final log runs over the assembled full-shape eigenvalue
-    array, so output bytes are identical for every thread count.
-    """
-    if t == 0.0:
-        raise ValueError("FTLE needs a nonzero integration time")
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
-
-    rk4 = f._rk4()
-
-    def stretch(xv, yv):
-        ex, ey = _advance(
-            rk4,
-            np.concatenate([xv + delta, xv - delta, xv, xv]),
-            np.concatenate([yv, yv, yv + delta, yv - delta]),
-            t,
-            cfg.step,
-        )
-        ends = zip(np.split(ex, 4), np.split(ey, 4))
-        return _gradient_tensor(*ends, delta).eigenvalues()[1]
-
-    lam2 = _sample_grid(grid, stretch, threads)
-    vals = np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
+    """``ftle`` at every grid node, one array call per row chunk.  ``ftle``
+    is elementwise, so output bytes are identical for every thread count."""
+    vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, delta, cfg), threads)
     return _finite_field(grid, vals, "FTLE")
 
 

@@ -237,8 +237,8 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
             return None
         d = surf.signed_distance(*state)
         if d == 0.0:
-            return k * cfg.step, state
-        if d * d_prev < 0.0:
+            tau = k * cfg.step
+        elif d * d_prev < 0.0:
             lo, hi = 0.0, cfg.step
             while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
@@ -251,10 +251,13 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
                 else:
                     lo = mid
             mid = 0.5 * (lo + hi)
-            st = rk4(prev_state[0], prev_state[1], time_sign * mid)
-            return (k - 1) * cfg.step + mid, st
-        d_prev = d
-        prev_state = state
+            tau = (k - 1) * cfg.step + mid
+            state = rk4(prev_state[0], prev_state[1], time_sign * mid)
+        else:
+            d_prev, prev_state = d, state
+            continue
+        # The last whole step may end past t_max; a crossing there is none.
+        return (tau, state) if tau <= t_max else None
     return None
 
 

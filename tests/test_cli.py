@@ -754,3 +754,58 @@ def test_carleman_overflow_is_one_error_line(capsys):
             ["carleman", "--lambda", "1e308", "--c", "1", "--x0", "1,0", "--time", "10"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: normal-form endpoint overflows a double\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    # extraction needs a 3x3 grid
+    (["ile", "--field", "saddle", "--grid", "-1:1:2,-0.5:0.5:5", "--extract", "ridge"], 1),
+    # the default grad_tol overflows, so the JSON cannot be written
+    (["ile", "--field", "expr:1e150*x^3;0", "--grid", "0:1:3,0:2e-161:3", "--rate", "s2",
+      "--extract", "ridge"], 2),
+])
+def test_ile_extract_failure_leaves_no_output(capsys, tmp_path, argv, code):
+    csv, pgm = tmp_path / "z.csv", tmp_path / "z.pgm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got, out, err = run([*argv, "--out", str(csv), "--pgm", str(pgm)], capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not csv.exists() and not pgm.exists()
+
+
+def test_pullback_crossing_past_tmax_exit_code(capsys, tmp_path):
+    # the march's last 0.003 step ends at 0.702 > --tmax; the crossing at 0.701 is none
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"{math.exp(-0.3505)!r},0.2\n")
+    out_file = tmp_path / "phi.csv"
+    code, out, err = run(
+        ["pullback", "--field", NF_FIELD, "--line", "1,0,0,1", "--h", "1", "--lambda", "-1",
+         "--points", str(pts), "--out", str(out_file), "--step", "0.003", "--tmax", "0.7"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: orbit from ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("message,shown", [
+    ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type "
+     "float64", "Unable to allocate 74.5 GiB"),
+    ("", "out of memory"),
+])
+@pytest.mark.parametrize("command", ["ile", "ftle"])
+def test_memory_error_exit_code(capsys, tmp_path, monkeypatch, command, message, shown):
+    # a grid too large for memory fails in the grid sampler; nothing is allocated here
+    def no_memory(*_):
+        raise MemoryError(message) if message else MemoryError
+
+    module = cli.strain if command == "ile" else cli.flowmap
+    monkeypatch.setattr(module, "_sample_grid", no_memory)
+    argv = ["--field", "saddle", "--grid", "0:0.5:100000,0:0.5:100000"]
+    if command == "ftle":
+        argv += ["--time", "-0.05"]
+    out_file = tmp_path / "x.csv"
+    code, out, err = run([command, *argv, "--out", str(out_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {shown}") and err.count("\n") == 1
+    assert not out_file.exists()

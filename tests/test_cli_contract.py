@@ -1,7 +1,8 @@
-"""The CLI contract as a property: whatever numbers the flags carry, every
+"""The CLI contract as a property: whatever numbers the flags carry (floats,
+and small integers for sample, node, term and thread counts), every
 subcommand exits 0, 1 or 2, never prints a traceback, starts the stderr of a
-failure with ``error: ``, and prints strict JSON (no NaN/Infinity) on
-success."""
+failure with ``error: `` and leaves no output file behind, and prints strict
+JSON (no NaN/Infinity) on success."""
 
 import contextlib
 import io
@@ -30,10 +31,15 @@ def nums(*normals: float, sep: str = ","):
     return st.tuples(*(num(v) for v in normals)).map(sep.join)
 
 
+def count():
+    """Text of a small integer flag value: nothing large is allocated or threaded."""
+    return st.integers(-1, 5).map(str)
+
+
 def grid():
-    # 3x3 grids keep every request cheap
-    return st.tuples(num(-0.5), num(0.5), num(-0.4), num(0.4)).map(
-        lambda b: f"{b[0]}:{b[1]}:3,{b[2]}:{b[3]}:3"
+    # at most 5x5 nodes keep every request cheap
+    return st.tuples(num(-0.5), num(0.5), count(), num(-0.4), num(0.4), count()).map(
+        lambda b: f"{b[0]}:{b[1]}:{b[2]},{b[3]}:{b[4]}:{b[5]}"
     )
 
 
@@ -49,7 +55,7 @@ def requests(draw):
     ))
     if cmd == "ile":
         argv = ["ile", "--field", draw(FIELDS), f"--grid={draw(grid())}", "--out", "f.csv",
-                "--pgm", "f.pgm", f"--curv-tol={draw(num(1e-6))}"]
+                "--pgm", "f.pgm", f"--curv-tol={draw(num(1e-6))}", "--threads", draw(count())]
         if draw(st.booleans()):
             argv += ["--extract", draw(st.sampled_from(["ridge", "trench"])),
                      f"--grad-tol={draw(num(1e-2))}"]
@@ -57,10 +63,10 @@ def requests(draw):
     if cmd == "ftle":
         return ["ftle", "--field", draw(FIELDS), f"--grid={draw(grid())}", "--out", "f.csv",
                 f"--time={draw(num(-0.1))}", f"--step={draw(num(1e-2))}",
-                f"--delta={draw(num(1e-5))}"], None
+                f"--delta={draw(num(1e-5))}", "--pgm", "f.pgm", "--threads", draw(count())], None
     if cmd == "keig-check":
         argv = ["keig-check", "--field", draw(FIELDS), "--g", "x*y - 0.5",
-                f"--lambda={draw(num(1.0))}", "--samples", str(draw(st.integers(0, 10))),
+                f"--lambda={draw(num(1.0))}", "--samples", str(draw(st.integers(-1, 10))),
                 f"--box={draw(nums(-0.5, 0.5, sep=':'))},{draw(nums(-0.4, 0.4, sep=':'))}"]
         if draw(st.booleans()):
             argv.append("--exact")
@@ -87,7 +93,7 @@ def requests(draw):
         return ["series", "--target", draw(st.sampled_from(["s1", "3y2", "y"])),
                 "--N", str(draw(st.integers(-1, 8))), f"--y={draw(num(0.3))}"], None
     return ["oned", "--f", "x - x^3", f"--xmin={draw(num(-1.0))}",
-            f"--xmax={draw(num(1.0))}", "--n", "5"], None
+            f"--xmax={draw(num(1.0))}", "--n", draw(count())], None
 
 
 def _no_constants(name):
@@ -127,10 +133,12 @@ def test_cli_contract(request):
     argv, points = request
     with tempfile.TemporaryDirectory() as directory:
         code, out, err = _run_main(directory, argv, points)
+        written = set(os.listdir(directory)) - {"pts.txt"}
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code != 0:
         assert err.startswith("error: "), err
         assert out == ""
+        assert not written, written  # no --out or --pgm file
     elif out:
         json.loads(out, parse_constant=_no_constants)

@@ -12,7 +12,13 @@ from ilekoop import strain
 from ilekoop.errors import DomainError, NumericalError
 from ilekoop.expr import Poly2
 from ilekoop.expr import parse_polynomial
-from ilekoop.families import CubicParams, make_cubic_family, make_transformed_family
+from ilekoop.families import (
+    CubicParams,
+    QuadraticParams,
+    make_cubic_family,
+    make_quadratic_family,
+    make_transformed_family,
+)
 from ilekoop.flowmap import (
     IntegratorConfig,
     cauchy_green,
@@ -171,6 +177,9 @@ def test_point_paths_return_floats():
     assert [type(v) for v in strain_rates(f, 0.3, 0.2)] == [float, float]
     c = cauchy_green(f, (0.3, 0.2), -0.1, 1e-5, CFG)
     assert [type(v) for v in c.eigenvalues()] == [float, float]
+    assert [type(v) for v in (c.sxx, c.sxy, c.syy)] == [float, float, float]
+    xs = np.array([0.3, 0.4])
+    assert ftle(f, (xs, xs - 0.1), -0.1, 1e-5, CFG).shape == (2,)
 
 
 def test_ftle_rejects_zero_time():
@@ -301,6 +310,79 @@ def test_ftle_overflow_is_a_numerical_error():
     f = VectorField2D.polynomial(Poly2({(1, 0): 360.0}), Poly2())
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
         ftle_field(f, Grid2D(0.0, 1.0, 3, 0.0, 1.0, 3), 1.0, 1e-5, CFG)
+
+
+# -- one FTLE path for points and grids --------------------------------------------
+
+def _fields_and_boxes():
+    return [
+        (make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0)), (0.1, 0.9, 0.1, 0.9)),
+        (make_quadratic_family(QuadraticParams(1.0, 1.0)), (0.1, 0.9, 0.1, 0.9)),
+        (make_transformed_family(-1.0, [-0.5]), (0.2, 1.2, -0.5, 0.5)),
+        (VectorField2D.saddle(), (-1.0, 1.0, -0.75, 0.75)),
+    ]
+
+
+@pytest.mark.parametrize("t", [-0.05, 0.03])
+@pytest.mark.parametrize("k", range(4))
+def test_point_ftle_equals_grid_node(monkeypatch, k, t):
+    """``ftle`` at a float point, ``ftle`` over arrays and every node of
+    ``ftle_field`` at threads 1/2/3 agree bit for bit."""
+    monkeypatch.setattr(strain, "_MIN_CHUNK_NODES", 1)  # let 12 rows split unevenly
+    f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
+    grid = Grid2D(x0, x1, 11, y0, y1, 12)
+    yv, xv = np.meshgrid(grid.ys(), grid.xs(), indexing="ij")
+    whole = ftle(f, (xv, yv), t, 1e-5, CFG)
+    points = np.array([[ftle(f, (x, y), t, 1e-5, CFG) for x in grid.xs().tolist()]
+                       for y in grid.ys().tolist()])
+    assert whole.tobytes() == points.tobytes()
+    for threads in (1, 2, 3):
+        assert ftle_field(f, grid, t, 1e-5, CFG, threads).values.tobytes() == whole.tobytes()
+
+
+def test_cauchy_green_arrays_equal_points():
+    f = make_transformed_family(-1.0, [-0.5])
+    xs, ys = np.linspace(0.2, 1.2, 7), np.linspace(-0.5, 0.4, 7)
+    c = cauchy_green(f, (xs, ys), -0.05, 1e-5, CFG)
+    for k in range(7):
+        p = cauchy_green(f, (float(xs[k]), float(ys[k])), -0.05, 1e-5, CFG)
+        assert (p.sxx, p.sxy, p.syy) == (c.sxx[k], c.sxy[k], c.syy[k])
+
+
+def _old_ftle_field(f, grid, t, delta, cfg, threads):
+    """``ftle_field`` as written before it was ``ftle`` at every node: a
+    private stretch closure per chunk and one log over the assembled grid."""
+    from ilekoop.flowmap import _LOG_FLOOR, _advance
+
+    def stretch(xv, yv):
+        ex, ey = _advance(
+            f._rk4(),
+            np.concatenate([xv + delta, xv - delta, xv, xv]),
+            np.concatenate([yv, yv, yv + delta, yv - delta]),
+            t,
+            cfg.step,
+        )
+        xp, xm, yp, ym = zip(np.split(ex, 4), np.split(ey, 4))
+        f11 = (xp[0] - xm[0]) / (2.0 * delta)
+        f21 = (xp[1] - xm[1]) / (2.0 * delta)
+        f12 = (yp[0] - ym[0]) / (2.0 * delta)
+        f22 = (yp[1] - ym[1]) / (2.0 * delta)
+        c = strain.SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22,
+                              f12 * f12 + f22 * f22)
+        return c.eigenvalues()[1]
+
+    lam2 = strain._sample_grid(grid, stretch, threads)
+    return np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_ftle_field_equals_old_stretch_path(monkeypatch, k):
+    monkeypatch.setattr(strain, "_MIN_CHUNK_NODES", 1)
+    f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
+    grid = Grid2D(x0, x1, 9, y0, y1, 10)
+    for t, threads in ((-0.05, 1), (0.03, 3)):
+        got = ftle_field(f, grid, t, 1e-5, CFG, threads).values
+        assert got.tobytes() == _old_ftle_field(f, grid, t, 1e-5, CFG, threads).tobytes()
 
 
 # -- the generated RK4 step against the formula it replaced -------------------------

@@ -317,6 +317,21 @@ def test_pullback_no_crossing():
         pullback_eigenfunction(f, surf, 1.0, (0.5, 0.0), IntegratorConfig(step=0.05), t_max=8.0)
 
 
+def test_pullback_ignores_crossings_past_t_max():
+    # Under x' = -x/2 the backward orbit of (e^(-tau/2), y) meets x = 1 at
+    # time tau.  0.7 is not a whole number of 0.003 steps: the march's last
+    # step ends at 0.702, past t_max.
+    f = make_transformed_family(-1.0, [-0.5])
+    cfg = IntegratorConfig(step=0.003)
+    with pytest.raises(NoCrossingError):
+        pullback_eigenfunction(f, _vertical_line_at_one(), -1.0, (math.exp(-0.3505), 0.2), cfg,
+                               t_max=0.7)
+    val = pullback_eigenfunction(f, _vertical_line_at_one(), -1.0, (math.exp(-0.3495), 0.2), cfg,
+                                 t_max=0.7)
+    assert val == 0.49708213744841639  # the value before t_max was enforced
+    assert val == pytest.approx(math.exp(-0.699), abs=1e-9)
+
+
 def test_tangential_crossing_warns():
     f = VectorField2D.polynomial(parse_polynomial("-y"), parse_polynomial("x"))
     surf = DataSurface((1.0, 0.0), (0.0, 1.0), lambda s: 1.0)
