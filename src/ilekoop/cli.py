@@ -348,7 +348,7 @@ def _parser() -> _Parser:
     p.add_argument("--extract", choices=["ridge", "trench"])
     p.add_argument("--grad-tol", type=_finite, default=None)
     p.add_argument("--curv-tol", type=_finite, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_ile)
 
     p = sub.add_parser("ftle", help="sample a finite-time stretching field")
@@ -359,7 +359,7 @@ def _parser() -> _Parser:
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_ftle)
 
     p = sub.add_parser("keig-check", help="residual report for a trial eigenpair")

@@ -13,7 +13,8 @@ map from exponent pairs to float coefficients; after every operation,
 coefficients with magnitude below ``CANONICAL_ZERO`` are dropped, which makes
 exact algebraic cancellations test as exactly zero.  Numeric evaluation runs
 generated straight-line code (:func:`_kernel_factory`): one kernel per term
-structure for ``Poly2.evaluate``, and one RK4 step per field.
+structure for ``Poly2.evaluate``, and one RK4 step and one pullback march per
+field.
 """
 
 from __future__ import annotations
@@ -301,34 +302,66 @@ def _eval_lines(shapes, outs, xv: str, yv: str) -> list[str]:
     return lines
 
 
+def _rk4_lines(shapes, guard: str | None) -> list[str]:
+    """Source of one classical RK4 step of the field whose components (P, Q)
+    have the term structures ``shapes``, from ``(x, y)`` into ``(xn, yn)``
+    with ``hh = 0.5*h`` and ``h6 = h/6.0`` bound: k1 = F(x, y),
+    k2 = F(x + hh*k1), k3 = F(x + hh*k2), k4 = F(x + h*k3), then
+    x + h6*(k1 + 2*k2 + 2*k3 + k4).  ``guard``, if given, is a line with a
+    ``{y}`` slot that runs on each stage's y before F is evaluated there."""
+    lines = []
+    for k, scale in enumerate((None, "hh", "hh", "h"), 1):
+        if scale:
+            lines += [f"xs = x + {scale} * u{k - 1}", f"ys = y + {scale} * v{k - 1}"]
+        xv, yv = ("xs", "ys") if scale else ("x", "y")
+        lines += [guard.format(y=yv)] if guard else []
+        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"], xv, yv)
+    return lines + ["xn = x + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)",
+                    "yn = y + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)"]
+
+
 @functools.lru_cache(maxsize=256)
-def _kernel_factory(shapes: tuple, rk4: bool = False, guarded: bool = False):
+def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
     """Compile straight-line code for the term structures ``shapes``, one
     per component (see :func:`_eval_lines`), and return a factory that binds
     the coefficients c<m>_<n> in a closure; they never enter the source.
 
-    Without ``rk4`` the one component gives ``kernel(x, y)``.  With ``rk4``
-    the components (P, Q) give one classical RK4 step ``step(x, y, h)`` with
-    the stages and the combination written out as
-    k1 = F(x, y), k2 = F(x + 0.5*h*k1), k3 = F(x + 0.5*h*k2),
-    k4 = F(x + h*k3), result x + (h/6)*(k1 + 2*k2 + 2*k3 + k4).
-    ``guarded`` adds a last factory argument ``pick``; ``pick(y)`` gives the
-    check that then runs on each stage's y before F is evaluated there.
-    Every operation is elementwise, so floats and float arrays run the same
-    source and agree bit for bit."""
+    ``mode`` picks the function:
+
+    - ``"kernel"``: the one component gives ``kernel(x, y)``.
+    - ``"step"``: the components (P, Q) give one RK4 step
+      ``step(x, y, h) -> (x, y)`` (see :func:`_rk4_lines`).  ``guarded``
+      adds a last factory argument ``pick``; ``pick(y)`` gives the check
+      that then runs on each stage's y.  Every operation is elementwise, so
+      floats and float arrays run the same source and agree bit for bit.
+    - ``"march"``: the same steps in a loop over floats,
+      ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
+      returns None if its state is not finite (x - x == 0.0 fails only for
+      inf and NaN), and otherwise takes the signed distance
+      d = -uy*(xn - bx) + ux*(yn - by) to the line through (bx, by) along
+      (ux, uy).  The first step with d == 0.0 or d*d_prev < 0.0 returns
+      ``(k, x, y, xn, yn, d_prev, d)``; no such step gives None.
+      ``guarded`` adds a last factory argument ``bound``: a stage whose y
+      fails abs(y) < bound returns None.
+    """
     args = [f"c{m}_{n}" for m, shape in enumerate(shapes) for n in range(len(shape))]
-    if not rk4:
+    if mode == "kernel":
         head, body = "kernel(x, y)", _eval_lines(shapes, ["s"], "x", "y") + ["return s"]
-    else:
-        head, body = "step(x, y, h)", ["hh = 0.5 * h"] + ["check = pick(y)"] * guarded
+    elif mode == "step":
+        head, body = "step(x, y, h)", ["hh = 0.5 * h", "h6 = h / 6.0"]
         args += ["pick"] * guarded
-        for k, scale in enumerate((None, "hh", "hh", "h"), 1):
-            if scale:
-                body += [f"xs = x + {scale} * u{k - 1}", f"ys = y + {scale} * v{k - 1}"]
-            xv, yv = ("xs", "ys") if scale else ("x", "y")
-            body += [f"check({yv})"] * guarded + _eval_lines(shapes, [f"u{k}", f"v{k}"], xv, yv)
-        body += ["h6 = h / 6.0", "return (x + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4),",
-                 "        y + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4))"]
+        body += ["check = pick(y)"] * guarded
+        body += _rk4_lines(shapes, "check({y})" if guarded else None) + ["return xn, yn"]
+    else:
+        head = "march(x, y, h, n, d_prev, ux, uy, bx, by)"
+        args += ["bound"] * guarded
+        loop = _rk4_lines(shapes, "if not abs({y}) < bound: return None" if guarded else None)
+        loop += ["if not (xn - xn == 0.0 and yn - yn == 0.0): return None",
+                 "d = -uy * (xn - bx) + ux * (yn - by)",
+                 "if d == 0.0 or d * d_prev < 0.0: return k, x, y, xn, yn, d_prev, d",
+                 "x, y, d_prev = xn, yn, d"]
+        body = (["hh = 0.5 * h", "h6 = h / 6.0", "for k in range(1, n + 1):"]
+                + [f"    {line}" for line in loop] + ["return None"])
     src = (f"def factory({', '.join(args)}):\n    def {head}:\n"
            + "".join(f"        {line}\n" for line in body) + f"    return {head[:head.index('(')]}\n")
     namespace: dict = {}
@@ -336,12 +369,13 @@ def _kernel_factory(shapes: tuple, rk4: bool = False, guarded: bool = False):
     return namespace["factory"]
 
 
-def _field_step(p: "Poly2", q: "Poly2", pick=None):
-    """The generated RK4 step ``step(x, y, h) -> (x, y)`` of the field
-    (p, q); ``pick``, if given, is the guard argument of the factory."""
+def _field_rk4(p: "Poly2", q: "Poly2", mode: str, guard=None):
+    """The generated ``"step"`` or ``"march"`` (see :func:`_kernel_factory`)
+    of the field (p, q); ``guard``, if given, is the factory's guard
+    argument (``pick`` or ``bound``)."""
     terms = (p.items_sorted(), q.items_sorted())
-    factory = _kernel_factory(tuple(map(_shape, terms)), rk4=True, guarded=pick is not None)
-    return factory(*(c for t in terms for _, c in t), *([pick] if pick else []))
+    factory = _kernel_factory(tuple(map(_shape, terms)), mode, guard is not None)
+    return factory(*(c for t in terms for _, c in t), *([] if guard is None else [guard]))
 
 
 class Poly2:

@@ -3,9 +3,11 @@
 Integration is classical fixed-step RK4 (deterministic, bit-reproducible);
 the final partial step is shortened to land exactly on the requested time.
 Every driver (``integrate``, ``flow_endpoint``, ``cauchy_green`` and the
-pullback march in :mod:`ilekoop.koopman`) runs the field's one generated
+pullback bisection in :mod:`ilekoop.koopman`) runs the field's one generated
 step ``VectorField2D._rk4()``: P, Q and all four stages as straight-line
-code, the same source for floats and arrays.
+code, the same source for floats and arrays.  The pullback's fixed-step
+march runs the same stage source in one generated loop
+(``VectorField2D._rk4_march()``).
 Flow-map gradients come from centered differences of four auxiliary
 trajectories.  ``cauchy_green`` and ``ftle`` take a point or equal-shape
 arrays of points, and ``ftle_field`` is ``ftle`` at every grid node, so a
@@ -26,6 +28,11 @@ from .strain import Grid2D, ScalarField, SymTensor2, _sample_grid, _finite_field
 from .vectorfield import VectorField2D, _check_domain
 
 MAX_STEP_COUNT = 1e8
+
+# Fewest grid nodes per thread chunk of ftle_field (see strain._sample_grid):
+# on 2 vCPUs threads 2 broke even with threads 1 at 71x71 nodes and won 24%
+# at 81x81.
+_FTLE_CHUNK_NODES = 3072
 
 # Guard for log of the largest Cauchy-Green eigenvalue near t = 0.
 _LOG_FLOOR = 1e-300
@@ -159,7 +166,8 @@ def ftle_field(
 ) -> ScalarField:
     """``ftle`` at every grid node, one array call per row chunk.  ``ftle``
     is elementwise, so output bytes are identical for every thread count."""
-    vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, delta, cfg), threads)
+    vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, delta, cfg), threads,
+                        _FTLE_CHUNK_NODES)
     return _finite_field(grid, vals, "FTLE")
 
 

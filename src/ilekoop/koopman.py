@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, NoCrossingError
+from .errors import NoCrossingError
 from .expr import Poly2
 from .flowmap import IntegratorConfig, _check_step_budget, flow_endpoint
 from .vectorfield import VectorField2D, shear_free_defect
@@ -221,44 +221,34 @@ def pullback_eigenfunction(
 
 
 def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
-    """March along F_{time_sign * tau} in fixed steps and bisect the first
-    sign change of the signed distance.  Returns (tau, state) or None;
-    leaving the field's domain (or blowing up) ends the search window."""
-    h = time_sign * cfg.step
-    steps = int(math.ceil(t_max / cfg.step))
-    rk4 = f._rk4()
-    prev_state = (float(x[0]), float(x[1]))
-    for k in range(1, steps + 1):
-        try:
-            state = rk4(prev_state[0], prev_state[1], h)
-        except DomainError:
-            return None
-        if not (math.isfinite(state[0]) and math.isfinite(state[1])):
-            return None
-        d = surf.signed_distance(*state)
-        if d == 0.0:
-            tau = k * cfg.step
-        elif d * d_prev < 0.0:
-            lo, hi = 0.0, cfg.step
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                st = rk4(prev_state[0], prev_state[1], time_sign * mid)
-                dm = surf.signed_distance(*st)
-                if dm == 0.0:
-                    lo = hi = mid
-                elif dm * d_prev < 0.0:
-                    hi = mid
-                else:
-                    lo = mid
+    """March along F_{time_sign * tau} in fixed steps (the field's generated
+    march) and bisect the first sign change of the signed distance.  Returns
+    (tau, state) or None; leaving the field's domain (or blowing up) ends
+    the search window."""
+    found = f._rk4_march()(float(x[0]), float(x[1]), time_sign * cfg.step,
+                           int(math.ceil(t_max / cfg.step)), d_prev, *surf.direction, *surf.base)
+    if found is None:
+        return None
+    k, x0, y0, x1, y1, d_prev, d = found
+    if d == 0.0:
+        tau, state = k * cfg.step, (x1, y1)
+    else:
+        rk4 = f._rk4()
+        lo, hi = 0.0, cfg.step
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
-            tau = (k - 1) * cfg.step + mid
-            state = rk4(prev_state[0], prev_state[1], time_sign * mid)
-        else:
-            d_prev, prev_state = d, state
-            continue
-        # The last whole step may end past t_max; a crossing there is none.
-        return (tau, state) if tau <= t_max else None
-    return None
+            dm = surf.signed_distance(*rk4(x0, y0, time_sign * mid))
+            if dm == 0.0:
+                lo = hi = mid
+            elif dm * d_prev < 0.0:
+                hi = mid
+            else:
+                lo = mid
+        mid = 0.5 * (lo + hi)
+        tau = (k - 1) * cfg.step + mid
+        state = rk4(x0, y0, time_sign * mid)
+    # The last whole step may end past t_max; a crossing there is none.
+    return (tau, state) if tau <= t_max else None
 
 
 def _warn_if_tangential(f, surf, state):

@@ -115,23 +115,25 @@ def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
     return strain_tensor(f, x, y).eigenvalues()
 
 
-# Fewest grid nodes per thread chunk: below this, starting threads and
-# handing the GIL between them cost more than the second core gains (FTLE
-# on 2 vCPUs with 2 threads broke even at 71x71 nodes and won 24% at 81x81).
-_MIN_CHUNK_NODES = 3072
+# Fewest grid nodes per thread chunk of rate_field: below this, starting
+# threads and handing the GIL between them cost more than the second core
+# gains.  Best of 20 on 2 vCPUs, threads 2 over threads 1 took 2.0-2.7x the
+# time at 81x81 nodes and 0.9-1.9x at 121x121 when split, 0.6-0.9x at
+# 161x161.  FTLE, ~50x dearer per node, keeps a lower floor.
+_RATE_CHUNK_NODES = 12288
 
 
-def _sample_grid(grid: Grid2D, fn, threads: int) -> np.ndarray:
+def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.ndarray:
     """``fn(xv, yv)`` over every node, as one ``(ny, nx)`` array.
 
     The rows are cut into one contiguous chunk per thread, but into no more
-    chunks than leave ``_MIN_CHUNK_NODES`` nodes in each, and ``fn`` gets
-    each chunk's meshgrid.  ``fn`` must be elementwise, so that the result
-    does not depend on the cut.
+    chunks than leave ``min_chunk_nodes`` nodes in each (the caller's floor),
+    and ``fn`` gets each chunk's meshgrid.  ``fn`` must be elementwise, so
+    that the result does not depend on the cut.
     """
     xs, ys = grid.xs(), grid.ys()
     out = np.empty((grid.ny, grid.nx))
-    threads = max(1, min(int(threads), grid.nx * grid.ny // _MIN_CHUNK_NODES))
+    threads = max(1, min(int(threads), grid.nx * grid.ny // min_chunk_nodes))
     bounds = [round(grid.ny * i / threads) for i in range(threads + 1)]
     chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
@@ -163,7 +165,8 @@ def rate_field(f: VectorField2D, grid: Grid2D, which: str = "s1", threads: int =
         a11, a12, a21, a22 = f.jacobian_arrays(xv, yv)
         return SymTensor2(a11, 0.5 * (a12 + a21), a22).eigenvalues()[k]
 
-    return _finite_field(grid, _sample_grid(grid, rate, threads), f"{which} rate")
+    return _finite_field(grid, _sample_grid(grid, rate, threads, _RATE_CHUNK_NODES),
+                         f"{which} rate")
 
 
 def default_grad_tol(f: ScalarField) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Poly2, _field_step
+from .expr import Poly2, _field_rk4
 
 # The explicit saddle solution is singular at |y| = 1; stay strictly inside.
 SADDLE_Y_BOUND = 1.0 - 1e-12
@@ -35,14 +35,14 @@ class VectorField2D:
     """A planar autonomous polynomial field.  Only the saddle is guarded:
     its evaluation raises :class:`DomainError` outside ``|y| < 1``."""
 
-    __slots__ = ("p", "q", "_guarded", "_jac", "_step")
+    __slots__ = ("p", "q", "_guarded", "_jac", "_step", "_march")
 
     def __init__(self, p: Poly2, q: Poly2):
         self.p = p
         self.q = q
         self._guarded = False
         self._jac = (p.diff("x"), p.diff("y"), q.diff("x"), q.diff("y"))
-        self._step = None
+        self._step = self._march = None
 
     @classmethod
     def polynomial(cls, p: Poly2, q: Poly2) -> "VectorField2D":
@@ -90,9 +90,22 @@ class VectorField2D:
         or ``evaluate_arrays`` (arrays) runs."""
         step = self._step
         if step is None:
-            step = self._step = _field_step(
-                self.p, self.q, _domain_check if self._guarded else None)
+            step = self._step = _field_rk4(
+                self.p, self.q, "step", _domain_check if self._guarded else None)
         return step
+
+    def _rk4_march(self):
+        """The field's generated fixed-step crossing search
+        ``march(x, y, h, n, d_prev, ux, uy, bx, by)`` over floats (see
+        ``expr._kernel_factory``), built on first use.  It takes the steps of
+        :meth:`_rk4` bit for bit; on the saddle a stage whose y leaves
+        ``|y| < SADDLE_Y_BOUND`` ends the march with None where the step
+        raises :class:`DomainError`."""
+        march = self._march
+        if march is None:
+            march = self._march = _field_rk4(
+                self.p, self.q, "march", SADDLE_Y_BOUND if self._guarded else None)
+        return march
 
 
 def _check_domain(y: float) -> None:

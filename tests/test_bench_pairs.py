@@ -1,0 +1,29 @@
+"""The summary that tools/bench_pairs.py writes for alternating bench pairs."""
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _pairs(parent, change, name):
+    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+
+
+def test_summary_counts_wins_in_the_better_direction():
+    parent, change = [1.0, 1.2, 1.1, 1.3, 0.9], [0.8, 0.9, 1.1, 0.7, 1.0]
+    lower = bench_pairs.summarise(_pairs(parent, change, "wall_s"), {"wall_s": "lower"})["wall_s"]
+    assert (lower["change_wins"], lower["ties"], lower["pairs"]) == (3, 1, 5)
+    assert lower["parent"] == {"median": 1.1, "q1": 1.0, "q3": 1.2, "iqr": 1.2 - 1.0}
+    assert lower["median_change_ratio"] == 0.9 / 1.1
+    assert lower["median_gap_exceeds_parent_iqr"] is True
+    higher = bench_pairs.summarise(_pairs(parent, change, "ok"), {"ok": "higher"})["ok"]
+    assert (higher["change_wins"], higher["ties"]) == (1, 1)
+
+
+def test_seed_ranges():
+    assert bench_pairs._seeds("1-10") == list(range(1, 11))
+    assert bench_pairs._seeds("6") == [6]

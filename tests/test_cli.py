@@ -809,3 +809,18 @@ def test_memory_error_exit_code(capsys, tmp_path, monkeypatch, command, message,
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {shown}") and err.count("\n") == 1
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["ile", "--field", "saddle", "--grid", "-1:1:3,-0.5:0.5:3"],
+    ["ftle", "--field", "saddle", "--time", "0.1", "--grid", "-0.5:0.5:3,-0.5:0.5:3"],
+])
+def test_threads_below_one_exit_code(capsys, tmp_path, argv, threads):
+    out_file, pgm_file = tmp_path / "t.csv", tmp_path / "t.pgm"
+    code, out, err = run(
+        argv + ["--out", str(out_file), "--pgm", str(pgm_file), "--threads", threads], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--threads" in err and "must be at least 1" in err
+    assert not out_file.exists() and not pgm_file.exists()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilekoop import strain
+from ilekoop import flowmap, strain
 from ilekoop.errors import DomainError, NumericalError
 from ilekoop.expr import Poly2
 from ilekoop.expr import parse_polynomial
@@ -328,7 +328,7 @@ def _fields_and_boxes():
 def test_point_ftle_equals_grid_node(monkeypatch, k, t):
     """``ftle`` at a float point, ``ftle`` over arrays and every node of
     ``ftle_field`` at threads 1/2/3 agree bit for bit."""
-    monkeypatch.setattr(strain, "_MIN_CHUNK_NODES", 1)  # let 12 rows split unevenly
+    monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 1)  # let 12 rows split unevenly
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     grid = Grid2D(x0, x1, 11, y0, y1, 12)
     yv, xv = np.meshgrid(grid.ys(), grid.xs(), indexing="ij")
@@ -371,13 +371,13 @@ def _old_ftle_field(f, grid, t, delta, cfg, threads):
                               f12 * f12 + f22 * f22)
         return c.eigenvalues()[1]
 
-    lam2 = strain._sample_grid(grid, stretch, threads)
+    lam2 = strain._sample_grid(grid, stretch, threads, flowmap._FTLE_CHUNK_NODES)
     return np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_ftle_field_equals_old_stretch_path(monkeypatch, k):
-    monkeypatch.setattr(strain, "_MIN_CHUNK_NODES", 1)
+    monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 1)
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     grid = Grid2D(x0, x1, 9, y0, y1, 10)
     for t, threads in ((-0.05, 1), (0.03, 3)):

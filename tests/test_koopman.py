@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilekoop.errors import DomainError, NoCrossingError
 from ilekoop.expr import Poly2, parse_polynomial
@@ -18,6 +20,7 @@ from ilekoop.families import (
 from ilekoop.flowmap import IntegratorConfig, flow_endpoint
 from ilekoop.koopman import (
     DataSurface,
+    _first_crossing,
     KeigCandidate,
     TangentialCrossingWarning,
     _generator_at,
@@ -33,7 +36,7 @@ from ilekoop.koopman import (
     rms,
 )
 from ilekoop.series import SaddleEigenfunction, saddle_eigenfunction
-from ilekoop.vectorfield import VectorField2D
+from ilekoop.vectorfield import SADDLE_Y_BOUND, VectorField2D
 
 from test_vectorfield import cubic_example_field
 
@@ -453,3 +456,155 @@ def test_condition_residual_needs_shear_free():
     f = make_transformed_family(1.0, [1.0])
     with pytest.raises(ValueError):
         keig_condition_residual(f, "s1", 1.0)
+
+
+# -- the generated march against the loop it replaced ---------------------------------
+
+def _old_first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
+    """``_first_crossing`` as written before the march was generated: one
+    Python-level RK4 step per iteration, with a domain exit caught as
+    :class:`DomainError`."""
+    h = time_sign * cfg.step
+    steps = int(math.ceil(t_max / cfg.step))
+    rk4 = f._rk4()
+    prev_state = (float(x[0]), float(x[1]))
+    for k in range(1, steps + 1):
+        try:
+            state = rk4(prev_state[0], prev_state[1], h)
+        except DomainError:
+            return None
+        if not (math.isfinite(state[0]) and math.isfinite(state[1])):
+            return None
+        d = surf.signed_distance(*state)
+        if d == 0.0:
+            tau = k * cfg.step
+        elif d * d_prev < 0.0:
+            lo, hi = 0.0, cfg.step
+            while hi - lo > 1e-10:
+                mid = 0.5 * (lo + hi)
+                st_ = rk4(prev_state[0], prev_state[1], time_sign * mid)
+                dm = surf.signed_distance(*st_)
+                if dm == 0.0:
+                    lo = hi = mid
+                elif dm * d_prev < 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+            mid = 0.5 * (lo + hi)
+            tau = (k - 1) * cfg.step + mid
+            state = rk4(prev_state[0], prev_state[1], time_sign * mid)
+        else:
+            d_prev, prev_state = d, state
+            continue
+        return (tau, state) if tau <= t_max else None
+    return None
+
+
+def _crossing_outcome(search, f, surf, x, cfg, t_max, time_sign):
+    """``search``'s result with floats as hex, or the exception it raised."""
+    try:
+        found = search(f, surf, x, surf.signed_distance(*x), cfg, t_max, time_sign)
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc).__name__
+    if found is None:
+        return None
+    tau, (sx, sy) = found
+    return tau.hex(), sx.hex(), sy.hex()
+
+
+def _normal_form_field():
+    return VectorField2D.polynomial(Poly2({(1, 0): -0.5}),
+                                    Poly2({(1, 0): 1.0, (0, 1): -0.5, (3, 0): -0.5}))
+
+
+_MARCH_FIELDS = [
+    _normal_form_field(),
+    VectorField2D.saddle(),
+    cubic_example_field(),
+    make_quadratic_family(QuadraticParams(1.0, 1.0)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 3), base=st.tuples(st.floats(-1.0, 1.5), st.floats(-0.9, 0.9)),
+       angle=st.floats(0.0, 2.0 * math.pi), offset=st.tuples(st.floats(-1.0, 1.0),
+                                                             st.floats(-0.9, 0.9)),
+       step=st.sampled_from([1e-3, 3e-3, 5e-3]), t_max=st.sampled_from([0.01, 0.3, 0.7, 1.3]),
+       time_sign=st.sampled_from([-1.0, 1.0]))
+def test_march_equals_old_loop(k, base, angle, offset, step, t_max, time_sign):
+    f = _MARCH_FIELDS[k]
+    surf = DataSurface(base, (math.cos(angle), math.sin(angle)), lambda s: s)
+    x = (base[0] + offset[0], max(-0.95, min(0.95, base[1] + offset[1])))
+    cfg = IntegratorConfig(step=step)
+    assert (_crossing_outcome(_first_crossing, f, surf, x, cfg, t_max, time_sign)
+            == _crossing_outcome(_old_first_crossing, f, surf, x, cfg, t_max, time_sign))
+
+
+def _both_searches(f, surf, x, cfg, t_max, time_sign):
+    new = _crossing_outcome(_first_crossing, f, surf, x, cfg, t_max, time_sign)
+    assert new == _crossing_outcome(_old_first_crossing, f, surf, x, cfg, t_max, time_sign)
+    return new
+
+
+def test_march_saddle_domain_exit_mid_stage_ends_window():
+    # Backward from y = 0.9 with step 0.6 the states creep towards y = 1.
+    # The 21st state is still inside |y| < SADDLE_Y_BOUND, but a later stage
+    # of the 22nd step leaves it, so the generated step raises DomainError
+    # there, well before t_max; the backward window ends and the forward
+    # orbit meets y = 0.5.
+    f = VectorField2D.saddle()
+    surf = DataSurface((0.0, 0.5), (1.0, 0.0), lambda s: 1.0 + s)
+    cfg, x = IntegratorConfig(step=0.6), (0.3, 0.9)
+    state, rk4, steps = x, f._rk4(), 0
+    while True:
+        try:
+            state, steps = rk4(*state, -cfg.step), steps + 1
+        except DomainError:
+            break
+    assert steps == 21 and abs(state[1]) < SADDLE_Y_BOUND
+    assert _both_searches(f, surf, x, cfg, 30.0, -1.0) is None
+    tau, sx, _ = _both_searches(f, surf, x, cfg, 30.0, 1.0)
+    want = surf.h(float.fromhex(sx)) * math.exp(-2.0 * -float.fromhex(tau))
+    assert pullback_eigenfunction(f, surf, -2.0, x, cfg, t_max=30.0) == want
+    # A line between the guard and y = 1 is out of reach: the guard ends
+    # the backward window before the orbit gets there.
+    beyond = DataSurface((0.0, 1.0 - 5e-13), (1.0, 0.0), lambda s: 1.0)
+    for step in (0.01, 0.1):
+        assert _both_searches(f, beyond, x, IntegratorConfig(step=step), 30.0, -1.0) is None
+
+
+def test_march_blow_up_is_no_crossing():
+    # x' = x^2 reaches infinity at time 1/2 from x = 2.  The march ends on
+    # the first non-finite state, whose signed distance to the line
+    # x = 1.79e308 would otherwise change sign, instead of bisecting or
+    # raising.
+    f = VectorField2D.polynomial(Poly2({(2, 0): 1.0}), Poly2.zero())
+    surf = DataSurface((1.79e308, 0.0), (0.0, 1.0), lambda s: 1.0)
+    cfg, x = IntegratorConfig(step=0.01), (2.0, 0.0)
+    assert _both_searches(f, surf, x, cfg, 2.0, 1.0) is None
+    with pytest.raises(NoCrossingError):
+        pullback_eigenfunction(f, surf, 1.0, x, cfg, t_max=2.0)
+
+
+def test_march_exact_landing_on_the_line():
+    # x' = 1 with step 3/8: h/6 = 1/16 and every step is exact, so the
+    # fourth forward step lands on x = 1.5 with d == 0.0 and no bisection.
+    f = VectorField2D.polynomial(Poly2.constant(1.0), Poly2.zero())
+    surf = DataSurface((1.5, 0.0), (0.0, 1.0), lambda s: 3.0 + s)
+    cfg, x = IntegratorConfig(step=0.375), (0.0, 0.25)
+    found = _first_crossing(f, surf, x, surf.signed_distance(*x), cfg, 10.0, 1.0)
+    assert found == (1.5, (1.5, 0.25))
+    assert _both_searches(f, surf, x, cfg, 10.0, 1.0) == (1.5.hex(), 1.5.hex(), 0.25.hex())
+    assert pullback_eigenfunction(f, surf, 0.5, x, cfg, t_max=10.0) == 3.25 * math.exp(-0.75)
+    # the same landing past t_max is none
+    assert _both_searches(f, surf, x, cfg, 1.4, 1.0) is None
+
+
+def test_march_bracket_past_t_max_is_none():
+    # The t_max case of test_pullback_ignores_crossings_past_t_max: the
+    # bracketing step ends at 0.702 > 0.7 and both searches report none.
+    f = make_transformed_family(-1.0, [-0.5])
+    cfg = IntegratorConfig(step=0.003)
+    x = (math.exp(-0.3505), 0.2)
+    assert _both_searches(f, _vertical_line_at_one(), x, cfg, 0.7, -1.0) is None
+    assert _both_searches(f, _vertical_line_at_one(), x, cfg, 0.703, -1.0) is not None

@@ -144,6 +144,30 @@ def test_rate_field_threads_bitwise_identical():
     assert np.array_equal(a.values, b.values)
 
 
+def test_rate_field_split_rows_bitwise_identical(monkeypatch):
+    monkeypatch.setattr(strain, "_RATE_CHUNK_NODES", 1)  # let 37 rows split unevenly
+    grid = Grid2D(-1.0, 1.0, 40, -0.7, 0.7, 37)
+    for f, which in ((VectorField2D.saddle(), "s1"), (cubic_example_field(), "s2")):
+        whole = rate_field(f, grid, which, threads=1).values.tobytes()
+        for threads in (2, 3):
+            assert rate_field(f, grid, which, threads).values.tobytes() == whole
+
+
+@pytest.mark.parametrize("side, chunks", [(41, 1), (121, 1), (161, 2), (201, 2)])
+def test_rate_field_chunk_floor(side, chunks):
+    # rate_field's floor runs up to 121x121 nodes serially at threads 2 and
+    # splits 161x161.
+    grid = Grid2D(0.0, 1.0, side, 0.0, 1.0, side)
+    rows = []
+
+    def record(xv, yv):
+        rows.append(len(yv))
+        return xv + yv
+
+    strain._sample_grid(grid, record, 2, strain._RATE_CHUNK_NODES)
+    assert sorted(rows) == sorted([side // chunks + (k < side % chunks) for k in range(chunks)])
+
+
 def test_extract_trench_on_cubic_example():
     grid = Grid2D(0.1, 0.9, 41, 0.1, 0.9, 41)
     sf = rate_field(cubic_example_field(), grid, "s1")
