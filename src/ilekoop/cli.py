@@ -2,8 +2,8 @@
 
 Every subcommand writes either CSV/PGM files or JSON to stdout.  All numeric
 output uses 17 significant digits and identical invocations produce
-byte-identical output; grid subcommands accept --threads and the result does
-not depend on the thread count.
+byte-identical output; grid subcommands accept --threads (at least 1) and the
+result does not depend on the thread count.
 
 Exit codes: 0 success, 1 usage error (bad flags, unparsable expressions or
 files, non-finite numbers), 2 domain or numeric error (overflow included).
