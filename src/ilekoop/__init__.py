@@ -67,7 +67,6 @@ from .strain import (
     write_pgm,
 )
 from .vectorfield import (
-    Mat2,
     VectorField2D,
     analytic_saddle_flow,
     field_from_json,

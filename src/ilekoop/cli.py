@@ -101,7 +101,7 @@ def _load_field(source: str) -> VectorField2D:
         parts = source[len("expr:"):].split(";")
         if len(parts) != 2:
             raise UsageError("inline field must be expr:P;Q")
-        return VectorField2D.polynomial(parse_polynomial(parts[0]), parse_polynomial(parts[1]))
+        return VectorField2D(parse_polynomial(parts[0]), parse_polynomial(parts[1]))
     try:
         obj = json.loads(_read_text(source))
     except json.JSONDecodeError as exc:
@@ -233,9 +233,12 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
         xpart, ypart = text.split(",")
         xmin, xmax = xpart.split(":")
         ymin, ymax = ypart.split(":")
-        return (_finite(xmin), _finite(xmax), _finite(ymin), _finite(ymax))
+        box = (_finite(xmin), _finite(xmax), _finite(ymin), _finite(ymax))
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"--box must be xmin:xmax,ymin:ymax ({exc})") from exc
+    if not (box[0] < box[1] and box[2] < box[3]):
+        raise UsageError("--box must satisfy xmin < xmax and ymin < ymax")
+    return box
 
 
 def _cmd_pullback(args) -> None:
@@ -315,6 +318,8 @@ def _cmd_oned(args) -> None:
     fpoly = parse_polynomial(args.f, variables=("x",))
     if args.n < 2:
         raise UsageError("--n must be at least 2")
+    if not args.xmin < args.xmax:
+        raise UsageError("--xmin must be less than --xmax")
     step = (args.xmax - args.xmin) / (args.n - 1)
     samples = [args.xmin + i * step for i in range(args.n)]
     _, lam_star = families.one_d_residual(fpoly, 0.0, samples)

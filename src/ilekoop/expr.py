@@ -331,9 +331,9 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
     - ``"kernel"``: the one component gives ``kernel(x, y)``.
     - ``"step"``: the components (P, Q) give one RK4 step
       ``step(x, y, h) -> (x, y)`` (see :func:`_rk4_lines`).  ``guarded``
-      adds a last factory argument ``pick``; ``pick(y)`` gives the check
-      that then runs on each stage's y.  Every operation is elementwise, so
-      floats and float arrays run the same source and agree bit for bit.
+      adds a last factory argument ``check``; ``check(y)`` runs on each
+      stage's y.  Every operation is elementwise, so floats and float
+      arrays run the same source and agree bit for bit.
     - ``"march"``: the same steps in a loop over floats,
       ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
       returns None if its state is not finite (x - x == 0.0 fails only for
@@ -349,8 +349,7 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
         head, body = "kernel(x, y)", _eval_lines(shapes, ["s"], "x", "y") + ["return s"]
     elif mode == "step":
         head, body = "step(x, y, h)", ["hh = 0.5 * h", "h6 = h / 6.0"]
-        args += ["pick"] * guarded
-        body += ["check = pick(y)"] * guarded
+        args += ["check"] * guarded
         body += _rk4_lines(shapes, "check({y})" if guarded else None) + ["return xn, yn"]
     else:
         head = "march(x, y, h, n, d_prev, ux, uy, bx, by)"
@@ -372,7 +371,7 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
 def _field_rk4(p: "Poly2", q: "Poly2", mode: str, guard=None):
     """The generated ``"step"`` or ``"march"`` (see :func:`_kernel_factory`)
     of the field (p, q); ``guard``, if given, is the factory's guard
-    argument (``pick`` or ``bound``)."""
+    argument (``check`` or ``bound``)."""
     terms = (p.items_sorted(), q.items_sorted())
     factory = _kernel_factory(tuple(map(_shape, terms)), mode, guard is not None)
     return factory(*(c for t in terms for _, c in t), *([] if guard is None else [guard]))

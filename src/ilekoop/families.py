@@ -39,7 +39,7 @@ def make_quadratic_family(params: QuadraticParams) -> VectorField2D:
     _check_pattern(
         q, {(1, 0): lam, (0, 1): 2.0 * lam, (2, 0): -a20, (1, 1): -2.0 * a20, (0, 2): -a20}
     )
-    return VectorField2D.polynomial(p, q)
+    return VectorField2D(p, q)
 
 
 def quadratic_repulsion_rate(params: QuadraticParams) -> Poly2:
@@ -111,7 +111,7 @@ def make_cubic_family(params: CubicParams) -> VectorField2D:
     block = params.a20 * w**2 + (params.a20 * params.k) * w**3
     p = Poly2({(0, 0): params.a00, (1, 0): params.a10, (0, 1): params.a11}) + block
     q = Poly2({(0, 0): params.b00, (1, 0): -params.a11, (0, 1): params.b11}) - block
-    return VectorField2D.polynomial(p, q)
+    return VectorField2D(p, q)
 
 
 def cubic_attraction_rate(params: CubicParams) -> Poly2:
@@ -155,7 +155,7 @@ def make_transformed_family(lam: float, coeffs) -> VectorField2D:
     terms = {(1, 0): -lam, (0, 1): 0.5 * lam}
     for n, cn in enumerate(coeffs, start=3):
         terms[(n, 0)] = terms.get((n, 0), 0.0) + cn
-    return VectorField2D.polynomial(p, Poly2(terms))
+    return VectorField2D(p, Poly2(terms))
 
 
 def transformed_claimed_attraction_rate(lam: float, coeffs) -> Poly2:

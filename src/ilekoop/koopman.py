@@ -19,7 +19,7 @@ from typing import Callable
 from .errors import NoCrossingError
 from .expr import Poly2
 from .flowmap import IntegratorConfig, _check_step_budget, flow_endpoint
-from .vectorfield import VectorField2D, shear_free_defect
+from .vectorfield import VectorField2D, _check_domain, shear_free_defect
 
 #: Step used by the fourth-order finite-difference gradient fallback.
 _FD_STEP = 1e-4
@@ -72,8 +72,7 @@ def generator_apply(f: VectorField2D, g: Poly2) -> Poly2:
     """Exact action of the generator v . grad on a polynomial observable."""
     if not isinstance(g, Poly2):
         raise TypeError("generator_apply needs a polynomial observable")
-    p, q = f.polynomial_components()
-    return p * g.diff("x") + q * g.diff("y")
+    return f.p * g.diff("x") + f.q * g.diff("y")
 
 
 def keig_residual(f: VectorField2D, cand: KeigCandidate):
@@ -198,12 +197,15 @@ def pullback_eigenfunction(
 
     The backward orbit is searched first; if it never meets the line within
     ``t_max``, the forward orbit is searched and r* comes out negative.
-    Points already on the line return h(s) exactly.  Crossings are bracketed
-    at step boundaries and bisected to a time tolerance of 1e-10.
+    Points already on the line return h(s) exactly, but on the saddle only
+    inside its strip.  Crossings are bracketed at step boundaries and
+    bisected to a time tolerance of 1e-10.
     """
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     _check_step_budget(t_max, cfg.step)
+    if f.is_saddle:
+        _check_domain(x[1])
     d0 = surf.signed_distance(*x)
     if d0 == 0.0:
         return surf.h(surf.parameter(*x))
@@ -276,11 +278,10 @@ def keig_condition_residual(f: VectorField2D, which: str, lam: float) -> Poly2:
     """
     if not shear_free_defect(f).is_zero():
         raise ValueError("field is not shear-free; the rate conditions do not apply")
-    p, q = f.polynomial_components()
     if which == "s2":
-        rate = p.diff("x")
+        rate = f.p.diff("x")
     elif which == "s1":
-        rate = q.diff("y")
+        rate = f.q.diff("y")
     else:
         raise ValueError("which must be 's1' or 's2'")
     return keig_residual(f, KeigCandidate(rate, lam))

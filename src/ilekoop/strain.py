@@ -105,8 +105,8 @@ def _finite_field(grid: Grid2D, values: np.ndarray, what: str) -> ScalarField:
 
 def strain_tensor(f: VectorField2D, x: float, y: float) -> SymTensor2:
     """Symmetric part of the velocity gradient at a point."""
-    j = f.jacobian(x, y)
-    return SymTensor2(j.a11, 0.5 * (j.a12 + j.a21), j.a22)
+    a11, a12, a21, a22 = f.jacobian(x, y)
+    return SymTensor2(a11, 0.5 * (a12 + a21), a22)
 
 
 def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:

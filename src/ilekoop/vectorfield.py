@@ -10,7 +10,6 @@ numerical integrator and the finite-time stretching computations.  The name
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,77 +20,57 @@ from .expr import Poly2, _field_rk4
 SADDLE_Y_BOUND = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 real matrix, row-major."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-
 class VectorField2D:
-    """A planar autonomous polynomial field.  Only the saddle is guarded:
-    its evaluation raises :class:`DomainError` outside ``|y| < 1``."""
+    """The planar autonomous polynomial field ``(p, q)``.  Only the saddle
+    (``is_saddle``) is guarded: its evaluation raises :class:`DomainError`
+    outside ``|y| < 1``."""
 
-    __slots__ = ("p", "q", "_guarded", "_jac", "_step", "_march")
+    __slots__ = ("p", "q", "is_saddle", "_jac", "_step", "_march")
 
     def __init__(self, p: Poly2, q: Poly2):
         self.p = p
         self.q = q
-        self._guarded = False
+        self.is_saddle = False
         self._jac = (p.diff("x"), p.diff("y"), q.diff("x"), q.diff("y"))
         self._step = self._march = None
 
     @classmethod
-    def polynomial(cls, p: Poly2, q: Poly2) -> "VectorField2D":
-        return cls(p, q)
-
-    @classmethod
     def saddle(cls) -> "VectorField2D":
         f = cls(Poly2({(1, 0): 1.0}), Poly2({(0, 1): -1.0, (0, 3): 1.0}))
-        f._guarded = True
+        f.is_saddle = True
         return f
-
-    @property
-    def is_saddle(self) -> bool:
-        return self._guarded
-
-    def polynomial_components(self) -> tuple[Poly2, Poly2]:
-        return self.p, self.q
 
     # -- evaluation: floats or float arrays ----------------------------------
 
-    def evaluate(self, x: float, y: float) -> tuple[float, float]:
-        if self._guarded:
+    def evaluate(self, x, y) -> tuple:
+        if self.is_saddle:
             _check_domain(y)
         return (self.p.evaluate(x, y), self.q.evaluate(x, y))
 
-    def jacobian(self, x: float, y: float) -> Mat2:
-        if self._guarded:
+    def jacobian(self, x, y) -> tuple:
+        """(dP/dx, dP/dy, dQ/dx, dQ/dy) at ``(x, y)``."""
+        if self.is_saddle:
             _check_domain(y)
-        return Mat2(*(d.evaluate(x, y) for d in self._jac))
+        return tuple(d.evaluate(x, y) for d in self._jac)
 
     def evaluate_arrays(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._guarded:
-            _check_domain_arrays(ys)
+        if self.is_saddle:
+            _check_domain(ys)
         return (self.p.eval_array(xs, ys), self.q.eval_array(xs, ys))
 
     def jacobian_arrays(self, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._guarded:
-            _check_domain_arrays(ys)
+        if self.is_saddle:
+            _check_domain(ys)
         return tuple(d.eval_array(xs, ys) for d in self._jac)
 
     def _rk4(self):
         """The field's generated RK4 step ``step(x, y, h) -> (x, y)`` for
         floats or float arrays, built on first use.  On the saddle every
-        stage checks its y first, with the check that ``evaluate`` (floats)
-        or ``evaluate_arrays`` (arrays) runs."""
+        stage runs :func:`_check_domain` on its y first."""
         step = self._step
         if step is None:
             step = self._step = _field_rk4(
-                self.p, self.q, "step", _domain_check if self._guarded else None)
+                self.p, self.q, "step", _check_domain if self.is_saddle else None)
         return step
 
     def _rk4_march(self):
@@ -104,23 +83,18 @@ class VectorField2D:
         march = self._march
         if march is None:
             march = self._march = _field_rk4(
-                self.p, self.q, "march", SADDLE_Y_BOUND if self._guarded else None)
+                self.p, self.q, "march", SADDLE_Y_BOUND if self.is_saddle else None)
         return march
 
 
-def _check_domain(y: float) -> None:
-    if not abs(y) < SADDLE_Y_BOUND:
+def _check_domain(y) -> None:
+    """The saddle guard: :class:`DomainError` unless ``|y| < SADDLE_Y_BOUND``
+    for the float ``y`` (the message names it) or every entry of the array."""
+    if isinstance(y, np.ndarray):
+        if not np.all(np.abs(y) < SADDLE_Y_BOUND):
+            raise DomainError("saddle field is only defined for |y| < 1")
+    elif not abs(y) < SADDLE_Y_BOUND:
         raise DomainError(f"saddle field is only defined for |y| < 1 (got y={y!r})")
-
-
-def _check_domain_arrays(ys: np.ndarray) -> None:
-    if not np.all(np.abs(ys) < SADDLE_Y_BOUND):
-        raise DomainError("saddle field is only defined for |y| < 1")
-
-
-def _domain_check(y):
-    """The saddle guard that suits ``y``: the array check or the float check."""
-    return _check_domain_arrays if isinstance(y, np.ndarray) else _check_domain
 
 
 def shear_free_defect(f: VectorField2D) -> Poly2:
@@ -129,8 +103,7 @@ def shear_free_defect(f: VectorField2D) -> Poly2:
     The zero polynomial means the strain tensor is diagonal, i.e. the field
     has no shear component.
     """
-    p, q = f.polynomial_components()
-    return p.diff("y") + q.diff("x")
+    return f.p.diff("y") + f.q.diff("x")
 
 
 def analytic_saddle_flow(pt: tuple[float, float], t: float) -> tuple[float, float]:
@@ -158,5 +131,5 @@ def field_from_json(obj) -> VectorField2D:
         p, q = obj.get("p"), obj.get("q")
         if not (isinstance(p, list) and isinstance(q, list)):
             raise ValueError("polynomial field needs term lists 'p' and 'q'")
-        return VectorField2D.polynomial(Poly2.from_json_terms(p), Poly2.from_json_terms(q))
+        return VectorField2D(Poly2.from_json_terms(p), Poly2.from_json_terms(q))
     raise ValueError(f"unknown field kind {kind!r}")

@@ -824,3 +824,36 @@ def test_threads_below_one_exit_code(capsys, tmp_path, argv, threads):
     assert out == ""
     assert "--threads" in err and "must be at least 1" in err
     assert not out_file.exists() and not pgm_file.exists()
+
+
+@pytest.mark.parametrize("point", ["0.3,1.5", "0.3,1.6"])
+def test_saddle_pullback_outside_the_strip_exit_code(capsys, tmp_path, point):
+    # 0.3,1.5 lies on the line; it used to return h there instead of failing
+    pts = tmp_path / "pts.csv"
+    pts.write_text(point + "\n")
+    out_file = tmp_path / "phi.csv"
+    code, out, err = run(
+        ["pullback", "--field", "saddle", "--line", "0,1.5,1,0", "--h", "1", "--lambda", "1",
+         "--points", str(pts), "--out", str(out_file)],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    y = point.split(",")[1]
+    assert err == f"error: saddle field is only defined for |y| < 1 (got y={y})\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("box", ["1:0,0:1", "0:1,1:0", "0:0,0:1", "0:0,0:0"])
+def test_keig_check_degenerate_box_exit_code(capsys, box):
+    code, out, err = run(["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1",
+                          "--box", box], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --box must satisfy xmin < xmax and ymin < ymax\n"
+
+
+@pytest.mark.parametrize("xmin,xmax", [("1", "1"), ("1", "-1")])
+def test_oned_degenerate_range_exit_code(capsys, xmin, xmax):
+    code, out, err = run(["oned", "--f", "x - x^3", "--xmin", xmin, "--xmax", xmax, "--n", "5"],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: --xmin must be less than --xmax\n"

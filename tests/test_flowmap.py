@@ -95,7 +95,7 @@ def test_integrate_domain_exit():
 def test_integrate_finite_time_blowup():
     from ilekoop.errors import NumericalError
 
-    f = VectorField2D.polynomial(parse_polynomial("1 + x^2"), parse_polynomial("0"))
+    f = VectorField2D(parse_polynomial("1 + x^2"), parse_polynomial("0"))
     with pytest.raises(NumericalError):
         integrate(f, (0.0, 0.0), 2.0, IntegratorConfig(step=1e-3))
 
@@ -144,7 +144,7 @@ def test_cauchy_green_positive_semidefinite():
     fields = [
         VectorField2D.saddle(),
         make_transformed_family(1.0, [0.5]),
-        VectorField2D.polynomial(parse_polynomial("x*y"), parse_polynomial("y - x^2")),
+        VectorField2D(parse_polynomial("x*y"), parse_polynomial("y - x^2")),
     ]
     for f in fields:
         for _ in range(15):
@@ -166,7 +166,7 @@ def test_ftle_small_time_near_rate():
 
 
 def test_ftle_linear_field_any_time():
-    f = VectorField2D.polynomial(parse_polynomial("x"), parse_polynomial("-y"))
+    f = VectorField2D(parse_polynomial("x"), parse_polynomial("-y"))
     for t in (0.7, -0.4, 1.5):
         assert ftle(f, (0.2, -0.1), t, 1e-5, CFG) == pytest.approx(1.0, abs=1e-8)
 
@@ -307,7 +307,7 @@ def test_small_grids_run_serially(monkeypatch):
 
 def test_ftle_overflow_is_a_numerical_error():
     # finite endpoints near 1e156, whose squared gradient overflows
-    f = VectorField2D.polynomial(Poly2({(1, 0): 360.0}), Poly2())
+    f = VectorField2D(Poly2({(1, 0): 360.0}), Poly2())
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
         ftle_field(f, Grid2D(0.0, 1.0, 3, 0.0, 1.0, 3), 1.0, 1e-5, CFG)
 
@@ -428,7 +428,7 @@ _STEP = st.one_of(st.sampled_from([0.0, -0.0, 1e-3, -1e-2, 0.25]),
 @example(p={(1, 0): 1.0}, q={(0, 1): -1.0, (0, 3): 1.0}, h=-0.0, pts=[(-0.0, 0.0)])
 @example(p={(0, 0): -0.0}, q={}, h=-0.0, pts=[(-0.0, -0.0), (0.0, -0.0)])
 def test_generated_step_matches_old_formula(p, q, h, pts):
-    f = VectorField2D.polynomial(Poly2(p), Poly2(q))
+    f = VectorField2D(Poly2(p), Poly2(q))
     step = f._rk4()
     for x, y in pts:
         assert _outcome(step, x, y, h) == _outcome(_old_rk4_step, f.evaluate, x, y, h)

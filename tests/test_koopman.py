@@ -312,9 +312,18 @@ def test_pullback_saddle_matches_closed_form_and_evolves():
         assert err < 1e-6
 
 
+@pytest.mark.parametrize("y", [1.5, 1.6, -1.0])
+def test_pullback_saddle_outside_the_strip_is_a_domain_error(y):
+    # On the line (y = 1.5) too: the saddle is undefined there, so no h(s).
+    f = VectorField2D.saddle()
+    surf = DataSurface((0.0, 1.5), (1.0, 0.0), lambda s: 1.0)
+    with pytest.raises(DomainError, match=rf"\(got y={y!r}\)"):
+        pullback_eigenfunction(f, surf, 1.0, (0.3, y), CFG)
+
+
 def test_pullback_no_crossing():
     # Rotation orbits circle the origin and never meet a line outside them.
-    f = VectorField2D.polynomial(parse_polynomial("-y"), parse_polynomial("x"))
+    f = VectorField2D(parse_polynomial("-y"), parse_polynomial("x"))
     surf = DataSurface((2.0, 0.0), (0.0, 1.0), lambda s: 1.0)
     with pytest.raises(NoCrossingError):
         pullback_eigenfunction(f, surf, 1.0, (0.5, 0.0), IntegratorConfig(step=0.05), t_max=8.0)
@@ -336,7 +345,7 @@ def test_pullback_ignores_crossings_past_t_max():
 
 
 def test_tangential_crossing_warns():
-    f = VectorField2D.polynomial(parse_polynomial("-y"), parse_polynomial("x"))
+    f = VectorField2D(parse_polynomial("-y"), parse_polynomial("x"))
     surf = DataSurface((1.0, 0.0), (0.0, 1.0), lambda s: 1.0)
     with pytest.warns(TangentialCrossingWarning):
         _warn_if_tangential(f, surf, (1.0, 0.0))
@@ -513,7 +522,7 @@ def _crossing_outcome(search, f, surf, x, cfg, t_max, time_sign):
 
 
 def _normal_form_field():
-    return VectorField2D.polynomial(Poly2({(1, 0): -0.5}),
+    return VectorField2D(Poly2({(1, 0): -0.5}),
                                     Poly2({(1, 0): 1.0, (0, 1): -0.5, (3, 0): -0.5}))
 
 
@@ -578,7 +587,7 @@ def test_march_blow_up_is_no_crossing():
     # the first non-finite state, whose signed distance to the line
     # x = 1.79e308 would otherwise change sign, instead of bisecting or
     # raising.
-    f = VectorField2D.polynomial(Poly2({(2, 0): 1.0}), Poly2.zero())
+    f = VectorField2D(Poly2({(2, 0): 1.0}), Poly2.zero())
     surf = DataSurface((1.79e308, 0.0), (0.0, 1.0), lambda s: 1.0)
     cfg, x = IntegratorConfig(step=0.01), (2.0, 0.0)
     assert _both_searches(f, surf, x, cfg, 2.0, 1.0) is None
@@ -589,7 +598,7 @@ def test_march_blow_up_is_no_crossing():
 def test_march_exact_landing_on_the_line():
     # x' = 1 with step 3/8: h/6 = 1/16 and every step is exact, so the
     # fourth forward step lands on x = 1.5 with d == 0.0 and no bisection.
-    f = VectorField2D.polynomial(Poly2.constant(1.0), Poly2.zero())
+    f = VectorField2D(Poly2.constant(1.0), Poly2.zero())
     surf = DataSurface((1.5, 0.0), (0.0, 1.0), lambda s: 3.0 + s)
     cfg, x = IntegratorConfig(step=0.375), (0.0, 0.25)
     found = _first_crossing(f, surf, x, surf.signed_distance(*x), cfg, 10.0, 1.0)

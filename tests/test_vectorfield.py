@@ -21,7 +21,7 @@ from ilekoop.vectorfield import (
 def cubic_example_field() -> VectorField2D:
     p = parse_polynomial("-2 + x + (x+y)^2") - (1.0 / 3.0) * parse_polynomial("(x+y)^3")
     q = parse_polynomial("1 + y - (x+y)^2") + (1.0 / 3.0) * parse_polynomial("(x+y)^3")
-    return VectorField2D.polynomial(p, q)
+    return VectorField2D(p, q)
 
 
 def test_saddle_at_origin():
@@ -53,27 +53,58 @@ def test_saddle_domain_guard():
         f.jacobian_arrays(np.zeros(2), np.array([0.0, math.nan]))
 
 
+_ARRAY_MESSAGE = "saddle field is only defined for |y| < 1"
+
+
+@pytest.mark.parametrize("method", ["evaluate", "jacobian", "evaluate_arrays", "jacobian_arrays"])
+@pytest.mark.parametrize("y", [1.0, -1.2, math.nan])
+def test_saddle_guard_messages_for_floats_and_arrays(method, y):
+    # every method takes arrays; an array that leaves the strip is a
+    # DomainError, not numpy's "truth value ... is ambiguous" ValueError
+    call = getattr(VectorField2D.saddle(), method)
+    with pytest.raises(DomainError) as arrays:
+        call(np.zeros(3), np.array([0.0, 0.5, y]))
+    assert str(arrays.value) == _ARRAY_MESSAGE
+    if not method.endswith("_arrays"):
+        with pytest.raises(DomainError) as floats:
+            call(0.0, y)
+        assert str(floats.value) == f"{_ARRAY_MESSAGE} (got y={y!r})"
+
+
+@pytest.mark.parametrize("f", [
+    VectorField2D.saddle(),
+    cubic_example_field(),
+    make_quadratic_family(QuadraticParams(1.3, -0.8)),
+    make_transformed_family(-1.0, [-0.5]),
+], ids=["saddle", "cubic", "quadratic", "normal_form"])
+def test_jacobian_on_arrays_equals_jacobian_arrays(f):
+    rng = np.random.default_rng(7)
+    xs, ys = rng.uniform(-1.5, 1.5, (4, 5)), rng.uniform(-0.95, 0.95, (4, 5))
+    for got, want in zip(f.jacobian(xs, ys), f.jacobian_arrays(xs, ys), strict=True):
+        assert np.broadcast_to(got, xs.shape).tobytes() == want.tobytes()
+
+
 def test_saddle_jacobian_diagonal():
     j = VectorField2D.saddle().jacobian(2.0, 0.4)
-    assert (j.a11, j.a12, j.a21) == (1.0, 0.0, 0.0)
-    assert j.a22 == pytest.approx(-1.0 + 3 * 0.16, abs=1e-15)
+    assert (j[0], j[1], j[2]) == (1.0, 0.0, 0.0)
+    assert j[3] == pytest.approx(-1.0 + 3 * 0.16, abs=1e-15)
     j0 = VectorField2D.saddle().jacobian(0.0, 0.0)
-    assert (j0.a11, j0.a12, j0.a21, j0.a22) == (1.0, 0.0, 0.0, -1.0)
+    assert (j0[0], j0[1], j0[2], j0[3]) == (1.0, 0.0, 0.0, -1.0)
 
 
 def test_transformed_cubic_jacobian():
     f = make_transformed_family(-1.0, [-1.0])
     j = f.jacobian(1.0, 0.0)
-    assert j.a11 == pytest.approx(-0.5, abs=1e-15)
-    assert j.a12 == 0.0
-    assert j.a21 == pytest.approx(-2.0, abs=1e-14)
-    assert j.a22 == pytest.approx(-0.5, abs=1e-15)
+    assert j[0] == pytest.approx(-0.5, abs=1e-15)
+    assert j[1] == 0.0
+    assert j[2] == pytest.approx(-2.0, abs=1e-14)
+    assert j[3] == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_constant_field_jacobian_zero():
-    f = VectorField2D.polynomial(Poly2.constant(1.0), Poly2.constant(2.0))
+    f = VectorField2D(Poly2.constant(1.0), Poly2.constant(2.0))
     j = f.jacobian(0.3, -0.7)
-    assert (j.a11, j.a12, j.a21, j.a22) == (0.0, 0.0, 0.0, 0.0)
+    assert (j[0], j[1], j[2], j[3]) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_jacobian_matches_finite_differences():
@@ -81,7 +112,7 @@ def test_jacobian_matches_finite_differences():
     fields = [
         cubic_example_field(),
         make_quadratic_family(QuadraticParams(1.3, -0.8)),
-        VectorField2D.polynomial(parse_polynomial("x*y - y^2"), parse_polynomial("x^2 + 1")),
+        VectorField2D(parse_polynomial("x*y - y^2"), parse_polynomial("x^2 + 1")),
     ]
     h = 1e-6
     for f in fields:
@@ -92,10 +123,10 @@ def test_jacobian_matches_finite_differences():
             fd12 = (f.evaluate(x, y + h)[0] - f.evaluate(x, y - h)[0]) / (2 * h)
             fd21 = (f.evaluate(x + h, y)[1] - f.evaluate(x - h, y)[1]) / (2 * h)
             fd22 = (f.evaluate(x, y + h)[1] - f.evaluate(x, y - h)[1]) / (2 * h)
-            assert j.a11 == pytest.approx(fd11, abs=1e-6)
-            assert j.a12 == pytest.approx(fd12, abs=1e-6)
-            assert j.a21 == pytest.approx(fd21, abs=1e-6)
-            assert j.a22 == pytest.approx(fd22, abs=1e-6)
+            assert j[0] == pytest.approx(fd11, abs=1e-6)
+            assert j[1] == pytest.approx(fd12, abs=1e-6)
+            assert j[2] == pytest.approx(fd21, abs=1e-6)
+            assert j[3] == pytest.approx(fd22, abs=1e-6)
 
 
 def test_array_evaluation_matches_scalar():
@@ -133,7 +164,7 @@ def test_shear_free_implies_antisymmetric_offdiagonal():
         assert shear_free_defect(f).is_zero()
         for _ in range(10):
             j = f.jacobian(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            assert j.a12 == pytest.approx(-j.a21, abs=1e-13)
+            assert j[1] == pytest.approx(-j[2], abs=1e-13)
 
 
 def test_saddle_flow_invariant_axis():
@@ -191,13 +222,13 @@ def test_saddle_is_guarded_polynomial():
     for _ in range(200):
         x, y = rng.uniform(-2.0, 2.0), rng.uniform(-0.99, 0.99)
         assert f.evaluate(x, y) == (x, -y + y * y * y)
-        assert f.jacobian(x, y).a22 == -1.0 + 3.0 * (y * y)
+        assert f.jacobian(x, y)[3] == -1.0 + 3.0 * (y * y)
     us, vs = f.evaluate_arrays(np.array([0.3, -0.2]), np.array([0.5, -0.5]))
     assert list(us) == [0.3, -0.2] and list(vs) == [-0.5 + 0.125, 0.5 - 0.125]
 
 
 def test_polynomial_field_with_saddle_components_is_not_the_saddle():
-    f = VectorField2D.polynomial(parse_polynomial("x"), parse_polynomial("-y + y^3"))
+    f = VectorField2D(parse_polynomial("x"), parse_polynomial("-y + y^3"))
     assert not f.is_saddle
     assert f.evaluate(0.0, 2.0) == (0.0, 6.0)
     assert field_to_json(f)["kind"] == "polynomial"
