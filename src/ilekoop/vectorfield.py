@@ -89,12 +89,12 @@ class VectorField2D:
 
 def _check_domain(y) -> None:
     """The saddle guard: :class:`DomainError` unless ``|y| < SADDLE_Y_BOUND``
-    for the float ``y`` (the message names it) or every entry of the array."""
-    if isinstance(y, np.ndarray):
-        if not np.all(np.abs(y) < SADDLE_Y_BOUND):
-            raise DomainError("saddle field is only defined for |y| < 1")
-    elif not abs(y) < SADDLE_Y_BOUND:
-        raise DomainError(f"saddle field is only defined for |y| < 1 (got y={y!r})")
+    for the float ``y`` (the message names it) or every entry of the array.
+    An inside float costs one comparison: it runs four times per RK4 step."""
+    inside = abs(y) < SADDLE_Y_BOUND
+    if inside is not True and not np.all(inside):
+        raise DomainError("saddle field is only defined for |y| < 1"
+                          + ("" if isinstance(y, np.ndarray) else f" (got y={y!r})"))
 
 
 def shear_free_defect(f: VectorField2D) -> Poly2:

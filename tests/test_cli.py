@@ -843,17 +843,14 @@ def test_saddle_pullback_outside_the_strip_exit_code(capsys, tmp_path, point):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize("box", ["1:0,0:1", "0:1,1:0", "0:0,0:1", "0:0,0:0"])
-def test_keig_check_degenerate_box_exit_code(capsys, box):
-    code, out, err = run(["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1",
-                          "--box", box], capsys)
+@pytest.mark.parametrize("argv,message", [
+    *[(["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1", "--box", box],
+       "--box must satisfy xmin < xmax and ymin < ymax")
+      for box in ("1:0,0:1", "0:1,1:0", "0:0,0:1", "0:0,0:0")],
+    *[(["oned", "--f", "x - x^3", "--xmin", "1", "--xmax", xmax, "--n", "5"],
+       "--xmin must be less than --xmax") for xmax in ("1", "-1")],
+])
+def test_empty_range_exit_code(capsys, argv, message):
+    code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
-    assert err == "error: --box must satisfy xmin < xmax and ymin < ymax\n"
-
-
-@pytest.mark.parametrize("xmin,xmax", [("1", "1"), ("1", "-1")])
-def test_oned_degenerate_range_exit_code(capsys, xmin, xmax):
-    code, out, err = run(["oned", "--f", "x - x^3", "--xmin", xmin, "--xmax", xmax, "--n", "5"],
-                         capsys)
-    assert (code, out) == (1, "")
-    assert err == "error: --xmin must be less than --xmax\n"
+    assert err == f"error: {message}\n"
