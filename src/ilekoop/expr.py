@@ -8,7 +8,9 @@ The grammar is deliberately small:
     atom   := number | variable | '(' expr ')' | '-' atom
 
 No implicit multiplication and no function calls, so every expression that
-parses lowers to an exact polynomial.  Polynomials are stored sparsely as a
+parses lowers to an exact polynomial.  Sums and products are flat n-ary nodes,
+and parentheses plus unary minus nest at most ``MAX_NESTING`` deep, so no
+input exhausts the stack.  Polynomials are stored sparsely as a
 map from exponent pairs to float coefficients; after every operation,
 coefficients with magnitude below ``CANONICAL_ZERO`` are dropped, which makes
 exact algebraic cancellations test as exactly zero.  Numeric evaluation runs
@@ -31,6 +33,9 @@ CANONICAL_ZERO = 1e-12
 
 # to_polynomial refuses expansions beyond this total degree.
 MAX_TOTAL_DEGREE = 64
+
+# parse_expression refuses parentheses and unary minus nested deeper than this.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -61,21 +66,17 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expression"
-    right: "Expression"
+class Sum:
+    """``first`` followed by ``rest``, a tuple of ``("+" | "-", term)`` pairs,
+    applied left to right."""
+    first: "Expression"
+    rest: tuple
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expression"
-    right: "Expression"
+class Product:
+    """A tuple of two or more factors, multiplied left to right."""
+    factors: tuple
 
 
 @dataclass(frozen=True)
@@ -84,51 +85,47 @@ class Pow:
     exponent: int
 
 
-Expression = Num | Var | Neg | Add | Sub | Mul | Pow
+Expression = Num | Var | Neg | Sum | Product | Pow
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_UINT_RE = re.compile(r"\d+\Z")
+# One token after optional whitespace.  Any other character, and every
+# non-ASCII one, is a "bad" token that raises only when the parser reaches it.
+_TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:
+    (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z_]\w*)
+  | (?P<op>[-+*^()])
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.ASCII | re.VERBOSE | re.DOTALL)
 
 
 class _Tokens:
-    """Token stream over the input text.  Tokens are (kind, text, offset)."""
+    """Token stream over the input text.  Tokens are (kind, text, offset),
+    each scanned once."""
 
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self._skip_ws()
+        self.next = self._scan(0)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+    def _scan(self, pos: int):
+        m = _TOKEN_RE.match(self.text, pos)
+        kind = m.lastgroup
+        return kind, m.group(kind), m.start(kind)
 
     def peek(self):
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        ch = self.text[self.pos]
-        if not ch.isascii():
-            raise ParseError("non-ASCII character", self.pos)
-        m = _NUMBER_RE.match(self.text, self.pos)
-        if m:
-            return ("num", m.group(), self.pos)
-        m = _NAME_RE.match(self.text, self.pos)
-        if m:
-            return ("name", m.group(), self.pos)
-        if ch in "+-*^()":
-            return ("op", ch, self.pos)
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
+        kind, tok, offset = self.next
+        if kind == "bad":
+            raise ParseError("non-ASCII character" if not tok.isascii()
+                             else f"unexpected character {tok!r}", offset)
+        return self.next
 
     def take(self):
-        kind, text, offset = self.peek()
-        self.pos = offset + len(text)
-        self._skip_ws()
-        return kind, text, offset
+        token = self.peek()
+        self.next = self._scan(token[2] + len(token[1]))
+        return token
 
 
 def parse_expression(text: str, variables: tuple[str, ...] = ("x", "y")) -> Expression:
@@ -141,47 +138,38 @@ def parse_expression(text: str, variables: tuple[str, ...] = ("x", "y")) -> Expr
     if not text:
         raise ParseError("empty expression", 0)
     toks = _Tokens(text)
-    node = _parse_sum(toks, variables)
+    node = _parse_sum(toks, variables, 0)
     kind, tok, offset = toks.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {tok!r}", offset)
     return node
 
 
-def _parse_sum(toks, variables):
-    node = _parse_term(toks, variables)
-    while True:
-        kind, tok, _ = toks.peek()
-        if kind == "op" and tok in "+-":
-            toks.take()
-            rhs = _parse_term(toks, variables)
-            node = Add(node, rhs) if tok == "+" else Sub(node, rhs)
-        else:
-            return node
+def _parse_sum(toks, variables, depth):
+    first, rest = _parse_term(toks, variables, depth), []
+    while toks.peek()[:2] in (("op", "+"), ("op", "-")):
+        rest.append((toks.take()[1], _parse_term(toks, variables, depth)))
+    return Sum(first, tuple(rest)) if rest else first
 
 
-def _parse_term(toks, variables):
-    node = _parse_factor(toks, variables)
-    while True:
-        kind, tok, _ = toks.peek()
-        if kind == "op" and tok == "*":
-            toks.take()
-            node = Mul(node, _parse_factor(toks, variables))
-        else:
-            return node
+def _parse_term(toks, variables, depth):
+    factors = [_parse_factor(toks, variables, depth)]
+    while toks.peek()[:2] == ("op", "*"):
+        toks.take()
+        factors.append(_parse_factor(toks, variables, depth))
+    return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
 
-def _parse_factor(toks, variables):
-    node = _parse_atom(toks, variables)
-    kind, tok, _ = toks.peek()
-    if kind == "op" and tok == "^":
+def _parse_factor(toks, variables, depth):
+    node = _parse_atom(toks, variables, depth)
+    if toks.peek()[:2] == ("op", "^"):
         toks.take()
         kind, tok, offset = toks.peek()
         if kind == "op" and tok == "-":
             raise ParseError("negative exponent", offset)
         if kind != "num":
             raise ParseError("expected integer exponent after '^'", offset)
-        if not _UINT_RE.match(tok):
+        if not tok.isdigit():
             raise ParseError("exponent must be a non-negative integer literal", offset)
         # A larger exponent fails the degree cap on any non-constant base,
         # and on a constant one it would only cost time.
@@ -192,7 +180,7 @@ def _parse_factor(toks, variables):
     return node
 
 
-def _parse_atom(toks, variables):
+def _parse_atom(toks, variables, depth):
     kind, tok, offset = toks.peek()
     if kind == "num":
         toks.take()
@@ -205,9 +193,11 @@ def _parse_atom(toks, variables):
             raise ParseError(f"unknown identifier {tok!r}", offset)
         toks.take()
         return Var(tok)
+    if kind == "op" and tok in "(-" and depth >= MAX_NESTING:
+        raise ParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING}", offset)
     if kind == "op" and tok == "(":
         toks.take()
-        node = _parse_sum(toks, variables)
+        node = _parse_sum(toks, variables, depth + 1)
         kind, tok, offset = toks.peek()
         if not (kind == "op" and tok == ")"):
             raise ParseError("expected ')'", offset)
@@ -215,7 +205,7 @@ def _parse_atom(toks, variables):
         return node
     if kind == "op" and tok == "-":
         toks.take()
-        return Neg(_parse_atom(toks, variables))
+        return Neg(_parse_atom(toks, variables, depth + 1))
     raise ParseError(f"expected number, variable, '(' or '-', got {tok!r}", offset)
 
 
@@ -230,26 +220,21 @@ def to_text(e: Expression) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return "-" + _atomized(e.operand)
+        return "-" + _operand(e.operand, (Num, Var, Neg))
     if isinstance(e, Pow):
-        return _atomized(e.base) + "^" + str(e.exponent)
-    if isinstance(e, Mul):
-        left = to_text(e.left) if isinstance(e.left, (Mul, Pow, Num, Var, Neg)) else "(" + to_text(e.left) + ")"
-        right = to_text(e.right) if isinstance(e.right, (Pow, Num, Var, Neg)) else "(" + to_text(e.right) + ")"
-        return left + "*" + right
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        right = to_text(e.right) if not isinstance(e.right, (Add, Sub)) else "(" + to_text(e.right) + ")"
-        return to_text(e.left) + op + right
+        return _operand(e.base, (Num, Var, Neg)) + "^" + str(e.exponent)
+    if isinstance(e, Product):
+        return "*".join(_operand(f, (Num, Var, Neg, Pow)) for f in e.factors)
+    if isinstance(e, Sum):
+        terms = (Num, Var, Neg, Pow, Product)
+        return _operand(e.first, terms) + "".join(f" {op} {_operand(t, terms)}" for op, t in e.rest)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _atomized(e: Expression) -> str:
-    # Atoms may appear bare as a Pow base or Neg operand; anything else
-    # must be parenthesized to parse back to the same tree.
-    if isinstance(e, (Num, Var, Neg)):
-        return to_text(e)
-    return "(" + to_text(e) + ")"
+def _operand(e: Expression, bare: tuple) -> str:
+    # Node types outside ``bare`` are parenthesized so that re-parsing
+    # reproduces the same tree.
+    return to_text(e) if isinstance(e, bare) else "(" + to_text(e) + ")"
 
 
 def eval_expression(e: Expression, env: dict[str, float]) -> float:
@@ -260,12 +245,17 @@ def eval_expression(e: Expression, env: dict[str, float]) -> float:
         return env[e.name]
     if isinstance(e, Neg):
         return -eval_expression(e.operand, env)
-    if isinstance(e, Add):
-        return eval_expression(e.left, env) + eval_expression(e.right, env)
-    if isinstance(e, Sub):
-        return eval_expression(e.left, env) - eval_expression(e.right, env)
-    if isinstance(e, Mul):
-        return eval_expression(e.left, env) * eval_expression(e.right, env)
+    if isinstance(e, Sum):
+        out = eval_expression(e.first, env)
+        for op, term in e.rest:
+            value = eval_expression(term, env)
+            out = out + value if op == "+" else out - value
+        return out
+    if isinstance(e, Product):
+        out = eval_expression(e.factors[0], env)
+        for factor in e.factors[1:]:
+            out = out * eval_expression(factor, env)
+        return out
     if isinstance(e, Pow):
         return eval_expression(e.base, env) ** e.exponent
     raise TypeError(f"not an expression node: {e!r}")
@@ -585,12 +575,16 @@ def to_polynomial(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Pol
             return Poly2.x() if idx == 0 else Poly2.y()
         if isinstance(node, Neg):
             return -lower(node.operand)
-        if isinstance(node, Add):
-            return lower(node.left) + lower(node.right)
-        if isinstance(node, Sub):
-            return lower(node.left) - lower(node.right)
-        if isinstance(node, Mul):
-            return _checked(lower(node.left) * lower(node.right))
+        if isinstance(node, Sum):
+            out = lower(node.first)
+            for op, term in node.rest:
+                out = out + lower(term) if op == "+" else out - lower(term)
+            return out
+        if isinstance(node, Product):
+            out = lower(node.factors[0])
+            for factor in node.factors[1:]:
+                out = _checked(out * lower(factor))
+            return out
         if isinstance(node, Pow):
             out = Poly2.constant(1.0)
             base = lower(node.base)

@@ -19,6 +19,7 @@ from ilekoop.errors import NumericalError
 from ilekoop.expr import Poly2, parse_polynomial
 from ilekoop.series import decompose_monomial
 
+from test_expr import full_degree_terms
 from test_series import _old_monomial_eigenfunction, _old_partial_sum
 
 
@@ -362,7 +363,9 @@ def test_domain_error_exit_code(capsys, tmp_path):
     "term",
     ['{"i": 1, "j": 0, "c": NaN}', '{"i": 1, "j": 0, "c": Infinity}',
      '{"i": 1, "j": 0, "c": -1e999}', '{"i": -1, "j": 0, "c": 1}', '{"i": 1.7, "j": 0, "c": 1}',
-     '{"i": 1, "j": true, "c": 1}', '{"i": 100000000, "j": 0, "c": 1}'],
+     '{"i": 1, "j": true, "c": 1}', '{"i": 100000000, "j": 0, "c": 1}',
+     # json.loads raised RecursionError, which printed a traceback
+     pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep")],
 )
 def test_bad_field_json_exit_code(capsys, tmp_path, monkeypatch, term):
     text = '{"kind": "polynomial", "p": [' + term + '], "q": [{"i": 0, "j": 1, "c": -1}]}'
@@ -374,6 +377,27 @@ def test_bad_field_json_exit_code(capsys, tmp_path, monkeypatch, term):
     assert code == 1
     assert err.startswith("error: ")
     assert not out_file.exists()
+
+
+def test_non_ascii_digit_exit_code(capsys):
+    code, out, err = run(["keig-check", "--field", "expr:x;y", "--g", "3\u0663*x",
+                          "--lambda", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert "non-ASCII character (at offset 1)" in err
+
+
+def test_full_degree_polynomial_commands(capsys, tmp_path):
+    # every monomial up to the degree cap: 2,145 terms, which overflowed the stack
+    _, text = full_degree_terms()
+    code, out, _ = run(["keig-check", "--field", "expr:x;y", "--g", text, "--lambda", "1",
+                        "--exact"], capsys)
+    assert code == 0
+    # (x d/dx + y d/dy - 1) scales c*x^i*y^j by i + j - 1: only the linear terms vanish
+    assert json.loads(out)["samples"] == 2145 - 2
+    code, _, _ = run(["ile", "--field", f"expr:{text};y", "--grid", "0:0.5:4,0:0.5:4",
+                      "--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 0
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 17
 
 
 @pytest.mark.parametrize("expr", ["1e999*x", "(1e200)^2*x", "x - 1e300*1e300*y", "1^2000000*x"])

@@ -1,5 +1,6 @@
 """The CLI contract as a property: whatever numbers the flags carry (floats,
-and small integers for sample, node, term and thread counts), every
+and small integers for sample, node, term and thread counts), and whether
+an expression or field file nests too deep or holds a Unicode digit, every
 subcommand exits 0, 1 or 2, never prints a traceback, starts the stderr of a
 failure with ``error: `` and leaves no output file behind, and prints strict
 JSON (no NaN/Infinity) on success."""
@@ -43,7 +44,18 @@ def grid():
     )
 
 
-FIELDS = st.sampled_from(["saddle", "expr:x*y - y^3;x^2 + 0.3*y", "expr:0.5*x;-0.5*y"])
+#: Expressions that break naive parsers: deep parentheses, a minus chain, a Unicode digit.
+HOSTILE = ["(" * 300 + "x" + ")" * 300, "-" * 1000 + "x", "3\u0663*x"]
+
+#: Input files every request can read: a field file nested 100,000 arrays deep.
+INPUTS = {"deep.json": "[" * 100000 + "]" * 100000}
+
+FIELDS = st.sampled_from(["saddle", "expr:x*y - y^3;x^2 + 0.3*y", "expr:0.5*x;-0.5*y",
+                          "deep.json", *(f"expr:{h};y" for h in HOSTILE)])
+
+
+def expression(normal: str):
+    return st.one_of(st.just(normal), st.sampled_from(HOSTILE))
 
 
 @st.composite
@@ -65,14 +77,14 @@ def requests(draw):
                 f"--time={draw(num(-0.1))}", f"--step={draw(num(1e-2))}",
                 f"--delta={draw(num(1e-5))}", "--pgm", "f.pgm", "--threads", draw(count())], None
     if cmd == "keig-check":
-        argv = ["keig-check", "--field", draw(FIELDS), "--g", "x*y - 0.5",
+        argv = ["keig-check", "--field", draw(FIELDS), f"--g={draw(expression('x*y - 0.5'))}",
                 f"--lambda={draw(num(1.0))}", "--samples", str(draw(st.integers(-1, 10))),
                 f"--box={draw(nums(-0.5, 0.5, sep=':'))},{draw(nums(-0.4, 0.4, sep=':'))}"]
         if draw(st.booleans()):
             argv.append("--exact")
         return argv, None
     if cmd == "pullback":
-        h = draw(st.one_of(num(1.0), st.just("s^2 + 1")))
+        h = draw(st.one_of(num(1.0), expression("s^2 + 1")))
         return ["pullback", "--field", draw(FIELDS), f"--line={draw(nums(0.0, 0.5, 1.0, 0.0))}",
                 f"--h={h}", f"--lambda={draw(num(-1.0))}", "--points", "pts.txt",
                 "--out", "phi.csv", f"--step={draw(num(1e-2))}",
@@ -92,7 +104,7 @@ def requests(draw):
     if cmd == "series":
         return ["series", "--target", draw(st.sampled_from(["s1", "3y2", "y"])),
                 "--N", str(draw(st.integers(-1, 8))), f"--y={draw(num(0.3))}"], None
-    return ["oned", "--f", "x - x^3", f"--xmin={draw(num(-1.0))}",
+    return ["oned", f"--f={draw(expression('x - x^3'))}", f"--xmin={draw(num(-1.0))}",
             f"--xmax={draw(num(1.0))}", "--n", draw(count())], None
 
 
@@ -110,9 +122,10 @@ def _run_main(directory, argv, points):
     sys.argv = ["ilekoop", *argv]
     out, err = io.StringIO(), io.StringIO()
     try:
-        if points is not None:
-            with open("pts.txt", "w", encoding="ascii") as fh:
-                fh.write(points + "\n")
+        files = INPUTS if points is None else {**INPUTS, "pts.txt": points + "\n"}
+        for name, text in files.items():
+            with open(name, "w", encoding="ascii") as fh:
+                fh.write(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -133,7 +146,7 @@ def test_cli_contract(request):
     argv, points = request
     with tempfile.TemporaryDirectory() as directory:
         code, out, err = _run_main(directory, argv, points)
-        written = set(os.listdir(directory)) - {"pts.txt"}
+        written = set(os.listdir(directory)) - {"pts.txt", *INPUTS}
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code != 0:

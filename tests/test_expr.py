@@ -10,14 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilekoop.expr import (
-    Add,
-    Mul,
+    MAX_NESTING,
+    MAX_TOTAL_DEGREE,
     Neg,
     Num,
     ParseError,
     Poly2,
     Pow,
-    Sub,
+    Product,
+    Sum,
     Var,
     eval_expression,
     parse_expression,
@@ -46,13 +47,25 @@ def _oracle_add(a, b):
 
 
 def test_parse_simple_sum_and_power():
-    assert parse_expression("x + y^2") == Add(Var("x"), Pow(Var("y"), 2))
+    assert parse_expression("x + y^2") == Sum(Var("x"), (("+", Pow(Var("y"), 2)),))
 
 
 def test_parse_neg_and_grouping():
-    assert parse_expression("-y + x*(x+y)") == Add(
-        Neg(Var("y")), Mul(Var("x"), Add(Var("x"), Var("y")))
+    assert parse_expression("-y + x*(x+y)") == Sum(
+        Neg(Var("y")), (("+", Product((Var("x"), Sum(Var("x"), (("+", Var("y")),))))),)
     )
+
+
+def test_parse_flat_sums_and_products():
+    x, y = Var("x"), Var("y")
+    assert parse_expression("x - y + 2*x*y*x") == Sum(
+        x, (("-", y), ("+", Product((Num(2.0), x, y, x))))
+    )
+    # parentheses keep a nested node, and a single term or factor is no node
+    assert parse_expression("(x + y) - (x*y)*x") == Sum(
+        Sum(x, (("+", y),)), (("-", Product((Product((x, y)), x))),)
+    )
+    assert parse_expression("((x))") == x
 
 
 def test_parse_negative_exponent_rejected():
@@ -76,6 +89,56 @@ def test_parse_empty_and_offsets():
     with pytest.raises(ParseError) as err:
         parse_expression("x + + y")
     assert err.value.offset == 4
+
+
+@pytest.mark.parametrize("text, offset", [("3\u0663*x", 1), ("x^1\u0662", 3), ("1.\u0663", 2),
+                                          ("\uff15", 0), ("x + 2*y\u00b2", 7)])
+def test_non_ascii_rejected_anywhere(text, offset):
+    # Unicode digits after an ASCII one used to extend the number token
+    with pytest.raises(ParseError, match="non-ASCII character") as err:
+        parse_polynomial(text)
+    assert err.value.offset == offset
+
+
+def test_bad_character_raises_only_when_reached():
+    with pytest.raises(ParseError, match="got '\\+'") as err:
+        parse_expression("x + + \u00e9")
+    assert err.value.offset == 4
+    with pytest.raises(ParseError, match="unexpected character '\\$'") as err:
+        parse_expression("x\t$")
+    assert err.value.offset == 2
+
+
+@pytest.mark.parametrize("nest", [
+    lambda n: "(" * n + "x" + ")" * n,
+    lambda n: "-" * n + "x",
+    lambda n: "".join("-("[k % 2] for k in range(n)) + "x" + ")" * (n // 2),
+])
+def test_nesting_limit(nest):
+    # 250 parentheses or 990 minus signs used to overflow the stack
+    assert parse_polynomial(nest(MAX_NESTING)) in (Poly2.x(), -Poly2.x())
+    for depth in (MAX_NESTING + 1, 250, 990):
+        with pytest.raises(ParseError, match=f"nest deeper than {MAX_NESTING}") as err:
+            parse_expression(nest(depth))
+        assert err.value.offset == MAX_NESTING
+
+
+def full_degree_terms():
+    """Every monomial of total degree at most MAX_TOTAL_DEGREE (2,145 of
+    them), each with a nonzero coefficient, and the same polynomial as text."""
+    terms = [{"i": i, "j": d - i, "c": (-1) ** i * (1 + i + 2 * (d - i)) / 64}
+             for d in range(MAX_TOTAL_DEGREE + 1) for i in range(d + 1)]
+    return terms, " + ".join(f"{t['c']!r}*x^{t['i']}*y^{t['j']}" for t in terms)
+
+
+def test_full_degree_polynomial_parses():
+    # a left-deep tree of these 2,145 terms overflowed the stack
+    terms, text = full_degree_terms()
+    p = parse_polynomial(text)
+    assert len(p.coefficients()) == 2145
+    assert p == Poly2.from_json_terms(terms)
+    flat_product = "*".join(["x"] * MAX_TOTAL_DEGREE)
+    assert parse_polynomial(flat_product) == Poly2.monomial(MAX_TOTAL_DEGREE, 0)
 
 
 def test_parse_no_implicit_multiplication():
@@ -197,15 +260,14 @@ def _random_ast(rng, depth):
         return rng.choice(
             [Num(float(rng.randrange(0, 5))), Num(rng.random()), Var("x"), Var("y")]
         )
-    kind = rng.randrange(5)
+    kind = rng.randrange(4)
     if kind == 0:
         return Neg(_random_ast(rng, depth - 1))
     if kind == 1:
-        return Add(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        rest = [(rng.choice("+-"), _random_ast(rng, depth - 1)) for _ in range(rng.randrange(1, 4))]
+        return Sum(_random_ast(rng, depth - 1), tuple(rest))
     if kind == 2:
-        return Sub(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if kind == 3:
-        return Mul(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        return Product(tuple(_random_ast(rng, depth - 1) for _ in range(rng.randrange(2, 5))))
     return Pow(_random_ast(rng, depth - 1), rng.randrange(0, 4))
 
 
