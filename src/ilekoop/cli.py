@@ -104,7 +104,7 @@ def _load_field(source: str) -> VectorField2D:
         return VectorField2D(parse_polynomial(parts[0]), parse_polynomial(parts[1]))
     try:
         obj = json.loads(_read_text(source))
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"field JSON is invalid: {exc}") from exc
     return field_from_json(obj)
 
