@@ -238,6 +238,8 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
         raise UsageError(f"--box must be xmin:xmax,ymin:ymax ({exc})") from exc
     if not (box[0] < box[1] and box[2] < box[3]):
         raise UsageError("--box must satisfy xmin < xmax and ymin < ymax")
+    if not (math.isfinite(box[1] - box[0]) and math.isfinite(box[3] - box[2])):
+        raise NumericalError("--box width or height overflows a double")
     return box
 
 

@@ -11,9 +11,10 @@ No implicit multiplication and no function calls, so every expression that
 parses lowers to an exact polynomial.  Sums and products are flat n-ary nodes,
 and parentheses plus unary minus nest at most ``MAX_NESTING`` deep, so no
 input exhausts the stack.  Polynomials are stored sparsely as a
-map from exponent pairs to float coefficients; after every operation,
-coefficients with magnitude below ``CANONICAL_ZERO`` are dropped, which makes
-exact algebraic cancellations test as exactly zero.  Numeric evaluation runs
+map from exponent pairs to float coefficients.  Each operation adds its
+coefficients in order and then drops those below ``CANONICAL_ZERO`` once, at
+the end, which makes exact algebraic cancellations test as exactly zero; a
+flat sum of n terms is one operation.  Numeric evaluation runs
 generated straight-line code (:func:`_kernel_factory`): one kernel per term
 structure for ``Poly2.evaluate``, and one RK4 step and one pullback march per
 field.
@@ -23,8 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -252,10 +255,7 @@ def eval_expression(e: Expression, env: dict[str, float]) -> float:
             out = out + value if op == "+" else out - value
         return out
     if isinstance(e, Product):
-        out = eval_expression(e.factors[0], env)
-        for factor in e.factors[1:]:
-            out = out * eval_expression(factor, env)
-        return out
+        return functools.reduce(operator.mul, (eval_expression(f, env) for f in e.factors))
     if isinstance(e, Pow):
         return eval_expression(e.base, env) ** e.exponent
     raise TypeError(f"not an expression node: {e!r}")
@@ -268,6 +268,19 @@ def eval_expression(e: Expression, env: dict[str, float]) -> float:
 def _canon(terms: dict) -> dict:
     # NaN is kept, not dropped, so that non-finite results stay visible.
     return {ij: c for ij, c in terms.items() if not abs(c) < CANONICAL_ZERO}
+
+
+def _collect(pairs=(), out: dict | None = None) -> "Poly2":
+    """The one place where coefficients are summed: add the ``((i, j), c)``
+    pairs into ``out`` (a new dict by default, else one the caller hands
+    over) in order, then drop the sums below ``CANONICAL_ZERO`` once and wrap
+    the result as a ``Poly2`` without copying it again."""
+    out = {} if out is None else out
+    for ij, c in pairs:
+        out[ij] = out.get(ij, 0.0) + c
+    p = Poly2.__new__(Poly2)
+    p._terms, p._kernel = _canon(out), None
+    return p
 
 
 def _shape(terms) -> tuple[tuple[int, int, bool], ...]:
@@ -377,7 +390,7 @@ class Poly2:
     __slots__ = ("_terms", "_kernel")
 
     def __init__(self, terms: dict | None = None):
-        self._terms = _canon(dict(terms) if terms else {})
+        self._terms = _canon(terms) if terms else {}
         self._kernel = None
 
     # -- constructors -----------------------------------------------------
@@ -443,29 +456,26 @@ class Poly2:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self._terms)
-        for ij, c in other._terms.items():
-            out[ij] = out.get(ij, 0.0) + c
-        return Poly2(out)
+        return _collect(other._terms.items(), dict(self._terms))
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         out = dict(self._terms)
         for ij, c in other._terms.items():
             out[ij] = out.get(ij, 0.0) - c
-        return Poly2(out)
+        return _collect(out=out)
 
     def __neg__(self) -> "Poly2":
-        return Poly2({ij: -c for ij, c in self._terms.items()})
+        return _collect(out={ij: -c for ij, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, Poly2):
-            out: dict = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
-                    ij = (i1 + i2, j1 + j2)
-                    out[ij] = out.get(ij, 0.0) + c1 * c2
-            return Poly2(out)
-        return Poly2({ij: c * other for ij, c in self._terms.items()})
+        if not isinstance(other, Poly2):
+            return _collect(out={ij: c * other for ij, c in self._terms.items()})
+        out: dict = {}
+        for (i1, j1), c1 in self._terms.items():
+            for (i2, j2), c2 in other._terms.items():
+                ij = (i1 + i2, j1 + j2)
+                out[ij] = out.get(ij, 0.0) + c1 * c2
+        return _collect(out=out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -473,24 +483,16 @@ class Poly2:
     def __pow__(self, n: int) -> "Poly2":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly2.constant(1.0)
-        for _ in range(n):
-            out = out * self
-        return out
+        return functools.reduce(operator.mul, repeat(self, n), Poly2.constant(1.0))
 
     def diff(self, var: str) -> "Poly2":
         """Exact partial derivative with respect to ``"x"`` or ``"y"``."""
-        out: dict = {}
-        for (i, j), c in self._terms.items():
-            if var == "x":
-                if i > 0:
-                    out[(i - 1, j)] = out.get((i - 1, j), 0.0) + c * i
-            elif var == "y":
-                if j > 0:
-                    out[(i, j - 1)] = out.get((i, j - 1), 0.0) + c * j
-            else:
-                raise ValueError(f"unknown variable {var!r}")
-        return Poly2(out)
+        # distinct terms have distinct derivatives, so nothing is summed
+        if var == "x":
+            return _collect(out={(i - 1, j): c * i for (i, j), c in self._terms.items() if i})
+        if var == "y":
+            return _collect(out={(i, j - 1): c * j for (i, j), c in self._terms.items() if j})
+        raise ValueError(f"unknown variable {var!r}")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -523,16 +525,10 @@ class Poly2:
         lin_y = Poly2({(1, 0): float(m21), (0, 1): float(m22), (0, 0): float(b2)})
         max_i = max((i for i, _ in self._terms), default=0)
         max_j = max((j for _, j in self._terms), default=0)
-        px = [Poly2.constant(1.0)]
-        for _ in range(max_i):
-            px.append(px[-1] * lin_x)
-        py = [Poly2.constant(1.0)]
-        for _ in range(max_j):
-            py.append(py[-1] * lin_y)
-        out = Poly2.zero()
-        for (i, j), c in self.items_sorted():
-            out = out + c * (px[i] * py[j])
-        return out
+        px = list(accumulate(repeat(lin_x, max_i), operator.mul, initial=Poly2.constant(1.0)))
+        py = list(accumulate(repeat(lin_y, max_j), operator.mul, initial=Poly2.constant(1.0)))
+        return _collect(term for (i, j), c in self.items_sorted()
+                        for term in (c * (px[i] * py[j]))._terms.items())
 
     # -- serialization ---------------------------------------------------------
 
@@ -544,7 +540,7 @@ class Poly2:
         """Inverse of :meth:`to_json_terms`.  Raises ValueError unless every
         term has int exponents ``i, j >= 0`` with ``i + j <= MAX_TOTAL_DEGREE``
         and the summed coefficients are finite numbers."""
-        out: dict = {}
+        terms = []
         for item in items:
             i, j, c = (item.get(k) for k in "ijc") if isinstance(item, dict) else (None,) * 3
             if not all(type(e) is int and e >= 0 for e in (i, j)):
@@ -554,8 +550,8 @@ class Poly2:
             c = float(c) if type(c) is int and abs(c) < 2**1023 else c
             if type(c) is not float:
                 raise ValueError(f"term coefficient must be a finite number: {item!r}")
-            out[(i, j)] = out.get((i, j), 0.0) + c
-        return _finite(cls(out))
+            terms.append(((i, j), c))
+        return _finite(_collect(terms))
 
 
 def to_polynomial(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Poly2:
@@ -576,27 +572,21 @@ def to_polynomial(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Pol
         if isinstance(node, Neg):
             return -lower(node.operand)
         if isinstance(node, Sum):
-            out = lower(node.first)
-            for op, term in node.rest:
-                out = out + lower(term) if op == "+" else out - lower(term)
-            return out
+            return _collect((ij, c if op == "+" else -c)
+                            for op, term in (("+", node.first), *node.rest)
+                            for ij, c in lower(term)._terms.items())
         if isinstance(node, Product):
-            out = lower(node.factors[0])
-            for factor in node.factors[1:]:
-                out = _checked(out * lower(factor))
-            return out
+            return functools.reduce(_checked_product, map(lower, node.factors))
         if isinstance(node, Pow):
-            out = Poly2.constant(1.0)
-            base = lower(node.base)
-            for _ in range(node.exponent):
-                out = _checked(out * base)
-            return out
+            return functools.reduce(_checked_product, repeat(lower(node.base), node.exponent),
+                                    Poly2.constant(1.0))
         raise TypeError(f"not an expression node: {node!r}")
 
     return _finite(lower(e))
 
 
-def _checked(p: Poly2) -> Poly2:
+def _checked_product(a: Poly2, b: Poly2) -> Poly2:
+    p = a * b
     if p.degree() > MAX_TOTAL_DEGREE:
         raise ValueError(f"polynomial expansion exceeds total degree {MAX_TOTAL_DEGREE}")
     return p

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .expr import Poly2
+from .expr import Poly2, _collect
 from .koopman import KeigCandidate, best_lambda, keig_residual, rms
 from .vectorfield import VectorField2D
 
@@ -151,11 +151,9 @@ def make_transformed_family(lam: float, coeffs) -> VectorField2D:
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("need at least the cubic coefficient")
-    p = Poly2({(1, 0): 0.5 * lam})
-    terms = {(1, 0): -lam, (0, 1): 0.5 * lam}
-    for n, cn in enumerate(coeffs, start=3):
-        terms[(n, 0)] = terms.get((n, 0), 0.0) + cn
-    return VectorField2D(p, Poly2(terms))
+    q = _collect((((n, 0), cn) for n, cn in enumerate(coeffs, start=3)),
+                 {(1, 0): -lam, (0, 1): 0.5 * lam})
+    return VectorField2D(Poly2({(1, 0): 0.5 * lam}), q)
 
 
 def transformed_claimed_attraction_rate(lam: float, coeffs) -> Poly2:

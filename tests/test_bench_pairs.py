@@ -27,3 +27,13 @@ def test_summary_counts_wins_in_the_better_direction():
 def test_seed_ranges():
     assert bench_pairs._seeds("1-10") == list(range(1, 11))
     assert bench_pairs._seeds("6") == [6]
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not code\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("pass\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

@@ -878,3 +878,12 @@ def test_empty_range_exit_code(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("box", ["-1e308:1e308,-1:1", "-1:1,-1.7e308:1.7e308"])
+def test_overflowing_box_exit_code(capsys, box):
+    # every sample would sit at an infinite coordinate, where x - x reads 0
+    code, out, err = run(["keig-check", "--field", "expr:x;y", "--g", "x", "--lambda", "1",
+                          f"--box={box}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --box width or height overflows a double\n"

@@ -30,20 +30,35 @@ from ilekoop.expr import (
 
 # -- independent expansion oracle (dict arithmetic, no Poly2) -----------------
 
+def _cutoff(out):
+    # sums below 1e-12 are dropped once, after all of them are formed
+    return {k: v for k, v in out.items() if not abs(v) < 1e-12}
+
+
 def _oracle_mul(a, b):
     out = {}
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, 0.0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0.0}
+    return _cutoff(out)
 
 
 def _oracle_add(a, b):
     out = dict(a)
     for k, v in b.items():
         out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if v != 0.0}
+    return _cutoff(out)
+
+
+def _oracle_diff(a, var):
+    out = {}
+    for (i, j), c in a.items():
+        n = i if var == "x" else j
+        if n:
+            key = (i - 1, j) if var == "x" else (i, j - 1)
+            out[key] = out.get(key, 0.0) + c * n
+    return _cutoff(out)
 
 
 def test_parse_simple_sum_and_power():
@@ -131,10 +146,18 @@ def full_degree_terms():
     return terms, " + ".join(f"{t['c']!r}*x^{t['i']}*y^{t['j']}" for t in terms)
 
 
-def test_full_degree_polynomial_parses():
+def test_full_degree_polynomial_parses(monkeypatch):
     # a left-deep tree of these 2,145 terms overflowed the stack
     terms, text = full_degree_terms()
+    calls = []
+    for name in ("__add__", "__sub__"):
+        op = getattr(Poly2, name)
+        monkeypatch.setattr(Poly2, name,
+                            lambda a, b, name=name, op=op: calls.append(name) or op(a, b))
     p = parse_polynomial(text)
+    # one accumulation over all terms: a Poly2 sum per term made lowering O(n^2)
+    assert calls == []
+    monkeypatch.undo()
     assert len(p.coefficients()) == 2145
     assert p == Poly2.from_json_terms(terms)
     flat_product = "*".join(["x"] * MAX_TOTAL_DEGREE)
@@ -318,6 +341,13 @@ def test_canonical_zero_threshold():
     assert p.is_zero()
 
 
+def test_flat_sum_drops_small_coefficients_once():
+    # the partial sum 5e-13 is kept: only the finished sum meets the cutoff
+    p = parse_polynomial("1.0000000000005*x - x + x")
+    assert p.coeff(1, 0) == (1.0000000000005 - 1.0) + 1.0
+    assert parse_polynomial("1.0000000000005*x - x").is_zero()
+
+
 def test_univariate_parsing():
     p = parse_polynomial("s^2 - 1", variables=("s",))
     assert p.evaluate(3.0) == 8.0
@@ -415,6 +445,23 @@ def test_kernel_bitwise_matches_reference(terms, points):
         ref = _bits(_ref_evaluate(p, x, y))
         assert _bits(p.evaluate(x, y)) == ref
         assert _bits(arr[k]) == ref
+
+
+def _bits_of(p):
+    return {ij: _bits(c) for ij, c in (p.coefficients() if isinstance(p, Poly2) else p).items()}
+
+
+@settings(deadline=None)
+@given(_terms, _terms)
+@example({(1, 0): 1.0}, {(1, 0): 1.0 - 1e-14})
+@example({(0, 0): 1e-6, (1, 0): 1.0}, {(0, 0): 1e-6, (0, 1): 1.0})
+def test_ops_match_dict_oracles_bitwise(a, b):
+    pa, pb = Poly2(a), Poly2(b)
+    assert _bits_of(pa + pb) == _bits_of(_oracle_add(a, b))
+    assert _bits_of(pa - pb) == _bits_of(_oracle_add(a, {k: -v for k, v in b.items()}))
+    assert _bits_of(pa * pb) == _bits_of(_oracle_mul(a, b))
+    for var in ("x", "y"):
+        assert _bits_of(pa.diff(var)) == _bits_of(_oracle_diff(a, var))
 
 
 def test_kernel_with_many_terms_matches_reference():

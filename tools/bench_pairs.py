@@ -13,10 +13,11 @@ seed 1.  Workloads, run length and which direction of each metric is better
 come from the change tree's ``BENCHMARK.json``.  Each run's record is read
 back from the tree's ``bench/results/<workload>-seed<seed>-trace<0|1>.json``.
 
-The output holds, per workload, every pair's end-to-end metrics, pass count,
-output digest and family figures; per metric the median and inclusive
-quartiles of each side, the pairs the change wins, and whether the gap
-between the medians exceeds the parent's interquartile range.  Nothing in
+The output holds each side's ``src/`` Python line count and, per workload,
+every pair's end-to-end metrics, pass count, output digest and family
+figures; per metric the median and inclusive quartiles of each side, the
+pairs the change wins, and whether the gap between the medians exceeds the
+parent's interquartile range.  Nothing in
 either tree is changed except ``bench/results/``, which the bench itself
 writes.  The file is rewritten after every pair, so a run cut short keeps
 the pairs it finished.
@@ -41,6 +42,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
                     "--seconds", str(seconds), "--trace", str(trace)],
                    cwd=tree, check=True, stdout=subprocess.DEVNULL)
     return json.loads(record.read_text())
+
+
+def src_lines(tree: Path) -> int:
+    """Lines in the Python files under ``tree/src``."""
+    return sum(len(path.read_text().splitlines()) for path in (tree / "src").rglob("*.py"))
 
 
 def side_figures(record: dict) -> dict:
@@ -104,7 +110,8 @@ def main(argv=None) -> int:
                 "untraced run per side and seed, plus one traced run (seed 1) per side",
         "parent_commit": args.parent_commit, "change_commit": args.change_commit,
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0|1",
-        "machine": None, "workloads": {}, "traced_seed1": {},
+        "machine": None, "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        "workloads": {}, "traced_seed1": {},
         "notes": [f"Seeds {args.seeds[0]}-{args.seeds[-1]} per workload; pair k ran the parent "
                   "first when k is odd, the change first otherwise."] + args.note,
     }
