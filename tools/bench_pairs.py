@@ -17,10 +17,9 @@ The output holds each side's ``src/`` Python line count and, per workload,
 every pair's end-to-end metrics, pass count, output digest and family
 figures; per metric the median and inclusive quartiles of each side, the
 pairs the change wins, and whether the gap between the medians exceeds the
-parent's interquartile range.  Nothing in
-either tree is changed except ``bench/results/``, which the bench itself
-writes.  The file is rewritten after every pair, so a run cut short keeps
-the pairs it finished.
+parent's interquartile range.  Nothing in either tree is changed except
+``bench/results/``, which the bench itself writes.  The file is rewritten
+after every pair, so a run cut short keeps the pairs it finished.
 """
 
 from __future__ import annotations
