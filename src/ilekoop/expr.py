@@ -288,37 +288,52 @@ def _shape(terms) -> tuple[tuple[int, int, bool], ...]:
     return tuple((i, j, c == 1.0) for (i, j), c in terms)
 
 
-def _eval_lines(shapes, outs, xv: str, yv: str) -> list[str]:
+def _eval_lines(shapes, outs, xv: str, yv: str, inplace: bool = False) -> list[str]:
     """Source that evaluates component m into ``outs[m]`` at ``(xv, yv)``:
     power ladders shared by all components (x2 = x*x, x3 = x2*x, ...), then
     0.0 + c*x^i*y^j in sorted term order with factors of exactly 1.0 left
     out (which changes no bit), 64 terms per statement at most so that the
-    compiler's nesting stays shallow."""
+    compiler's nesting stays shallow.  ``inplace`` runs the same operations as
+    ``out = 0.0``, then ``t = c * x2; t *= y; out += t`` per term."""
     lines = [f"{v}{k} = {v}{k - 1 if k > 2 else ''} * {v}" for d, v in enumerate((xv, yv))
              for k in range(2, max((t[d] for s in shapes for t in s), default=0) + 1)]
     for m, (out, shape) in enumerate(zip(outs, shapes)):
-        parts = ["0.0"] + [" * ".join(([] if unit else [f"c{m}_{n}"]) + [
-            f"{v}{e if e > 1 else ''}" for v, e in ((xv, i), (yv, j)) if e]) or "1.0"
+        terms = [([] if unit else [f"c{m}_{n}"]) + [
+            f"{v}{e if e > 1 else ''}" for v, e in ((xv, i), (yv, j)) if e] or ["1.0"]
             for n, (i, j, unit) in enumerate(shape)]
+        if inplace:
+            lines.append(f"{out} = 0.0")
+            for f0, *rest in terms:
+                lines += ([f"t = {f0} * {rest[0]}", *(f"t *= {f}" for f in rest[1:]),
+                           f"{out} += t"] if rest else [f"{out} += {f0}"])
+            continue
+        parts = ["0.0"] + [" * ".join(fs) for fs in terms]
         lines += [f"{out} = {out + ' + ' if k else ''}{' + '.join(parts[k:k + 64])}"
                   for k in range(0, len(parts), 64)]
     return lines
 
 
-def _rk4_lines(shapes, guard: str | None) -> list[str]:
+def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
     """Source of one classical RK4 step of the field whose components (P, Q)
     have the term structures ``shapes``, from ``(x, y)`` into ``(xn, yn)``
     with ``hh = 0.5*h`` and ``h6 = h/6.0`` bound: k1 = F(x, y),
     k2 = F(x + hh*k1), k3 = F(x + hh*k2), k4 = F(x + h*k3), then
     x + h6*(k1 + 2*k2 + 2*k3 + k4).  ``guard``, if given, is a line with a
-    ``{y}`` slot that runs on each stage's y before F is evaluated there."""
+    ``{y}`` slot that runs on each stage's y before F is evaluated there.
+    ``inplace`` also accumulates the stage points and the result in place."""
     lines = []
     for k, scale in enumerate((None, "hh", "hh", "h"), 1):
         if scale:
-            lines += [f"xs = x + {scale} * u{k - 1}", f"ys = y + {scale} * v{k - 1}"]
+            for z, u in (("x", "u"), ("y", "v")):
+                lines += ([f"{z}s = {scale} * {u}{k - 1}", f"{z}s += {z}"] if inplace
+                          else [f"{z}s = {z} + {scale} * {u}{k - 1}"])
         xv, yv = ("xs", "ys") if scale else ("x", "y")
         lines += [guard.format(y=yv)] if guard else []
-        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"], xv, yv)
+        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"], xv, yv, inplace)
+    if inplace:
+        return lines + [line for z, u in (("x", "u"), ("y", "v")) for line in (
+            f"{z}n = 2.0 * {u}2", f"{z}n += {u}1", f"{u}3 *= 2.0", f"{z}n += {u}3",
+            f"{z}n += {u}4", f"{z}n *= h6", f"{z}n += {z}")]
     return lines + ["xn = x + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)",
                     "yn = y + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)"]
 
@@ -333,7 +348,8 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
 
     - ``"kernel"``: the one component gives ``kernel(x, y)``.
     - ``"step"``: the components (P, Q) give one RK4 step
-      ``step(x, y, h) -> (x, y)`` (see :func:`_rk4_lines`).  ``guarded``
+      ``step(x, y, h) -> (x, y)`` (see :func:`_rk4_lines`), accumulated in
+      place, so x and y must be floats or share one shape.  ``guarded``
       adds a last factory argument ``check``; ``check(y)`` runs on each
       stage's y.  Every operation is elementwise, so floats and float
       arrays run the same source and agree bit for bit.
@@ -353,7 +369,7 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
     elif mode == "step":
         head, body = "step(x, y, h)", ["hh = 0.5 * h", "h6 = h / 6.0"]
         args += ["check"] * guarded
-        body += _rk4_lines(shapes, "check({y})" if guarded else None) + ["return xn, yn"]
+        body += _rk4_lines(shapes, "check({y})" if guarded else None, True) + ["return xn, yn"]
     else:
         head = "march(x, y, h, n, d_prev, ux, uy, bx, by)"
         args += ["bound"] * guarded
@@ -578,8 +594,7 @@ def to_polynomial(e: Expression, variables: tuple[str, ...] = ("x", "y")) -> Pol
         if isinstance(node, Product):
             return functools.reduce(_checked_product, map(lower, node.factors))
         if isinstance(node, Pow):
-            return functools.reduce(_checked_product, repeat(lower(node.base), node.exponent),
-                                    Poly2.constant(1.0))
+            return _power(lower(node.base), node.exponent)
         raise TypeError(f"not an expression node: {node!r}")
 
     return _finite(lower(e))
@@ -590,6 +605,21 @@ def _checked_product(a: Poly2, b: Poly2) -> Poly2:
     if p.degree() > MAX_TOTAL_DEGREE:
         raise ValueError(f"polynomial expansion exceeds total degree {MAX_TOTAL_DEGREE}")
     return p
+
+
+def _power(p: Poly2, n: int) -> Poly2:
+    """Fold ``_checked_product`` over n copies of ``p`` from 1.0; a lone term skips Poly2s."""
+    if len(p._terms) != 1:
+        return functools.reduce(_checked_product, repeat(p, n), Poly2.constant(1.0))
+    ((i, j), c), = p._terms.items()
+    r = 1.0
+    for k in range(1, n + 1):
+        r *= c  # 0.0 + r * c differs only at -0.0, which falls below the cutoff
+        if abs(r) < CANONICAL_ZERO:
+            return Poly2()
+        if k * (i + j) > MAX_TOTAL_DEGREE:
+            raise ValueError(f"polynomial expansion exceeds total degree {MAX_TOTAL_DEGREE}")
+    return _collect(out={(n * i, n * j): r})
 
 
 def _finite(p: Poly2) -> Poly2:

@@ -5,9 +5,9 @@ the final partial step is shortened to land exactly on the requested time.
 Every driver (``integrate``, ``flow_endpoint``, ``cauchy_green`` and the
 pullback bisection in :mod:`ilekoop.koopman`) runs the field's one generated
 step ``VectorField2D._rk4()``: P, Q and all four stages as straight-line
-code, the same source for floats and arrays.  The pullback's fixed-step
-march runs the same stage source in one generated loop
-(``VectorField2D._rk4_march()``).
+code that accumulates in place, the same source for floats and arrays of
+one shape.  The pullback's fixed-step march runs the same stages, chained,
+in one generated loop (``VectorField2D._rk4_march()``).
 Flow-map gradients come from centered differences of four auxiliary
 trajectories.  ``cauchy_green`` and ``ftle`` take a point or equal-shape
 arrays of points, and ``ftle_field`` is ``ftle`` at every grid node, so a
@@ -123,10 +123,13 @@ def cauchy_green(
     through ``flow_endpoint``) or of equal-shape arrays (elementwise entries;
     the four offset families advance as one concatenated array).  The
     endpoints of the +x, -x, +y and -y offset trajectories give the gradient.
+    A ``delta`` that leaves any offset seed on its node raises ValueError.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
     x, y = x0
+    if np.any((x + delta == x) | (x - delta == x) | (y + delta == y) | (y - delta == y)):
+        raise ValueError(f"delta {delta!r} is too small: an offset seed rounds to its node")
     if isinstance(x, np.ndarray):
         xs = np.concatenate([x + delta, x - delta, x, x])
         ys = np.concatenate([y, y, y + delta, y - delta])

@@ -126,15 +126,16 @@ _RATE_CHUNK_NODES = 12288
 def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.ndarray:
     """``fn(xv, yv)`` over every node, as one ``(ny, nx)`` array.
 
-    The rows are cut into one contiguous chunk per thread, but into no more
-    chunks than leave ``min_chunk_nodes`` nodes in each (the caller's floor),
-    and ``fn`` gets each chunk's meshgrid.  ``fn`` must be elementwise, so
-    that the result does not depend on the cut.
+    Rows are cut into contiguous chunks: one per thread, of at least
+    ``min_chunk_nodes`` nodes (the caller's floor), or serially of about that
+    many (at most 1.5 times, plus a row) to keep a large grid in cache.  Each
+    chunk's meshgrid goes to ``fn``, which must be elementwise: no cut shows.
     """
     xs, ys = grid.xs(), grid.ys()
     out = np.empty((grid.ny, grid.nx))
     threads = max(1, min(int(threads), grid.nx * grid.ny // min_chunk_nodes))
-    bounds = [round(grid.ny * i / threads) for i in range(threads + 1)]
+    count = threads if threads > 1 else max(1, round(grid.nx * grid.ny / min_chunk_nodes))
+    bounds = [round(grid.ny * i / count) for i in range(count + 1)]
     chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
     def fill(chunk):
@@ -142,8 +143,8 @@ def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.nda
         yv, xv = np.meshgrid(ys[r0:r1], xs, indexing="ij")
         out[r0:r1] = fn(xv, yv)
 
-    if len(chunks) == 1:
-        fill(chunks[0])
+    if threads == 1:
+        list(map(fill, chunks))
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             list(pool.map(fill, chunks))
@@ -240,9 +241,10 @@ def write_csv(f: ScalarField, stream) -> None:
     """Rows are emitted row-major: the y index varies slowest."""
     xt, yt = axis_text(f.grid)
     stream.write("x,y,value\n")
+    # one template per row: "%.17g" is format_float's format; the axis texts hold no "%"
+    row_text = "".join([x + ",\0,%.17g\n" for x in xt])
     for y, row in zip(yt, f.values.tolist()):
-        # the value format is format_float's, inlined
-        stream.write("".join([f"{x},{y},{v:.17g}\n" for x, v in zip(xt, row)]))
+        stream.write(row_text.replace("\0", y) % tuple(row))
 
 
 def write_pgm(f: ScalarField, stream) -> None:

@@ -24,6 +24,24 @@ def test_summary_counts_wins_in_the_better_direction():
     assert (higher["change_wins"], higher["ties"]) == (1, 1)
 
 
+def test_family_summary_shows_which_family_moved():
+    def side(ftle, ile):
+        return {"families": {
+            "ftle_grid": {"wall_s": ftle, "req_p50_ms": 10 * ftle, "req_p90_ms": 20 * ftle},
+            "ile_grid": {"wall_s": ile, "req_p50_ms": 10 * ile, "req_p90_ms": 20 * ile}}}
+
+    pairs = [{"parent": side(4.0 + k / 10, 1.5), "change": side(3.0 + k / 10, 1.5)}
+             for k in range(5)]
+    families = bench_pairs.summarise_families(pairs)
+    assert set(families) == {"ftle_grid", "ile_grid"}
+    for name in bench_pairs.FAMILY_METRICS:
+        ftle, ile = families["ftle_grid"][name], families["ile_grid"][name]
+        assert (ftle["change_wins"], ftle["median_gap_exceeds_parent_iqr"]) == (5, True)
+        assert (ile["change_wins"], ile["ties"], ile["median_change_ratio"]) == (0, 5, 1.0)
+    assert families["ftle_grid"]["wall_s"]["parent"]["median"] == 4.2
+    assert families["ftle_grid"]["wall_s"]["change"]["median"] == 3.2
+
+
 def test_seed_ranges():
     assert bench_pairs._seeds("1-10") == list(range(1, 11))
     assert bench_pairs._seeds("6") == [6]

@@ -431,6 +431,17 @@ def test_bad_ftle_time_exit_code(capsys, tmp_path, argv):
     assert "1e8 steps" in err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_collapsed_ftle_delta_exit_code(capsys, tmp_path, threads):
+    # at x = +-1, 1 +- 1e-17 rounds back to 1: this printed -34538.776394910681 there
+    out_file = tmp_path / "f.csv"
+    code, out, err = run(["ftle", "--field", "saddle", "--grid=-1:1:3,-0.5:0.5:3", "--time", "0.01",
+                          "--delta", "1e-17", "--threads", threads, "--out", str(out_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: delta 1e-17 ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize(
     "extra", [["--tmax", "inf"], ["--tmax", "nan"], ["--tmax", "0"], ["--tmax", "-1"],
               ["--tmax", "1e6", "--step", "1e-9"]]

@@ -1,14 +1,19 @@
 """Parser and polynomial algebra tests."""
 
+import functools
+import math
+import operator
 import random
 import struct
 import time
+from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ilekoop import expr
 from ilekoop.expr import (
     MAX_NESTING,
     MAX_TOTAL_DEGREE,
@@ -154,14 +159,49 @@ def test_full_degree_polynomial_parses(monkeypatch):
         op = getattr(Poly2, name)
         monkeypatch.setattr(Poly2, name,
                             lambda a, b, name=name, op=op: calls.append(name) or op(a, b))
+    muls, mul = [], Poly2.__mul__
+    monkeypatch.setattr(Poly2, "__mul__", lambda a, b: muls.append(1) or mul(a, b))
     p = parse_polynomial(text)
     # one accumulation over all terms: a Poly2 sum per term made lowering O(n^2)
     assert calls == []
+    # c*x^i*y^j takes two products; the powers take none (they took 95,810 in all)
+    assert len(muls) <= 2 * len(terms)
     monkeypatch.undo()
     assert len(p.coefficients()) == 2145
     assert p == Poly2.from_json_terms(terms)
     flat_product = "*".join(["x"] * MAX_TOTAL_DEGREE)
     assert parse_polynomial(flat_product) == Poly2.monomial(MAX_TOTAL_DEGREE, 0)
+
+
+def _fold_outcome(fold, p, n):
+    """Terms of ``fold(p, n)`` with their coefficients' bits, or its error."""
+    try:
+        return [(ij, struct.pack("<d", c)) for ij, c in fold(p, n)._terms.items()]
+    except ValueError as exc:
+        return str(exc)
+
+
+def _generic_power(p, n):
+    return functools.reduce(expr._checked_product, repeat(p, n), Poly2.constant(1.0))
+
+
+_NEAR_CUTOFF = st.sampled_from([1e-12, 1.0000000000000002e-12, 9.999999999999999e-13, 1e-6,
+                                1.0000000000000002e-6, 1e-4, 1e-3, 0.5, 2.0, 1e100, 1e300])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(i=st.integers(0, 64), j=st.integers(0, 64), n=st.integers(0, MAX_TOTAL_DEGREE),
+       c=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                   _NEAR_CUTOFF, _NEAR_CUTOFF.map(operator.neg), st.floats()))
+@example(i=1, j=0, n=64, c=1.0)       # x^64: the cap, reached
+@example(i=1, j=1, n=33, c=1.0)       # degree overflow at step 33
+@example(i=1, j=1, n=40, c=1e-6)      # the product vanishes at step 3, before the cap
+@example(i=40, j=0, n=5, c=1e-6)      # the cap breaks at step 2, before the product vanishes
+@example(i=0, j=0, n=64, c=1e300)     # overflow to inf
+def test_monomial_power_matches_the_generic_fold(i, j, n, c):
+    p = Poly2.__new__(Poly2)
+    p._terms, p._kernel = {(i, j): c}, None  # any coefficient, even one _canon would drop
+    assert _fold_outcome(expr._power, p, n) == _fold_outcome(_generic_power, p, n)
 
 
 def test_parse_no_implicit_multiplication():

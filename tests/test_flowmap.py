@@ -155,6 +155,22 @@ def test_cauchy_green_positive_semidefinite():
             assert lo >= -1e-10
 
 
+@pytest.mark.parametrize("node", [(1.0, 0.0), (0.0, -1.0), (2.0, 0.5)])
+def test_cauchy_green_rejects_a_delta_that_leaves_a_seed_on_its_node(node):
+    # 1 + 1e-17 rounds to 1: the centered difference would be 0 and C = 0
+    f = VectorField2D(parse_polynomial("x"), parse_polynomial("-y"))
+    with pytest.raises(ValueError, match="delta"):
+        cauchy_green(f, node, 0.01, 1e-17, CFG)
+    xs, ys = np.array([0.0, node[0]]), np.array([0.0, node[1]])
+    with pytest.raises(ValueError, match="delta"):
+        cauchy_green(f, (xs, ys), 0.01, 1e-17, CFG)
+    with pytest.raises(ValueError, match="delta"):
+        ftle_field(f, Grid2D(-1.0, 1.0, 3, -0.5, 0.5, 3), 0.01, 1e-17, CFG)
+    # every seed moves off the origin, so there 1e-17 is a valid delta
+    assert cauchy_green(f, (0.0, 0.0), 0.01, 1e-17, CFG).sxx > 0.0
+    assert cauchy_green(f, (xs[:1], ys[:1]), 0.01, 1e-17, CFG).sxx[0] > 0.0
+
+
 def test_ftle_saddle_axis_value():
     val = ftle(VectorField2D.saddle(), (1.0, 0.0), -0.5, 1e-5, CFG)
     assert val == pytest.approx(1.0, abs=1e-6)
@@ -285,7 +301,9 @@ def test_array_and_scalar_stepping_agree_bitwise():
             assert end == (ex[k], ey[k])
 
 
-@pytest.mark.parametrize("side", [21, 101])
+# 55x55 < 3,072 < 56x56 nodes straddle one FTLE block, and 67x67 < 1.5 x 3,072
+# < 68x68 the point where a serial FTLE grid first steps in two blocks.
+@pytest.mark.parametrize("side", [21, 55, 56, 67, 68, 101])
 def test_grid_bytes_do_not_depend_on_threads(side):
     f = make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0))
     grid = Grid2D(0.1, 0.9, side, 0.1, 0.9, side)
@@ -294,6 +312,18 @@ def test_grid_bytes_do_not_depend_on_threads(side):
     rates = [strain.rate_field(f, grid, "s1", threads=n).values.tobytes() for n in (1, 2, 3)]
     assert ftles[0] == ftles[1] == ftles[2]
     assert rates[0] == rates[1] == rates[2]
+    for floor in (flowmap._FTLE_CHUNK_NODES, strain._RATE_CHUNK_NODES):
+        chunks = []
+
+        def record(xv, yv):
+            chunks.append(yv[:, 0].tolist())
+            return xv + yv
+
+        strain._sample_grid(grid, record, 1, floor)
+        # every row exactly once, in order, in serial blocks of about the floor
+        assert [y for rows in chunks for y in rows] == grid.ys().tolist()
+        assert len(chunks) == max(1, round(side * side / floor))
+        assert all(len(rows) * side <= 1.5 * floor + side for rows in chunks)
 
 
 def test_small_grids_run_serially(monkeypatch):
@@ -449,6 +479,28 @@ def test_generated_saddle_step_matches_old_formula(x, y, h, sign):
     assert _outcome(f._rk4(), x, y, h) == _outcome(_old_rk4_step, f.evaluate, x, y, h)
     xs, ys = np.array([x, 0.0]), np.array([y, 0.0])
     assert _outcome(f._rk4(), xs, ys, h) == _outcome(_old_rk4_step, f.evaluate_arrays, xs, ys, h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_COMPONENT, q=_COMPONENT, h=_STEP,
+       pts=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=4))
+@example(p={(1, 0): 1.0, (0, 1): 1.0}, q={(0, 1): 1.0, (1, 1): 2.0}, h=0.25, pts=[(0.5, -0.5)])
+@example(p={(0, 0): 1.0}, q={}, h=1e-3, pts=[(1.0, 1.0), (-0.0, 0.0)])
+def test_generated_step_leaves_its_inputs_alone(p, q, h, pts):
+    """The step accumulates in place into its own arrays only: floats,
+    equal-shape arrays and one float with one array keep their bits, and a
+    mixed call carries the float step's bits at every element."""
+    step = VectorField2D(Poly2(p), Poly2(q))._rk4()
+    xs, ys = (np.array(c) for c in zip(*pts))
+    x0, y0 = pts[0]
+    for x, y in ((x0, y0), (xs, ys), (x0, ys), (xs, y0)):
+        before = [np.array(v).tobytes() for v in (x, y)]
+        xn, yn = step(x, y, h)
+        assert [np.array(v).tobytes() for v in (x, y)] == before
+        for k in range(len(pts)):
+            xk, yk = (float(v[k]) if isinstance(v, np.ndarray) else v for v in (x, y))
+            got = [np.broadcast_to(v, xs.shape)[k] for v in (xn, yn)]
+            assert np.array(got).tobytes() == np.array(step(xk, yk, h)).tobytes()
 
 
 def _failing_stage(x, y, h):

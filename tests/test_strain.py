@@ -235,6 +235,20 @@ def test_csv_format():
     assert lines[3] == "0,1,0.5"
 
 
+def test_csv_values_match_the_per_node_fstring():
+    grid = Grid2D(-1.0, 1.0, 3, 0.0, 0.1, 2)
+    values = np.array([[-0.0, 5e-324, 1e-5], [1.0 / 3.0, -2.5e-308, 1e16]])
+    buf = io.StringIO()
+    write_csv(ScalarField(grid, values), buf)
+    xt, yt = strain.axis_text(grid)
+    old = "x,y,value\n" + "".join(f"{x},{y},{v:.17g}\n" for y, row in zip(yt, values.tolist())
+                                  for x, v in zip(xt, row))
+    assert buf.getvalue() == old
+    assert [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()[1:]] == [
+        "-0", "4.9406564584124654e-324", "1.0000000000000001e-05",
+        "0.33333333333333331", "-2.4999999999999998e-308", "10000000000000000"]
+
+
 def test_pgm_format():
     grid = Grid2D(0.0, 1.0, 2, 0.0, 1.0, 2)
     sf = ScalarField(grid, np.array([[0.0, 0.25], [0.5, 1.0]]))

@@ -17,7 +17,9 @@ The output holds each side's ``src/`` Python line count and, per workload,
 every pair's end-to-end metrics, pass count, output digest and family
 figures; per metric the median and inclusive quartiles of each side, the
 pairs the change wins, and whether the gap between the medians exceeds the
-parent's interquartile range.  Nothing in either tree is changed except
+parent's interquartile range; the same summary of each request family's
+``wall_s``, ``req_p50_ms`` and ``req_p90_ms``, which shows the family that
+carried a change; and the count of pairs whose output digests are equal.  Nothing in either tree is changed except
 ``bench/results/``, which the bench itself writes.  The file is rewritten
 after every pair, so a run cut short keeps the pairs it finished.
 """
@@ -48,12 +50,16 @@ def src_lines(tree: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in (tree / "src").rglob("*.py"))
 
 
+# Per-family figures, each better when lower.
+FAMILY_METRICS = ("wall_s", "req_p50_ms", "req_p90_ms")
+
+
 def side_figures(record: dict) -> dict:
     """End-to-end metrics plus pass count, digest, verdict and family figures."""
     out = {name: m["value"] for name, m in record["result"]["metrics"].items()}
     out.update(passes=record["passes"], output_sha256=record["output_sha256"],
                correct=record["result"]["correct"])
-    out["families"] = {fam: {k: figures[k] for k in ("wall_s", "req_p50_ms", "req_p90_ms")}
+    out["families"] = {fam: {k: figures[k] for k in FAMILY_METRICS}
                        for fam, figures in record["families"].items()}
     return out
 
@@ -81,6 +87,13 @@ def summarise(pairs: list[dict], better: dict) -> dict:
             "median_gap_exceeds_parent_iqr": abs(cs["median"] - ps["median"]) > ps["iqr"],
         }
     return summary
+
+
+def summarise_families(pairs: list[dict]) -> dict:
+    """:func:`summarise` of each request family's ``FAMILY_METRICS``."""
+    return {fam: summarise([{side: p[side]["families"][fam] for side in ("parent", "change")}
+                            for p in pairs], dict.fromkeys(FAMILY_METRICS, "lower"))
+            for fam in pairs[0]["parent"]["families"]}
 
 
 def _seeds(text: str) -> list[int]:
@@ -134,7 +147,9 @@ def main(argv=None) -> int:
             pairs.append(pair)
             out["workloads"][workload] = {"pairs": pairs}
             save(args.out, out)
-        out["workloads"][workload]["summary"] = summarise(pairs, better)
+        out["workloads"][workload].update(
+            summary=summarise(pairs, better), family_summary=summarise_families(pairs),
+            same_output_sha256_pairs=sum(p["same_output_sha256"] for p in pairs))
         for side in ("parent", "change"):
             record = run_bench(trees[side], workload, 1, seconds, 1)
             out["traced_seed1"].setdefault(workload, {})[side] = {
