@@ -164,7 +164,7 @@ def test_full_degree_polynomial_parses(monkeypatch):
     p = parse_polynomial(text)
     # one accumulation over all terms: a Poly2 sum per term made lowering O(n^2)
     assert calls == []
-    # c*x^i*y^j takes two products; the powers take none (they took 95,810 in all)
+    # c*x^i*y^j takes two products and its powers none (the text took 95,810 in all)
     assert len(muls) <= 2 * len(terms)
     monkeypatch.undo()
     assert len(p.coefficients()) == 2145

@@ -302,7 +302,7 @@ def test_array_and_scalar_stepping_agree_bitwise():
 
 
 # 55x55 < 3,072 < 56x56 nodes straddle one FTLE block, and 67x67 < 1.5 x 3,072
-# < 68x68 the point where a serial FTLE grid first steps in two blocks.
+# < 68x68 straddle the size where a serial FTLE grid first takes two blocks.
 @pytest.mark.parametrize("side", [21, 55, 56, 67, 68, 101])
 def test_grid_bytes_do_not_depend_on_threads(side):
     f = make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0))
