@@ -294,7 +294,7 @@ def _eval_lines(shapes, outs, xv: str, yv: str, inplace: bool = False) -> list[s
     0.0 + c*x^i*y^j in sorted term order with factors of exactly 1.0 left
     out (which changes no bit), 64 terms per statement at most so that the
     compiler's nesting stays shallow.  ``inplace`` runs the same operations as
-    ``out = 0.0``, then ``t = c * x2; t *= y; out += t`` per term."""
+    ``out = 0.0``, then ``out += c * x2 * y`` per term."""
     lines = [f"{v}{k} = {v}{k - 1 if k > 2 else ''} * {v}" for d, v in enumerate((xv, yv))
              for k in range(2, max((t[d] for s in shapes for t in s), default=0) + 1)]
     for m, (out, shape) in enumerate(zip(outs, shapes)):
@@ -302,10 +302,7 @@ def _eval_lines(shapes, outs, xv: str, yv: str, inplace: bool = False) -> list[s
             f"{v}{e if e > 1 else ''}" for v, e in ((xv, i), (yv, j)) if e] or ["1.0"]
             for n, (i, j, unit) in enumerate(shape)]
         if inplace:
-            lines.append(f"{out} = 0.0")
-            for f0, *rest in terms:
-                lines += ([f"t = {f0} * {rest[0]}", *(f"t *= {f}" for f in rest[1:]),
-                           f"{out} += t"] if rest else [f"{out} += {f0}"])
+            lines += [f"{out} = 0.0"] + [f"{out} += {' * '.join(fs)}" for fs in terms]
             continue
         parts = ["0.0"] + [" * ".join(fs) for fs in terms]
         lines += [f"{out} = {out + ' + ' if k else ''}{' + '.join(parts[k:k + 64])}"

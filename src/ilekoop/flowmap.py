@@ -29,9 +29,12 @@ from .vectorfield import VectorField2D, _check_domain
 
 MAX_STEP_COUNT = 1e8
 
-# Fewest grid nodes per thread chunk of ftle_field (see strain._sample_grid):
-# on 2 vCPUs threads 2 broke even with threads 1 at 71x71 nodes and won 24%
-# at 81x81.
+# ftle_field's constant for strain._sample_grid: the fewest nodes per thread
+# and the size of a serial block (n threads take blocks n times as large).
+# Cubic family, 2 vCPUs: serial blocks ran 201x201 in 0.47 of one array's
+# time (101x101: 0.99); threads 2 is even with threads 1 from 71x71 to 91x91
+# and took 0.71-0.83 of its time at 101x101-201x201 in 6,144-node blocks,
+# against 1.2-1.4 in 3,072-node blocks and 1.2 in halves at 201x201.
 _FTLE_CHUNK_NODES = 3072
 
 # Guard for log of the largest Cauchy-Green eigenvalue near t = 0.

@@ -115,26 +115,31 @@ def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
     return strain_tensor(f, x, y).eigenvalues()
 
 
-# Fewest grid nodes per thread chunk of rate_field: below this, starting
-# threads and handing the GIL between them cost more than the second core
-# gains.  Best of 20 on 2 vCPUs, threads 2 over threads 1 took 2.0-2.7x the
-# time at 81x81 nodes and 0.9-1.9x at 121x121 when split, 0.6-0.9x at
-# 161x161.  FTLE, ~50x dearer per node, keeps a lower floor.
+# rate_field's constant for _sample_grid: the fewest nodes per thread and the
+# size of a serial block.  Below it, starting threads and handing the GIL
+# between them cost more than the second core gains: best of 20 on 2 vCPUs,
+# threads 2 over threads 1 took 2.0-2.7x the time at 81x81 nodes and
+# 0.9-1.9x at 121x121 when split, 0.6-0.9x at 161x161.  Serial blocks of
+# this size took 0.97, 0.88 and 0.61 of one array's time at 161x161, 201x201
+# and 301x301.  FTLE, ~50x dearer per node, uses a smaller constant.
 _RATE_CHUNK_NODES = 12288
 
 
 def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.ndarray:
     """``fn(xv, yv)`` over every node, as one ``(ny, nx)`` array.
 
-    Rows are cut into contiguous chunks: one per thread, of at least
-    ``min_chunk_nodes`` nodes (the caller's floor), or serially of about that
-    many (at most 1.5 times, plus a row) to keep a large grid in cache.  Each
-    chunk's meshgrid goes to ``fn``, which must be elementwise: no cut shows.
+    ``min_chunk_nodes`` (the caller's constant) is the fewest nodes per
+    thread: smaller grids use fewer threads.  Rows are then cut into a
+    multiple of the thread count of contiguous chunks, of about ``threads *
+    min_chunk_nodes`` nodes each (at most 1.5 times, plus a row), so that a
+    serial chunk stays in cache and each of n threads holds the interpreter
+    lock for a short part of its chunk.  Each chunk's meshgrid goes to
+    ``fn``, which must be elementwise: no cut shows.
     """
     xs, ys = grid.xs(), grid.ys()
     out = np.empty((grid.ny, grid.nx))
     threads = max(1, min(int(threads), grid.nx * grid.ny // min_chunk_nodes))
-    count = threads if threads > 1 else max(1, round(grid.nx * grid.ny / min_chunk_nodes))
+    count = threads * max(1, round(grid.nx * grid.ny / (threads * threads * min_chunk_nodes)))
     bounds = [round(grid.ny * i / count) for i in range(count + 1)]
     chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
@@ -146,7 +151,7 @@ def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.nda
     if threads == 1:
         list(map(fill, chunks))
     else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, chunks))
     return out
 

@@ -1,5 +1,6 @@
 """Integrator, Cauchy-Green tensors, and FTLE tests against analytic oracles."""
 
+import itertools
 import math
 import random
 
@@ -302,8 +303,9 @@ def test_array_and_scalar_stepping_agree_bitwise():
 
 
 # 55x55 < 3,072 < 56x56 nodes straddle one FTLE block, and 67x67 < 1.5 x 3,072
-# < 68x68 straddle the size where a serial FTLE grid first takes two blocks.
-@pytest.mark.parametrize("side", [21, 55, 56, 67, 68, 101])
+# < 68x68 straddle the size where a serial FTLE grid first takes two blocks;
+# at 161x161 two threads share four FTLE blocks.
+@pytest.mark.parametrize("side", [21, 55, 56, 67, 68, 101, 161])
 def test_grid_bytes_do_not_depend_on_threads(side):
     f = make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0))
     grid = Grid2D(0.1, 0.9, side, 0.1, 0.9, side)
@@ -312,18 +314,22 @@ def test_grid_bytes_do_not_depend_on_threads(side):
     rates = [strain.rate_field(f, grid, "s1", threads=n).values.tobytes() for n in (1, 2, 3)]
     assert ftles[0] == ftles[1] == ftles[2]
     assert rates[0] == rates[1] == rates[2]
-    for floor in (flowmap._FTLE_CHUNK_NODES, strain._RATE_CHUNK_NODES):
+    for floor, threads in itertools.product(
+            (flowmap._FTLE_CHUNK_NODES, strain._RATE_CHUNK_NODES), (1, 2)):
         chunks = []
 
         def record(xv, yv):
             chunks.append(yv[:, 0].tolist())
             return xv + yv
 
-        strain._sample_grid(grid, record, 1, floor)
-        # every row exactly once, in order, in serial blocks of about the floor
-        assert [y for rows in chunks for y in rows] == grid.ys().tolist()
-        assert len(chunks) == max(1, round(side * side / floor))
-        assert all(len(rows) * side <= 1.5 * floor + side for rows in chunks)
+        strain._sample_grid(grid, record, threads, floor)
+        # every row exactly once (in order when serial), in a multiple of the
+        # threads in use of blocks of about that many times the floor
+        used = max(1, min(threads, side * side // floor))
+        assert [y for rows in (chunks if threads == 1 else sorted(chunks)) for y in rows] \
+            == grid.ys().tolist()
+        assert len(chunks) == used * max(1, round(side * side / (used * used * floor)))
+        assert all(len(rows) * side <= 1.5 * used * floor + side for rows in chunks)
 
 
 def test_small_grids_run_serially(monkeypatch):
