@@ -29,12 +29,10 @@ from .vectorfield import VectorField2D, _check_domain
 
 MAX_STEP_COUNT = 1e8
 
-# ftle_field's constant for strain._sample_grid: the fewest nodes per thread
-# and the size of a serial block (n threads take blocks n times as large).
-# Cubic family, 2 vCPUs: serial blocks ran 201x201 in 0.47 of one array's
-# time (101x101: 0.99); threads 2 is even with threads 1 from 71x71 to 91x91
-# and took 0.71-0.83 of its time at 101x101-201x201 in 6,144-node blocks,
-# against 1.2-1.4 in 3,072-node blocks and 1.2 in halves at 201x201.
+# ftle_field's fewest nodes per thread and serial block (strain._sample_grid).
+# Cubic, 2 vCPUs: serial blocks ran 201x201 in 0.47 of one array's time;
+# threads 2 over 1 is about even to 101x101, then 0.70-0.83 in its 6,144-node
+# blocks (3,072-node blocks: 1.2-1.4; halves: 1.2 at 201x201).
 _FTLE_CHUNK_NODES = 3072
 
 # Guard for log of the largest Cauchy-Green eigenvalue near t = 0.

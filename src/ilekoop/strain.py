@@ -115,25 +115,21 @@ def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
     return strain_tensor(f, x, y).eigenvalues()
 
 
-# rate_field's constant for _sample_grid: the fewest nodes per thread and the
-# size of a serial block.  Below it, starting threads and handing the GIL
-# between them cost more than the second core gains: best of 20 on 2 vCPUs,
-# threads 2 over threads 1 took 2.0-2.7x the time at 81x81 nodes and
-# 0.9-1.9x at 121x121 when split, 0.6-0.9x at 161x161.  Serial blocks of
-# this size took 0.97, 0.88 and 0.61 of one array's time at 161x161, 201x201
-# and 301x301.  FTLE, ~50x dearer per node, uses a smaller constant.
+# rate_field's fewest nodes per thread and serial block (see _sample_grid).
+# On 2 vCPUs threads 2 over threads 1 took 2.0-2.7x the time at 81x81 nodes
+# and 0.9-1.9x at 121x121 when split, 0.6-0.9x at 161x161; serial blocks took
+# 0.97, 0.88 and 0.61 of one array's time at 161x161, 201x201 and 301x301.
+# FTLE, ~50x dearer per node, uses a smaller constant.
 _RATE_CHUNK_NODES = 12288
 
 
 def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.ndarray:
     """``fn(xv, yv)`` over every node, as one ``(ny, nx)`` array.
 
-    ``min_chunk_nodes`` (the caller's constant) is the fewest nodes per
-    thread: smaller grids use fewer threads.  Rows are then cut into a
-    multiple of the thread count of contiguous chunks, of about ``threads *
-    min_chunk_nodes`` nodes each (at most 1.5 times, plus a row), so that a
-    serial chunk stays in cache and each of n threads holds the interpreter
-    lock for a short part of its chunk.  Each chunk's meshgrid goes to
+    Each thread gets at least ``min_chunk_nodes`` nodes.  The rows of n
+    threads are cut into a multiple of n chunks of about n times that (at
+    most 1.5 times, plus a row): a serial chunk stays in cache, and threads
+    hold the GIL for a short part of theirs.  Each chunk's meshgrid goes to
     ``fn``, which must be elementwise: no cut shows.
     """
     xs, ys = grid.xs(), grid.ys()
