@@ -164,15 +164,8 @@ def _sample_box(n: int, box: tuple[float, float, float, float]) -> list:
     """Deterministic near-square lattice of n points inside the box."""
     xmin, xmax, ymin, ymax = box
     side = max(2, int(math.ceil(math.sqrt(n))))
-    pts = []
-    for iy in range(side):
-        for ix in range(side):
-            if len(pts) >= n:
-                return pts
-            fx = (ix + 0.5) / side
-            fy = (iy + 0.5) / side
-            pts.append((xmin + fx * (xmax - xmin), ymin + fy * (ymax - ymin)))
-    return pts
+    return [(xmin + (ix + 0.5) / side * (xmax - xmin), ymin + (iy + 0.5) / side * (ymax - ymin))
+            for iy in range(side) for ix in range(side)][:n]
 
 
 def _write_field_outputs(sf, out_path: str, pgm_path: str | None) -> None:

@@ -29,8 +29,6 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
-import numpy as np
-
 # Coefficients below this magnitude are treated as exact zeros.
 CANONICAL_ZERO = 1e-12
 
@@ -494,9 +492,11 @@ class Poly2:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "Poly2":
+        """``p ** n`` as lowering expands it (:func:`_power`): past total
+        degree ``MAX_TOTAL_DEGREE`` it raises ValueError."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        return functools.reduce(operator.mul, repeat(self, n), Poly2.constant(1.0))
+        return _power(self, n)
 
     def diff(self, var: str) -> "Poly2":
         """Exact partial derivative with respect to ``"x"`` or ``"y"``."""
@@ -510,7 +510,8 @@ class Poly2:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x, y=0.0):
-        """Value at ``(x, y)``: floats give a float, float arrays an array.
+        """Value at ``(x, y)``: floats give a float, float arrays an array
+        (a float if the polynomial is free of both, which broadcasts).
 
         Both run the same generated kernel (see :func:`_kernel_factory`),
         built on first use, so per-element results are bit-identical."""
@@ -520,12 +521,9 @@ class Poly2:
             kernel = self._kernel = _kernel_factory((_shape(terms),))(*(c for _, c in terms))
         return kernel(x, y)
 
-    def eval_array(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate` over arrays, filled out to their broadcast shape
-        (a polynomial free of x or y gives a smaller result)."""
-        out = self.evaluate(xs, ys)
-        shape = np.broadcast(xs, ys).shape
-        return out if np.shape(out) == shape else np.full(shape, out)
+    # Kept only for bench/layers.py, which patches this name; ROADMAP item 5
+    # deletes it with that patch.
+    eval_array = evaluate
 
     # -- substitution ---------------------------------------------------------
 

@@ -35,9 +35,6 @@ MAX_STEP_COUNT = 1e8
 # blocks (3,072-node blocks: 1.2-1.4; halves: 1.2 at 201x201).
 _FTLE_CHUNK_NODES = 3072
 
-# Guard for log of the largest Cauchy-Green eigenvalue near t = 0.
-_LOG_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -152,11 +149,13 @@ def ftle(
     """Finite-time Lyapunov exponent log(max C eigenvalue) / (2|t|): a float
     for a pair of floats, elementwise for a pair of arrays.  ``np.log`` is
     elementwise and position-independent, so a point's FTLE equals its grid
-    node bit for bit."""
+    node bit for bit.  C = F^T F is positive semidefinite, so its largest
+    eigenvalue is 0 only where the flow-map gradient F underflowed to zero;
+    the FTLE there is -inf (and ``ftle_field`` raises NumericalError)."""
     if t == 0.0:
         raise ValueError("FTLE needs a nonzero integration time")
     lam2 = cauchy_green(f, x0, t, delta, cfg).eigenvalues()[1]
-    sigma = np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
+    sigma = np.log(lam2) / (2.0 * abs(t))
     return sigma if isinstance(sigma, np.ndarray) else float(sigma)
 
 

@@ -104,7 +104,8 @@ def _finite_field(grid: Grid2D, values: np.ndarray, what: str) -> ScalarField:
 
 
 def strain_tensor(f: VectorField2D, x: float, y: float) -> SymTensor2:
-    """Symmetric part of the velocity gradient at a point."""
+    """Symmetric part of the velocity gradient at a point, or elementwise
+    over equal-shape arrays (a constant entry comes back as a float)."""
     a11, a12, a21, a22 = f.jacobian(x, y)
     return SymTensor2(a11, 0.5 * (a12 + a21), a22)
 
@@ -130,7 +131,8 @@ def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.nda
     threads are cut into a multiple of n chunks of about n times that (at
     most 1.5 times, plus a row): a serial chunk stays in cache, and threads
     hold the GIL for a short part of theirs.  Each chunk's meshgrid goes to
-    ``fn``, which must be elementwise: no cut shows.
+    ``fn``, which must be elementwise: no cut shows.  A float result (an
+    affine field's constant rate) fills its chunk.
     """
     xs, ys = grid.xs(), grid.ys()
     out = np.empty((grid.ny, grid.nx))
@@ -153,7 +155,8 @@ def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.nda
 
 
 def rate_field(f: VectorField2D, grid: Grid2D, which: str = "s1", threads: int = 1) -> ScalarField:
-    """Sample s1 or s2 on the grid.
+    """Sample s1 or s2 on the grid: ``strain_rates`` at every node, one
+    array call per row chunk, so a point's rate equals its node bit for bit.
 
     Per-node computation is pure, so the output is identical for any thread
     count (chunks only slice the row range; every elementwise operation is
@@ -162,13 +165,9 @@ def rate_field(f: VectorField2D, grid: Grid2D, which: str = "s1", threads: int =
     if which not in ("s1", "s2"):
         raise ValueError("which must be 's1' or 's2'")
     k = 0 if which == "s1" else 1
-
-    def rate(xv, yv):
-        a11, a12, a21, a22 = f.jacobian_arrays(xv, yv)
-        return SymTensor2(a11, 0.5 * (a12 + a21), a22).eigenvalues()[k]
-
-    return _finite_field(grid, _sample_grid(grid, rate, threads, _RATE_CHUNK_NODES),
-                         f"{which} rate")
+    vals = _sample_grid(grid, lambda xv, yv: strain_rates(f, xv, yv)[k], threads,
+                        _RATE_CHUNK_NODES)
+    return _finite_field(grid, vals, f"{which} rate")
 
 
 def default_grad_tol(f: ScalarField) -> float:

@@ -48,20 +48,14 @@ class VectorField2D:
         return (self.p.evaluate(x, y), self.q.evaluate(x, y))
 
     def jacobian(self, x, y) -> tuple:
-        """(dP/dx, dP/dy, dQ/dx, dQ/dy) at ``(x, y)``."""
+        """(dP/dx, dP/dy, dQ/dx, dQ/dy) at ``(x, y)``; a constant one is a float."""
         if self.is_saddle:
             _check_domain(y)
         return tuple(d.evaluate(x, y) for d in self._jac)
 
-    def evaluate_arrays(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.is_saddle:
-            _check_domain(ys)
-        return (self.p.eval_array(xs, ys), self.q.eval_array(xs, ys))
-
-    def jacobian_arrays(self, xs, ys) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self.is_saddle:
-            _check_domain(ys)
-        return tuple(d.eval_array(xs, ys) for d in self._jac)
+    # Kept only for bench/layers.py, which patches these names; ROADMAP item 5
+    # deletes them with those patches.
+    evaluate_arrays, jacobian_arrays = evaluate, jacobian
 
     def _rk4(self):
         """The field's generated RK4 step ``step(x, y, h) -> (x, y)`` for

@@ -71,6 +71,42 @@ def test_keig_check_on_family_output(capsys, tmp_path):
     assert report["max_abs_residual"] < 1e-9
 
 
+@pytest.mark.parametrize("samples, max_abs, rms", [
+    (1, "0.22744375", "0.22744375"),
+    (5, "0.33388240740740743", "0.18800254666439406"),
+    (7, "0.33388240740740743", "0.18397377985833344"),
+])
+def test_keig_check_non_square_sample_counts(capsys, samples, max_abs, rms):
+    # 1, 5 and 7 points stop partway through a 2x2 and two 3x3 lattices
+    code, out, _ = run(["keig-check", "--field", "expr:x*y - y^3;x^2 + 0.3*y", "--g", "x^2 + y",
+                        "--lambda", "1.5", "--samples", str(samples), "--box=-0.5:0.7,-0.4:0.3"],
+                       capsys)
+    assert code == 0
+    assert out == (f'{{"lambda": 1.5, "max_abs_residual": {max_abs}, "rms_residual": {rms}, '
+                   f'"samples": {samples}}}\n')
+
+
+def _old_sample_box(n, box):
+    """``cli._sample_box`` as written before it was one comprehension."""
+    xmin, xmax, ymin, ymax = box
+    side = max(2, int(math.ceil(math.sqrt(n))))
+    pts = []
+    for iy in range(side):
+        for ix in range(side):
+            if len(pts) >= n:
+                return pts
+            fx = (ix + 0.5) / side
+            fy = (iy + 0.5) / side
+            pts.append((xmin + fx * (xmax - xmin), ymin + fy * (ymax - ymin)))
+    return pts
+
+
+def test_sample_box_equals_the_old_loop():
+    for box in ((-0.5, 0.7, -0.4, 0.3), (-1.0, 1.0, -1.0, 1.0), (0.1, 0.9, 1e-3, 3e5)):
+        for n in range(1, 50):
+            assert cli._sample_box(n, box) == _old_sample_box(n, box)
+
+
 def test_keig_check_exact_mode(capsys):
     code, out, _ = run(
         ["keig-check", "--field", "expr:-y + (x+y)^2;x + 2*y - (x+y)^2",
@@ -439,6 +475,16 @@ def test_collapsed_ftle_delta_exit_code(capsys, tmp_path, threads):
                           "--delta", "1e-17", "--threads", threads, "--out", str(out_file)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: delta 1e-17 ") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_underflowing_ftle_exit_code(capsys, tmp_path):
+    # the flow-map gradient underflows to 0: a clamp on log 0 printed
+    # -345.38776394910684 at every node
+    out_file = tmp_path / "f.csv"
+    code, out, err = run(["ftle", "--field", "expr:-1000*x;-1000*y", "--time", "1", "--step", "1e-3",
+                          "--delta", "1e-5", "--grid=-1:1:3,-1:1:3", "--out", str(out_file)], capsys)
+    assert (code, out, err) == (2, "", "error: FTLE is not finite at some grid node\n")
     assert not out_file.exists()
 
 

