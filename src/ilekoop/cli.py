@@ -355,7 +355,8 @@ def _parser() -> _Parser:
     _add_field(p)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--step", type=_finite, default=1e-3)
-    p.add_argument("--delta", type=_finite, default=1e-5)
+    p.add_argument("--delta", type=_finite, default=1e-5,
+                   help="no effect: accepted for old command lines, removed soon")
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm")

@@ -16,8 +16,8 @@ coefficients in order and then drops those below ``CANONICAL_ZERO`` once, at
 the end, which makes exact algebraic cancellations test as exactly zero; a
 flat sum of n terms is one operation.  Numeric evaluation runs
 generated straight-line code (:func:`_kernel_factory`): one kernel per term
-structure for ``Poly2.evaluate``, and one RK4 step and one pullback march per
-field.
+structure for ``Poly2.evaluate``, and one RK4 step, its tangent step and one
+pullback march per field.
 """
 
 from __future__ import annotations
@@ -315,18 +315,30 @@ def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
     k2 = F(x + hh*k1), k3 = F(x + hh*k2), k4 = F(x + h*k3), then
     x + h6*(k1 + 2*k2 + 2*k3 + k4).  ``guard``, if given, is a line with a
     ``{y}`` slot that runs on each stage's y before F is evaluated there.
-    ``inplace`` also accumulates the stage points and the result in place."""
+    ``inplace`` also accumulates the stage points and the result in place.
+    Four more shapes, those of J = (P_x, P_y, Q_x, Q_y), also step the
+    flow-map gradient rows ``f0, f1`` into ``f0n, f1n`` (in place): stage k
+    takes G_k = J(stage k)*(F + c*h*G_(k-1)), with no product for a zero
+    entry of J, and the result is F + h6*(G1 + 2*G2 + 2*G3 + G4)."""
+    pairs = (("x", "u"), ("y", "v"), ("f0", "g0_"), ("f1", "g1_"))[:2 + 2 * (len(shapes) > 2)]
+    jac = ["px", "py", "qx", "qy"][:len(shapes) - 2]
     lines = []
     for k, scale in enumerate((None, "hh", "hh", "h"), 1):
         if scale:
-            for z, u in (("x", "u"), ("y", "v")):
+            for z, u in pairs:
                 lines += ([f"{z}s = {scale} * {u}{k - 1}", f"{z}s += {z}"] if inplace
                           else [f"{z}s = {z} + {scale} * {u}{k - 1}"])
         xv, yv = ("xs", "ys") if scale else ("x", "y")
         lines += [guard.format(y=yv)] if guard else []
-        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"], xv, yv, inplace)
+        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"] + [f"{d}{k}" for d in jac], xv, yv, inplace)
+        rows = [z + "s" * bool(scale) for z, _ in pairs[2:]]
+        for r, (_, g) in enumerate(pairs[2:]):
+            prods = [f"{d}{k} * {z}" for d, z, shape in zip(jac[2 * r:], rows, shapes[2 + 2 * r:])
+                     if shape]
+            lines += [f"{g}{k} = {prods[0] if prods else '0.0'}"] + [
+                f"{g}{k} += {prod}" for prod in prods[1:]]
     if inplace:
-        return lines + [line for z, u in (("x", "u"), ("y", "v")) for line in (
+        return lines + [line for z, u in pairs for line in (
             f"{z}n = 2.0 * {u}2", f"{z}n += {u}1", f"{u}3 *= 2.0", f"{z}n += {u}3",
             f"{z}n += {u}4", f"{z}n *= h6", f"{z}n += {z}")]
     return lines + ["xn = x + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)",
@@ -348,6 +360,9 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
       adds a last factory argument ``check``; ``check(y)`` runs on each
       stage's y.  Every operation is elementwise, so floats and float
       arrays run the same source and agree bit for bit.
+    - ``"tangent"``: (P, Q, P_x, P_y, Q_x, Q_y) give ``"step"`` with its
+      derivative, ``tangent(x, y, f0, f1, h) -> (x, y, f0, f1)``, the
+      gradient rows f0 = (F11, F12), f1 = (F21, F22) of shape (2, ...).
     - ``"march"``: the same steps in a loop over floats,
       ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
       returns None if its state is not finite (x - x == 0.0 fails only for
@@ -356,19 +371,21 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
       (ux, uy).  The first step with d == 0.0 or d*d_prev < 0.0 returns
       ``(k, x, y, xn, yn, d_prev, d)``; no such step gives None.
       ``guarded`` adds a last factory argument ``bound``: a stage whose y
-      fails abs(y) < bound returns None.
+      fails -bound < y < bound returns None.
     """
     args = [f"c{m}_{n}" for m, shape in enumerate(shapes) for n in range(len(shape))]
     if mode == "kernel":
         head, body = "kernel(x, y)", _eval_lines(shapes, ["s"], "x", "y") + ["return s"]
-    elif mode == "step":
-        head, body = "step(x, y, h)", ["hh = 0.5 * h", "h6 = h / 6.0"]
+    elif mode in ("step", "tangent"):
+        head, out = (("step(x, y, h)", "xn, yn") if mode == "step"
+                     else ("tangent(x, y, f0, f1, h)", "xn, yn, f0n, f1n"))
         args += ["check"] * guarded
-        body += _rk4_lines(shapes, "check({y})" if guarded else None, True) + ["return xn, yn"]
+        body = (["hh = 0.5 * h", "h6 = h / 6.0"]
+                + _rk4_lines(shapes, "check({y})" if guarded else None, True) + [f"return {out}"])
     else:
         head = "march(x, y, h, n, d_prev, ux, uy, bx, by)"
         args += ["bound"] * guarded
-        loop = _rk4_lines(shapes, "if not abs({y}) < bound: return None" if guarded else None)
+        loop = _rk4_lines(shapes, "if not -bound < {y} < bound: return None" if guarded else None)
         loop += ["if not (xn - xn == 0.0 and yn - yn == 0.0): return None",
                  "d = -uy * (xn - bx) + ux * (yn - by)",
                  "if d == 0.0 or d * d_prev < 0.0: return k, x, y, xn, yn, d_prev, d",
@@ -382,11 +399,12 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
     return namespace["factory"]
 
 
-def _field_rk4(p: "Poly2", q: "Poly2", mode: str, guard=None):
-    """The generated ``"step"`` or ``"march"`` (see :func:`_kernel_factory`)
-    of the field (p, q); ``guard``, if given, is the factory's guard
-    argument (``check`` or ``bound``)."""
-    terms = (p.items_sorted(), q.items_sorted())
+def _field_rk4(polys: tuple, mode: str, guard=None):
+    """The generated ``"step"``, ``"tangent"`` or ``"march"`` (see
+    :func:`_kernel_factory`) of the field whose components are ``polys``;
+    ``guard``, if given, is the factory's guard argument (``check`` or
+    ``bound``)."""
+    terms = tuple(p.items_sorted() for p in polys)
     factory = _kernel_factory(tuple(map(_shape, terms)), mode, guard is not None)
     return factory(*(c for t in terms for _, c in t), *([] if guard is None else [guard]))
 

@@ -2,16 +2,17 @@
 
 Integration is classical fixed-step RK4 (deterministic, bit-reproducible);
 the final partial step is shortened to land exactly on the requested time.
-Every driver (``integrate``, ``flow_endpoint``, ``cauchy_green`` and the
-pullback bisection in :mod:`ilekoop.koopman`) runs the field's one generated
-step ``VectorField2D._rk4()``: P, Q and all four stages as straight-line
-code that accumulates in place, the same source for floats and arrays of
-one shape.  The pullback's fixed-step march runs the same stages, chained,
-in one generated loop (``VectorField2D._rk4_march()``).
-Flow-map gradients come from centered differences of four auxiliary
-trajectories.  ``cauchy_green`` and ``ftle`` take a point or equal-shape
-arrays of points, and ``ftle_field`` is ``ftle`` at every grid node, so a
-point's FTLE equals its node bit for bit.  For the built-in saddle the
+Every driver (``integrate``, ``flow_endpoint`` and the pullback bisection
+in :mod:`ilekoop.koopman`) runs the field's one generated step
+``VectorField2D._rk4()``: P, Q and all four stages as straight-line code
+that accumulates in place, the same source for floats and arrays of one
+shape.  The pullback's fixed-step march runs the same stages, chained, in
+one generated loop (``VectorField2D._rk4_march()``), and ``cauchy_green``
+runs them with their exact derivative (``VectorField2D._rk4_tangent()``),
+which carries the flow-map gradient beside each trajectory.
+``cauchy_green`` and ``ftle`` take a point or equal-shape arrays of points,
+and ``ftle_field`` is ``ftle`` at every grid node, so a point's FTLE equals
+its node bit for bit.  For the built-in saddle the
 analytic Cauchy-Green tensor and FTLE are provided as oracles.
 """
 
@@ -29,11 +30,15 @@ from .vectorfield import VectorField2D, _check_domain
 
 MAX_STEP_COUNT = 1e8
 
+# _advance tests its state for non-finite values every this many steps, so an
+# orbit that blows up stops within this many steps instead of running its plan.
+_FINITE_CHECK_STEPS = 64
+
 # ftle_field's fewest nodes per thread and serial block (strain._sample_grid).
 # Cubic, 2 vCPUs: serial blocks ran 201x201 in 0.47 of one array's time;
 # threads 2 over 1 is about even to 101x101, then 0.70-0.83 in its 6,144-node
 # blocks (3,072-node blocks: 1.2-1.4; halves: 1.2 at 201x201).
-_FTLE_CHUNK_NODES = 3072
+_FTLE_CHUNK_NODES = 12288
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,21 @@ def _steps(t: float, step: float):
     return itertools.chain(((i * h, h) for i in range(1, n + 1)), last)
 
 
-def _advance(rk4, x, y, t: float, step: float):
-    """Time-t endpoint of floats or arrays ``x, y`` under a field's RK4 step
-    ``rk4`` (``VectorField2D._rk4()``), keeping no history."""
-    for _, h in _steps(t, step):
-        x, y = rk4(x, y, h)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+def _advance(rk4, t: float, step: float, *state) -> tuple:
+    """Time-t ``state`` (floats or arrays) under a generated step
+    ``rk4(*state, h)`` (``VectorField2D._rk4()`` or ``_rk4_tangent()``),
+    keeping no history; one that is not finite raises NumericalError."""
+    for k, (_, h) in enumerate(_steps(t, step), 1):
+        state = rk4(*state, h)
+        if k % _FINITE_CHECK_STEPS == 0:
+            _check_finite(state)
+    _check_finite(state)
+    return state
+
+
+def _check_finite(state: tuple) -> None:
+    if not all(np.isfinite(v).all() for v in state):
         raise NumericalError("trajectory became non-finite")
-    return x, y
 
 
 def integrate(
@@ -109,43 +121,22 @@ def flow_endpoint(
     f: VectorField2D, x0: tuple[float, float], t: float, cfg: IntegratorConfig
 ) -> tuple[float, float]:
     """Endpoint of the time-t flow; same stepping as integrate, no storage."""
-    return _advance(f._rk4(), float(x0[0]), float(x0[1]), t, cfg.step)
+    return _advance(f._rk4(), t, cfg.step, float(x0[0]), float(x0[1]))
 
 
-def cauchy_green(
-    f: VectorField2D, x0: tuple, t: float, delta: float, cfg: IntegratorConfig
-) -> SymTensor2:
-    """Right Cauchy-Green tensor from centered differences of the flow map.
-
-    ``x0`` is a pair of floats (float entries; each offset trajectory runs
-    through ``flow_endpoint``) or of equal-shape arrays (elementwise entries;
-    the four offset families advance as one concatenated array).  The
-    endpoints of the +x, -x, +y and -y offset trajectories give the gradient.
-    A ``delta`` that leaves any offset seed on its node raises ValueError.
-    """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+def cauchy_green(f: VectorField2D, x0: tuple, t: float, cfg: IntegratorConfig) -> SymTensor2:
+    """Right Cauchy-Green tensor C = F^T F, where F, from the identity
+    through the field's tangent step, is the exact gradient of the discrete
+    RK4 flow map.  ``x0`` is a pair of floats (float entries) or of
+    equal-shape arrays (elementwise entries)."""
     x, y = x0
-    if np.any((x + delta == x) | (x - delta == x) | (y + delta == y) | (y - delta == y)):
-        raise ValueError(f"delta {delta!r} is too small: an offset seed rounds to its node")
-    if isinstance(x, np.ndarray):
-        xs = np.concatenate([x + delta, x - delta, x, x])
-        ys = np.concatenate([y, y, y + delta, y - delta])
-        ex, ey = _advance(f._rk4(), xs, ys, t, cfg.step)
-        xp, xm, yp, ym = zip(np.split(ex, 4), np.split(ey, 4))
-    else:
-        seeds = ((x + delta, y), (x - delta, y), (x, y + delta), (x, y - delta))
-        xp, xm, yp, ym = (flow_endpoint(f, s, t, cfg) for s in seeds)
-    f11 = (xp[0] - xm[0]) / (2.0 * delta)
-    f21 = (xp[1] - xm[1]) / (2.0 * delta)
-    f12 = (yp[0] - ym[0]) / (2.0 * delta)
-    f22 = (yp[1] - ym[1]) / (2.0 * delta)
+    f0, f1 = np.multiply.outer(np.eye(2), np.ones(np.shape(x)))
+    _, _, f0, f1 = _advance(f._rk4_tangent(), t, cfg.step, x, y, f0, f1)
+    (f11, f12), (f21, f22) = (f0, f1) if isinstance(x, np.ndarray) else (f0.tolist(), f1.tolist())
     return SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22)
 
 
-def ftle(
-    f: VectorField2D, x0: tuple, t: float, delta: float, cfg: IntegratorConfig
-) -> float | np.ndarray:
+def ftle(f: VectorField2D, x0: tuple, t: float, cfg: IntegratorConfig) -> float | np.ndarray:
     """Finite-time Lyapunov exponent log(max C eigenvalue) / (2|t|): a float
     for a pair of floats, elementwise for a pair of arrays.  ``np.log`` is
     elementwise and position-independent, so a point's FTLE equals its grid
@@ -154,7 +145,7 @@ def ftle(
     the FTLE there is -inf (and ``ftle_field`` raises NumericalError)."""
     if t == 0.0:
         raise ValueError("FTLE needs a nonzero integration time")
-    lam2 = cauchy_green(f, x0, t, delta, cfg).eigenvalues()[1]
+    lam2 = cauchy_green(f, x0, t, cfg).eigenvalues()[1]
     sigma = np.log(lam2) / (2.0 * abs(t))
     return sigma if isinstance(sigma, np.ndarray) else float(sigma)
 
@@ -168,8 +159,9 @@ def ftle_field(
     threads: int = 1,
 ) -> ScalarField:
     """``ftle`` at every grid node, one array call per row chunk.  ``ftle``
-    is elementwise, so output bytes are identical for every thread count."""
-    vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, delta, cfg), threads,
+    is elementwise, so output bytes are identical for every thread count.
+    ``delta`` is ignored, kept only for callers that still pass it."""
+    vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, cfg), threads,
                         _FTLE_CHUNK_NODES)
     return _finite_field(grid, vals, "FTLE")
 

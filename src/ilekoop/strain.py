@@ -120,7 +120,7 @@ def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
 # On 2 vCPUs threads 2 over threads 1 took 2.0-2.7x the time at 81x81 nodes
 # and 0.9-1.9x at 121x121 when split, 0.6-0.9x at 161x161; serial blocks took
 # 0.97, 0.88 and 0.61 of one array's time at 161x161, 201x201 and 301x301.
-# FTLE, ~50x dearer per node, uses a smaller constant.
+# FTLE, ~50x dearer per node, sets its own (flowmap._FTLE_CHUNK_NODES).
 _RATE_CHUNK_NODES = 12288
 
 

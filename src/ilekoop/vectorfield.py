@@ -25,14 +25,14 @@ class VectorField2D:
     (``is_saddle``) is guarded: its evaluation raises :class:`DomainError`
     outside ``|y| < 1``."""
 
-    __slots__ = ("p", "q", "is_saddle", "_jac", "_step", "_march")
+    __slots__ = ("p", "q", "is_saddle", "_jac", "_step", "_tangent", "_march")
 
     def __init__(self, p: Poly2, q: Poly2):
         self.p = p
         self.q = q
         self.is_saddle = False
         self._jac = (p.diff("x"), p.diff("y"), q.diff("x"), q.diff("y"))
-        self._step = self._march = None
+        self._step = self._tangent = self._march = None
 
     @classmethod
     def saddle(cls) -> "VectorField2D":
@@ -64,8 +64,17 @@ class VectorField2D:
         step = self._step
         if step is None:
             step = self._step = _field_rk4(
-                self.p, self.q, "step", _check_domain if self.is_saddle else None)
+                (self.p, self.q), "step", _check_domain if self.is_saddle else None)
         return step
+
+    def _rk4_tangent(self):
+        """The :meth:`_rk4` step with its exact derivative applied to the
+        flow-map gradient rows, ``tangent(x, y, f0, f1, h) -> (x, y, f0, f1)``
+        (see ``expr._kernel_factory``), built on first use."""
+        if self._tangent is None:
+            self._tangent = _field_rk4((self.p, self.q, *self._jac), "tangent",
+                                       _check_domain if self.is_saddle else None)
+        return self._tangent
 
     def _rk4_march(self):
         """The field's generated fixed-step crossing search
@@ -77,7 +86,7 @@ class VectorField2D:
         march = self._march
         if march is None:
             march = self._march = _field_rk4(
-                self.p, self.q, "march", SADDLE_Y_BOUND if self.is_saddle else None)
+                (self.p, self.q), "march", SADDLE_Y_BOUND if self.is_saddle else None)
         return march
 
 

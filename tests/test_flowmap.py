@@ -114,14 +114,14 @@ def test_rk4_fourth_order_on_saddle():
 
 
 def test_cauchy_green_saddle_axis():
-    c = cauchy_green(VectorField2D.saddle(), (1.0, 0.0), -0.5, 1e-5, CFG)
+    c = cauchy_green(VectorField2D.saddle(), (1.0, 0.0), -0.5, CFG)
     assert c.sxx == pytest.approx(math.exp(-1.0), abs=1e-6)
     assert c.syy == pytest.approx(math.exp(1.0), abs=1e-6)
     assert c.sxy == pytest.approx(0.0, abs=1e-6)
 
 
 def test_cauchy_green_identity_at_zero_time():
-    c = cauchy_green(VectorField2D.saddle(), (0.3, 0.2), 0.0, 1e-5, CFG)
+    c = cauchy_green(VectorField2D.saddle(), (0.3, 0.2), 0.0, CFG)
     assert c.sxx == pytest.approx(1.0, abs=1e-9)
     assert c.syy == pytest.approx(1.0, abs=1e-9)
     assert c.sxy == pytest.approx(0.0, abs=1e-9)
@@ -133,7 +133,7 @@ def test_cauchy_green_matches_saddle_oracle():
     for _ in range(25):
         pt = (rng.uniform(-2, 2), rng.uniform(-0.8, 0.8))
         t = rng.uniform(-0.8, -0.1)
-        got = cauchy_green(f, pt, t, 1e-5, CFG)
+        got = cauchy_green(f, pt, t, CFG)
         want = saddle_cauchy_green(pt, t)
         assert got.sxx == pytest.approx(want.sxx, abs=1e-5)
         assert got.syy == pytest.approx(want.syy, abs=1e-5)
@@ -151,62 +151,46 @@ def test_cauchy_green_positive_semidefinite():
         for _ in range(15):
             pt = (rng.uniform(-1, 1), rng.uniform(-0.7, 0.7))
             t = rng.uniform(-0.5, 0.5) or 0.25
-            c = cauchy_green(f, pt, t, 1e-5, CFG)
+            c = cauchy_green(f, pt, t, CFG)
             lo, _ = c.eigenvalues()
             assert lo >= -1e-10
 
 
-@pytest.mark.parametrize("node", [(1.0, 0.0), (0.0, -1.0), (2.0, 0.5)])
-def test_cauchy_green_rejects_a_delta_that_leaves_a_seed_on_its_node(node):
-    # 1 + 1e-17 rounds to 1: the centered difference would be 0 and C = 0
-    f = VectorField2D(parse_polynomial("x"), parse_polynomial("-y"))
-    with pytest.raises(ValueError, match="delta"):
-        cauchy_green(f, node, 0.01, 1e-17, CFG)
-    xs, ys = np.array([0.0, node[0]]), np.array([0.0, node[1]])
-    with pytest.raises(ValueError, match="delta"):
-        cauchy_green(f, (xs, ys), 0.01, 1e-17, CFG)
-    with pytest.raises(ValueError, match="delta"):
-        ftle_field(f, Grid2D(-1.0, 1.0, 3, -0.5, 0.5, 3), 0.01, 1e-17, CFG)
-    # every seed moves off the origin, so there 1e-17 is a valid delta
-    assert cauchy_green(f, (0.0, 0.0), 0.01, 1e-17, CFG).sxx > 0.0
-    assert cauchy_green(f, (xs[:1], ys[:1]), 0.01, 1e-17, CFG).sxx[0] > 0.0
-
-
 def test_ftle_saddle_axis_value():
-    val = ftle(VectorField2D.saddle(), (1.0, 0.0), -0.5, 1e-5, CFG)
+    val = ftle(VectorField2D.saddle(), (1.0, 0.0), -0.5, CFG)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ftle_small_time_near_rate():
-    val = ftle(VectorField2D.saddle(), (1.0, 0.5), -0.01, 1e-5, CFG)
+    val = ftle(VectorField2D.saddle(), (1.0, 0.5), -0.01, CFG)
     assert val == pytest.approx(0.25, abs=0.05)
 
 
 def test_ftle_linear_field_any_time():
     f = VectorField2D(parse_polynomial("x"), parse_polynomial("-y"))
     for t in (0.7, -0.4, 1.5):
-        assert ftle(f, (0.2, -0.1), t, 1e-5, CFG) == pytest.approx(1.0, abs=1e-8)
+        assert ftle(f, (0.2, -0.1), t, CFG) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_point_paths_return_floats():
     f = VectorField2D.saddle()
-    assert type(ftle(f, (0.3, 0.2), -0.1, 1e-5, CFG)) is float
+    assert type(ftle(f, (0.3, 0.2), -0.1, CFG)) is float
     assert [type(v) for v in strain_rates(f, 0.3, 0.2)] == [float, float]
-    c = cauchy_green(f, (0.3, 0.2), -0.1, 1e-5, CFG)
+    c = cauchy_green(f, (0.3, 0.2), -0.1, CFG)
     assert [type(v) for v in c.eigenvalues()] == [float, float]
     assert [type(v) for v in (c.sxx, c.sxy, c.syy)] == [float, float, float]
     xs = np.array([0.3, 0.4])
-    assert ftle(f, (xs, xs - 0.1), -0.1, 1e-5, CFG).shape == (2,)
+    assert ftle(f, (xs, xs - 0.1), -0.1, CFG).shape == (2,)
 
 
 def test_ftle_of_an_underflowing_gradient_is_minus_inf():
-    # each RK4 step scales the offsets by 0.375, so by t = 1 the flow-map
-    # gradient is 0; a clamp on log 0 made this -345.38776394910684
+    # each RK4 step scales the flow-map gradient by 0.375, so by t = 1 it is
+    # 0; a clamp on log 0 made this -345.38776394910684
     f = VectorField2D(parse_polynomial("-1000*x"), parse_polynomial("-1000*y"))
     with np.errstate(divide="ignore"):
-        assert ftle(f, (0.5, -0.5), 1.0, 1e-5, CFG) == -math.inf
+        assert ftle(f, (0.5, -0.5), 1.0, CFG) == -math.inf
         with pytest.raises(NumericalError, match="FTLE is not finite"):
-            ftle_field(f, Grid2D(-1.0, 1.0, 3, -1.0, 1.0, 3), 1.0, 1e-5, CFG)
+            ftle_field(f, Grid2D(-1.0, 1.0, 3, -1.0, 1.0, 3), 1.0, None, CFG)
 
 
 def test_blow_up_is_a_numerical_error():
@@ -216,12 +200,39 @@ def test_blow_up_is_a_numerical_error():
         flow_endpoint(f, (10.0, 0.0), 1.0, CFG)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="^trajectory became non-finite$"):
-        flowmap._advance(f._rk4(), np.array([0.5, 10.0]), np.zeros(2), 1.0, CFG.step)
+        flowmap._advance(f._rk4(), 1.0, CFG.step, np.array([0.5, 10.0]), np.zeros(2))
+
+
+def _counting(step, finite):
+    """``step`` that appends to ``finite`` whether each state it returns is finite."""
+    def counted(*args):
+        out = step(*args)
+        finite.append(all(np.isfinite(v).all() for v in out))
+        return out
+
+    return counted
+
+
+def test_blow_up_stops_stepping_soon():
+    # x' = x^2 from x = 10 leaves every double before t = 0.1: about 100
+    # steps into a plan of 10,000, after which inf and NaN stepped to the end
+    f = VectorField2D(parse_polynomial("x^2"), Poly2())
+    finite = []
+    f._step = _counting(f._rk4(), finite)
+    with pytest.raises(NumericalError, match="^trajectory became non-finite$"):
+        flow_endpoint(f, (10.0, 0.0), 10.0, CFG)
+    assert 0 < finite.index(False) < len(finite) <= finite.index(False) + 64
+    finite.clear()
+    f._tangent = _counting(f._rk4_tangent(), finite)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="^trajectory became non-finite$"):
+        ftle_field(f, Grid2D(0.0, 10.0, 3, -1.0, 1.0, 3), 10.0, None, CFG)
+    assert 0 < finite.index(False) < len(finite) <= finite.index(False) + 64
 
 
 def test_ftle_rejects_zero_time():
     with pytest.raises(ValueError):
-        ftle(VectorField2D.saddle(), (0.0, 0.0), 0.0, 1e-5, CFG)
+        ftle(VectorField2D.saddle(), (0.0, 0.0), 0.0, CFG)
 
 
 def test_ftle_matches_saddle_formula():
@@ -229,13 +240,13 @@ def test_ftle_matches_saddle_formula():
     f = VectorField2D.saddle()
     for _ in range(30):
         pt = (rng.uniform(-2, 2), rng.uniform(-0.7, 0.7))
-        got = ftle(f, pt, -0.5, 1e-5, CFG)
+        got = ftle(f, pt, -0.5, CFG)
         assert got == pytest.approx(saddle_ftle(pt, -0.5), abs=1e-5)
 
 
 def test_ftle_field_small_time_limit():
     grid = Grid2D(-1.0, 1.0, 21, -0.75, 0.75, 21)
-    sf = ftle_field(VectorField2D.saddle(), grid, -0.05, 1e-5, CFG)
+    sf = ftle_field(VectorField2D.saddle(), grid, -0.05, None, CFG)
     ys = grid.ys()
     worst = 0.0
     for iy in range(grid.ny):
@@ -249,7 +260,7 @@ def test_ftle_field_error_shrinks_with_time():
     f = VectorField2D.saddle()
 
     def max_err(t):
-        sf = ftle_field(f, grid, t, 1e-5, CFG)
+        sf = ftle_field(f, grid, t, None, CFG)
         ys = grid.ys()
         return max(
             float(np.max(np.abs(sf.values[iy] - saddle_ftle((0.0, ys[iy]), t))))
@@ -258,33 +269,33 @@ def test_ftle_field_error_shrinks_with_time():
 
     # error against the instantaneous limit is linear in |t|
     def limit_err(t):
-        sf = ftle_field(f, grid, t, 1e-5, CFG)
+        sf = ftle_field(f, grid, t, None, CFG)
         ys = grid.ys()
         return max(
             float(np.max(np.abs(sf.values[iy] - (1.0 - 3.0 * ys[iy] ** 2))))
             for iy in range(grid.ny)
         )
 
-    assert max_err(-0.05) < 1e-6  # finite-difference FTLE tracks the formula
+    assert max_err(-0.05) < 1e-12  # the tangent-map FTLE tracks the formula
     assert limit_err(-0.025) <= 0.65 * limit_err(-0.05)
 
 
 def test_ftle_field_symmetric_in_y():
     grid = Grid2D(-1.0, 1.0, 7, -0.5, 0.5, 9)
-    sf = ftle_field(VectorField2D.saddle(), grid, -0.1, 1e-5, CFG)
+    sf = ftle_field(VectorField2D.saddle(), grid, -0.1, None, CFG)
     assert np.allclose(sf.values, sf.values[::-1], rtol=0, atol=1e-12)
 
 
 def test_ftle_field_threads_bitwise_identical():
     grid = Grid2D(-1.0, 1.0, 13, -0.6, 0.6, 11)
-    a = ftle_field(VectorField2D.saddle(), grid, -0.1, 1e-5, CFG, threads=1)
-    b = ftle_field(VectorField2D.saddle(), grid, -0.1, 1e-5, CFG, threads=4)
+    a = ftle_field(VectorField2D.saddle(), grid, -0.1, None, CFG, threads=1)
+    b = ftle_field(VectorField2D.saddle(), grid, -0.1, None, CFG, threads=4)
     assert np.array_equal(a.values, b.values)
     # polynomial fields run through the array polynomial evaluator
     f = make_transformed_family(-1.0, [-0.5])
     cfg = IntegratorConfig(step=1e-2)
-    a = ftle_field(f, grid, -0.5, 1e-5, cfg, threads=1)
-    b = ftle_field(f, grid, -0.5, 1e-5, cfg, threads=5)
+    a = ftle_field(f, grid, -0.5, None, cfg, threads=1)
+    b = ftle_field(f, grid, -0.5, None, cfg, threads=5)
     assert np.array_equal(a.values, b.values)
 
 
@@ -292,7 +303,7 @@ def test_ftle_to_rate_limit_linear_in_time():
     f = VectorField2D.saddle()
     pt = (0.3, 0.5)
     s1, _ = strain_rates(f, *pt)
-    errs = [abs(ftle(f, pt, t, 1e-5, CFG) + s1) for t in (-0.08, -0.04, -0.02)]
+    errs = [abs(ftle(f, pt, t, CFG) + s1) for t in (-0.08, -0.04, -0.02)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.35)
 
@@ -307,7 +318,7 @@ def test_step_budget_shared_by_every_driver(t):
     with pytest.raises(ValueError):
         flow_endpoint(f, (0.1, 0.1), t, cfg)
     with pytest.raises(ValueError):
-        ftle_field(f, grid, t, 1e-5, cfg, threads=2)
+        ftle_field(f, grid, t, None, cfg, threads=2)
 
 
 def test_array_and_scalar_stepping_agree_bitwise():
@@ -316,21 +327,23 @@ def test_array_and_scalar_stepping_agree_bitwise():
     for f in (VectorField2D.saddle(), make_transformed_family(-1.0, [-0.5])):
         xs = np.linspace(-0.6, 0.6, 5)
         ys = np.linspace(-0.5, 0.4, 5)
-        ex, ey = _advance(f._rk4(), xs, ys, -0.0537, 1e-2)
+        ex, ey = _advance(f._rk4(), -0.0537, 1e-2, xs, ys)
         for k in range(5):
             end = flow_endpoint(f, (float(xs[k]), float(ys[k])), -0.0537, IntegratorConfig(1e-2))
             assert end == (ex[k], ey[k])
 
 
-# 55x55 < 3,072 < 56x56 nodes straddle one FTLE block, and 67x67 < 1.5 x 3,072
-# < 68x68 straddle the size where a serial FTLE grid first takes two blocks;
-# at 161x161 two threads share four FTLE blocks.
-@pytest.mark.parametrize("side", [21, 55, 56, 67, 68, 101, 161])
+# 110x110 < 12,288 < 111x111 nodes straddle one block, 135x135 < 1.5 x 12,288
+# < 136x136 the size where a serial grid first takes two blocks, 156x156 <
+# 2 x 12,288 < 157x157 the size where a second thread starts; at 272x272 two
+# threads share four blocks.  55-68 straddled the same sizes for 3,072 nodes.
+@pytest.mark.parametrize("side", [21, 55, 56, 67, 68, 101, 110, 111, 135, 136, 156, 157, 161,
+                                  272])
 def test_grid_bytes_do_not_depend_on_threads(side):
     f = make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0))
     grid = Grid2D(0.1, 0.9, side, 0.1, 0.9, side)
     cfg = IntegratorConfig(step=1e-2)
-    ftles = [ftle_field(f, grid, -0.05, 1e-5, cfg, threads=n).values.tobytes() for n in (1, 2, 3)]
+    ftles = [ftle_field(f, grid, -0.05, None, cfg, threads=n).values.tobytes() for n in (1, 2, 3)]
     rates = [strain.rate_field(f, grid, "s1", threads=n).values.tobytes() for n in (1, 2, 3)]
     assert ftles[0] == ftles[1] == ftles[2]
     assert rates[0] == rates[1] == rates[2]
@@ -358,14 +371,14 @@ def test_small_grids_run_serially(monkeypatch):
 
     monkeypatch.setattr(strain, "ThreadPoolExecutor", no_pool)
     grid = Grid2D(0.1, 0.9, 21, 0.1, 0.9, 21)
-    ftle_field(make_transformed_family(-1.0, [-0.5]), grid, -0.05, 1e-5, CFG, threads=4)
+    ftle_field(make_transformed_family(-1.0, [-0.5]), grid, -0.05, None, CFG, threads=4)
 
 
 def test_ftle_overflow_is_a_numerical_error():
     # finite endpoints near 1e156, whose squared gradient overflows
     f = VectorField2D(Poly2({(1, 0): 360.0}), Poly2())
     with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
-        ftle_field(f, Grid2D(0.0, 1.0, 3, 0.0, 1.0, 3), 1.0, 1e-5, CFG)
+        ftle_field(f, Grid2D(0.0, 1.0, 3, 0.0, 1.0, 3), 1.0, None, CFG)
 
 
 # -- one FTLE path for points and grids --------------------------------------------
@@ -388,26 +401,27 @@ def test_point_ftle_equals_grid_node(monkeypatch, k, t):
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     grid = Grid2D(x0, x1, 11, y0, y1, 12)
     yv, xv = np.meshgrid(grid.ys(), grid.xs(), indexing="ij")
-    whole = ftle(f, (xv, yv), t, 1e-5, CFG)
-    points = np.array([[ftle(f, (x, y), t, 1e-5, CFG) for x in grid.xs().tolist()]
+    whole = ftle(f, (xv, yv), t, CFG)
+    points = np.array([[ftle(f, (x, y), t, CFG) for x in grid.xs().tolist()]
                        for y in grid.ys().tolist()])
     assert whole.tobytes() == points.tobytes()
     for threads in (1, 2, 3):
-        assert ftle_field(f, grid, t, 1e-5, CFG, threads).values.tobytes() == whole.tobytes()
+        assert ftle_field(f, grid, t, None, CFG, threads).values.tobytes() == whole.tobytes()
 
 
 def test_cauchy_green_arrays_equal_points():
     f = make_transformed_family(-1.0, [-0.5])
     xs, ys = np.linspace(0.2, 1.2, 7), np.linspace(-0.5, 0.4, 7)
-    c = cauchy_green(f, (xs, ys), -0.05, 1e-5, CFG)
+    c = cauchy_green(f, (xs, ys), -0.05, CFG)
     for k in range(7):
-        p = cauchy_green(f, (float(xs[k]), float(ys[k])), -0.05, 1e-5, CFG)
+        p = cauchy_green(f, (float(xs[k]), float(ys[k])), -0.05, CFG)
         assert (p.sxx, p.sxy, p.syy) == (c.sxx[k], c.sxy[k], c.syy[k])
 
 
 def _old_ftle_field(f, grid, t, delta, cfg, threads):
-    """``ftle_field`` as written before it was ``ftle`` at every node: a
-    private stretch closure per chunk and one log over the assembled grid."""
+    """``ftle_field`` by the finite-difference method it used before the
+    tangent step: centered differences of four offset trajectories per node,
+    a private stretch closure per chunk and one log over the assembled grid."""
     from ilekoop.flowmap import _advance
 
     _LOG_FLOOR = 1e-300  # the old code's clamp on log 0
@@ -415,10 +429,10 @@ def _old_ftle_field(f, grid, t, delta, cfg, threads):
     def stretch(xv, yv):
         ex, ey = _advance(
             f._rk4(),
-            np.concatenate([xv + delta, xv - delta, xv, xv]),
-            np.concatenate([yv, yv, yv + delta, yv - delta]),
             t,
             cfg.step,
+            np.concatenate([xv + delta, xv - delta, xv, xv]),
+            np.concatenate([yv, yv, yv + delta, yv - delta]),
         )
         xp, xm, yp, ym = zip(np.split(ex, 4), np.split(ey, 4))
         f11 = (xp[0] - xm[0]) / (2.0 * delta)
@@ -435,12 +449,54 @@ def _old_ftle_field(f, grid, t, delta, cfg, threads):
 
 @pytest.mark.parametrize("k", range(4))
 def test_ftle_field_equals_old_stretch_path(monkeypatch, k):
+    """The tangent-map FTLE equals the finite-difference one up to that
+    method's own error, which reached 2.0e-9 on these grids."""
     monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 1)
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     grid = Grid2D(x0, x1, 9, y0, y1, 10)
     for t, threads in ((-0.05, 1), (0.03, 3)):
-        got = ftle_field(f, grid, t, 1e-5, CFG, threads).values
-        assert got.tobytes() == _old_ftle_field(f, grid, t, 1e-5, CFG, threads).tobytes()
+        got = ftle_field(f, grid, t, None, CFG, threads).values
+        assert np.max(np.abs(got - _old_ftle_field(f, grid, t, 1e-5, CFG, threads))) <= 1e-8
+
+
+# -- the tangent step against closed forms -------------------------------------------
+
+def _saddle_ftle_exact(x, y, t):
+    """The saddle's FTLE from the larger eigenvalue of its closed-form
+    Cauchy-Green tensor, which is diagonal.  In forward time the x-direction
+    can dominate, which ``saddle_ftle`` does not track."""
+    c = saddle_cauchy_green((x, y), t)
+    return math.log(max(c.sxx, c.syy)) / (2.0 * abs(t))
+
+
+@pytest.mark.parametrize("t", [-0.05, -0.1, 0.05])
+def test_saddle_ftle_matches_closed_form(t):
+    f = VectorField2D.saddle()
+    grid = Grid2D(-1.0, 1.0, 101, -0.75, 0.75, 101)
+    got = ftle_field(f, grid, t, None, CFG).values
+    want = [[_saddle_ftle_exact(x, y, t) for x in grid.xs().tolist()] for y in grid.ys().tolist()]
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+    rng = random.Random(47)
+    for _ in range(10):
+        pt = (rng.uniform(-1.0, 1.0), rng.uniform(-0.75, 0.75))
+        assert abs(ftle(f, pt, t, CFG) - _saddle_ftle_exact(*pt, t)) <= 1e-12
+        if t < 0.0:  # here the y-direction dominates
+            assert abs(ftle(f, pt, t, CFG) - saddle_ftle(pt, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam, c, t", [(1.2, 0.7, -0.08), (-0.9, -0.4, 0.06), (0.6, -1.0, 0.1)])
+def test_normal_form_ftle_matches_exact_flow(lam, c, t):
+    # x' = lam*x/2 and y' = -lam*x + lam*y/2 + c*x^3 flow to x*e1 and
+    # e1*(y - lam*t*x) + (c/lam)*x^3*(e3 - e1), e1 = e^(lam*t/2), e3 = e1^3
+    f = VectorField2D(Poly2({(1, 0): 0.5 * lam}),
+                      Poly2({(1, 0): -lam, (0, 1): 0.5 * lam, (3, 0): c}))
+    grid = Grid2D(-1.2, 1.2, 41, -1.1, 1.1, 37)
+    yv, xv = np.meshgrid(grid.ys(), grid.xs(), indexing="ij")
+    e1, e3 = math.exp(0.5 * lam * t), math.exp(1.5 * lam * t)
+    f21 = -lam * t * e1 + 3.0 * (c / lam) * (e3 - e1) * xv * xv
+    lam2 = strain.SymTensor2(e1 * e1 + f21 * f21, f21 * e1, e1 * e1).eigenvalues()[1]
+    want = np.log(lam2) / (2.0 * abs(t))
+    assert np.max(np.abs(ftle_field(f, grid, t, None, CFG).values - want)) <= 1e-12
 
 
 # -- the generated RK4 step against the formula it replaced -------------------------
@@ -531,6 +587,28 @@ def test_generated_step_leaves_its_inputs_alone(p, q, h, pts):
             assert np.array(got).tobytes() == np.array(step(xk, yk, h)).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=_COMPONENT, q=_COMPONENT, h=_STEP,
+       pts=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=4))
+@example(p={(1, 0): 1.0}, q={(0, 1): -1.0, (0, 3): 1.0}, h=-0.0, pts=[(-0.0, 0.0)])
+@example(p={}, q={}, h=0.25, pts=[(0.5, -0.5)])
+def test_tangent_step_moves_the_point_as_the_step_does(p, q, h, pts):
+    """The tangent step's (x, y) carries the bits of the RK4 step, on floats
+    and on arrays, and each array element's gradient those of the float one."""
+    f = VectorField2D(Poly2(p), Poly2(q))
+    step, tangent = f._rk4(), f._rk4_tangent()
+    xs, ys = (np.array(c) for c in zip(*pts))
+    f0, f1 = np.multiply.outer(np.eye(2), np.ones(xs.shape))
+    whole = [np.asarray(v, dtype=float) for v in tangent(xs, ys, f0, f1, h)]
+    assert [v.tobytes() for v in whole[:2]] == [v.tobytes() for v in step(xs, ys, h)]
+    for k, (x, y) in enumerate(pts):
+        xn, yn, g0, g1 = tangent(x, y, *np.eye(2), h)
+        assert np.array([xn, yn]).tobytes() == np.array(step(x, y, h)).tobytes()
+        assert np.array([whole[0][k], whole[1][k]]).tobytes() == np.array([xn, yn]).tobytes()
+        got = np.broadcast_to(np.array([whole[2], whole[3]]), (2, 2, len(pts)))[..., k]
+        assert got.tobytes() == np.array([g0, g1]).tobytes()
+
+
 def _failing_stage(x, y, h):
     """The stage (1-4) at which the old step leaves the saddle's domain, or
     None when it stays inside."""
@@ -565,3 +643,8 @@ def test_saddle_step_raises_at_the_same_stage():
         xs, ys = np.array([x]), np.array([y])
         assert (_outcome(f._rk4(), xs, ys, h)
                 == _outcome(_old_rk4_step, f.evaluate_arrays, xs, ys, h))
+        # the tangent step guards the same stages
+        for point in ((x, y), (xs, ys)):
+            with pytest.raises(DomainError) as exc:
+                f._rk4_tangent()(*point, *np.eye(2), h)
+            assert str(exc.value) == _outcome(f._rk4(), *point, h)[1]

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilekoop.errors import DomainError, NoCrossingError
@@ -591,6 +591,21 @@ def test_march_saddle_domain_exit_mid_stage_ends_window():
     beyond = DataSurface((0.0, 1.0 - 5e-13), (1.0, 0.0), lambda s: 1.0)
     for step in (0.01, 0.1):
         assert _both_searches(f, beyond, x, IntegratorConfig(step=step), 30.0, -1.0) is None
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, SADDLE_Y_BOUND,
+                             -SADDLE_Y_BOUND, 1.0, -1.0, 5e-324])
+
+
+@settings(max_examples=1000)
+@given(y=st.one_of(_SPECIAL, st.floats()), bound=st.one_of(_SPECIAL, st.floats()))
+@example(y=math.nan, bound=SADDLE_Y_BOUND)
+@example(y=-0.0, bound=SADDLE_Y_BOUND)
+def test_march_guard_equals_the_abs_guard(y, bound):
+    """The march's stage guard ``-bound < y < bound`` decides as
+    ``abs(y) < bound`` did for every pair of floats, NaN and infinities
+    included."""
+    assert (-bound < y < bound) == (abs(y) < bound)
 
 
 def test_march_blow_up_is_no_crossing():
