@@ -35,9 +35,10 @@ MAX_STEP_COUNT = 1e8
 _FINITE_CHECK_STEPS = 64
 
 # ftle_field's fewest nodes per thread and serial block (strain._sample_grid).
-# Cubic, 2 vCPUs: serial blocks ran 201x201 in 0.47 of one array's time;
-# threads 2 over 1 is about even to 101x101, then 0.70-0.83 in its 6,144-node
-# blocks (3,072-node blocks: 1.2-1.4; halves: 1.2 at 201x201).
+# Cubic, t = -0.05, 2 vCPUs, best of 5, serial 201x201 / 161x161 in ms:
+# 3,072-node blocks 649 / 424, 6,144 579 / 344, 12,288 472 / 334, 24,576
+# 567 / 428; two threads at 12,288 436 / 275.  A second thread so starts only
+# at 2 x 12,288 nodes (157x157).
 _FTLE_CHUNK_NODES = 12288
 
 

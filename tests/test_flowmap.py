@@ -450,7 +450,7 @@ def _old_ftle_field(f, grid, t, delta, cfg, threads):
 @pytest.mark.parametrize("k", range(4))
 def test_ftle_field_equals_old_stretch_path(monkeypatch, k):
     """The tangent-map FTLE equals the finite-difference one up to that
-    method's own error, which reached 2.0e-9 on these grids."""
+    method's own error, which reached 1.3e-9 on these grids."""
     monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 1)
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     grid = Grid2D(x0, x1, 9, y0, y1, 10)

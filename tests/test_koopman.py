@@ -597,7 +597,7 @@ _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, SADDLE_Y_B
                              -SADDLE_Y_BOUND, 1.0, -1.0, 5e-324])
 
 
-@settings(max_examples=1000)
+@settings(max_examples=300)
 @given(y=st.one_of(_SPECIAL, st.floats()), bound=st.one_of(_SPECIAL, st.floats()))
 @example(y=math.nan, bound=SADDLE_Y_BOUND)
 @example(y=-0.0, bound=SADDLE_Y_BOUND)
