@@ -19,12 +19,11 @@ import re
 import sys
 import warnings
 
-from . import families, flowmap, koopman, series, strain
+# Only errors and expr load on import.  Each subcommand imports the modules it
+# runs (numpy only for ile, ftle, pullback and carleman) and calls them as
+# module.name, so a patched module attribute takes effect.
 from .errors import DomainError, NumericalError, UsageError
-from .expr import ParseError, parse_polynomial
-from .flowmap import IntegratorConfig
-from .strain import Grid2D, format_float
-from .vectorfield import VectorField2D, field_from_json, field_to_json
+from .expr import ParseError, format_float, parse_polynomial
 
 
 def main() -> None:
@@ -94,19 +93,21 @@ def _emit(obj) -> None:
 # Shared argument handling
 # ---------------------------------------------------------------------------
 
-def _load_field(source: str) -> VectorField2D:
+def _load_field(source: str):
+    """The ``VectorField2D`` that ``--field`` names."""
+    from . import vectorfield
     if source == "saddle":
-        return VectorField2D.saddle()
+        return vectorfield.VectorField2D.saddle()
     if source.startswith("expr:"):
         parts = source[len("expr:"):].split(";")
         if len(parts) != 2:
             raise UsageError("inline field must be expr:P;Q")
-        return VectorField2D(parse_polynomial(parts[0]), parse_polynomial(parts[1]))
+        return vectorfield.VectorField2D(parse_polynomial(parts[0]), parse_polynomial(parts[1]))
     try:
         obj = json.loads(_read_text(source))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"field JSON is invalid: {exc}") from exc
-    return field_from_json(obj)
+    return vectorfield.field_from_json(obj)
 
 
 def _read_text(source: str) -> str:
@@ -150,12 +151,15 @@ def _floats(text: str, what: str, count: int | None = None) -> tuple[float, ...]
         raise UsageError(f"{what}: {exc}") from None
 
 
-def _parse_grid(text: str) -> Grid2D:
+def _parse_grid(text: str):
+    """The ``strain.Grid2D`` that ``--grid`` describes."""
+    from . import strain
     try:
         xpart, ypart = text.split(",")
         xmin, xmax, nx = xpart.split(":")
         ymin, ymax, ny = ypart.split(":")
-        return Grid2D(_finite(xmin), _finite(xmax), int(nx), _finite(ymin), _finite(ymax), int(ny))
+        return strain.Grid2D(_finite(xmin), _finite(xmax), int(nx),
+                             _finite(ymin), _finite(ymax), int(ny))
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"--grid must be xmin:xmax:nx,ymin:ymax:ny ({exc})") from exc
 
@@ -169,6 +173,7 @@ def _sample_box(n: int, box: tuple[float, float, float, float]) -> list:
 
 
 def _write_field_outputs(sf, out_path: str, pgm_path: str | None) -> None:
+    from . import strain
     with open(out_path, "w", encoding="ascii", newline="\n") as fh:
         strain.write_csv(sf, fh)
     if pgm_path:
@@ -181,6 +186,7 @@ def _write_field_outputs(sf, out_path: str, pgm_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_ile(args) -> None:
+    from . import strain
     f = _load_field(args.field)
     grid = _parse_grid(args.grid)
     sf = strain.rate_field(f, grid, which=args.rate, threads=args.threads)
@@ -200,14 +206,16 @@ def _cmd_ile(args) -> None:
 
 
 def _cmd_ftle(args) -> None:
+    from . import flowmap
     f = _load_field(args.field)
     grid = _parse_grid(args.grid)
-    cfg = IntegratorConfig(step=args.step)
+    cfg = flowmap.IntegratorConfig(step=args.step)
     sf = flowmap.ftle_field(f, grid, args.time, args.delta, cfg, threads=args.threads)
     _write_field_outputs(sf, args.out, args.pgm)
 
 
 def _cmd_keig_check(args) -> None:
+    from . import koopman
     f = _load_field(args.field)
     g = parse_polynomial(args.g)
     cand = koopman.KeigCandidate(g, args.lam)
@@ -237,6 +245,7 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
 
 
 def _cmd_pullback(args) -> None:
+    from . import flowmap, koopman
     f = _load_field(args.field)
     x0, y0, dx, dy = _floats(args.line, "--line", 4)
     try:
@@ -248,7 +257,7 @@ def _cmd_pullback(args) -> None:
         (const,) = _floats(args.h, "--h")
         h = lambda s, c=const: c  # noqa: E731
     surf = koopman.DataSurface((x0, y0), (dx, dy), h)
-    cfg = IntegratorConfig(step=args.step)
+    cfg = flowmap.IntegratorConfig(step=args.step)
     lines = _read_text(args.points).splitlines()
     points = [_floats(line.strip(), "--points", 2) for line in lines if line.strip()]
     # Every row is computed and formatted (format_float refuses non-finite
@@ -262,6 +271,7 @@ def _cmd_pullback(args) -> None:
 
 
 def _cmd_family(args) -> None:
+    from . import families, vectorfield
     if args.family == "quadratic":
         f = families.make_quadratic_family(families.QuadraticParams(args.lam, args.a20))
     elif args.family == "cubic":
@@ -270,10 +280,11 @@ def _cmd_family(args) -> None:
     else:
         coeffs = _floats(args.coeffs, "--coeffs")
         f = families.make_transformed_family(args.lam, coeffs)
-    _emit(field_to_json(f))
+    _emit(vectorfield.field_to_json(f))
 
 
 def _cmd_carleman(args) -> None:
+    from . import families
     x0 = _floats(args.x0, "--x0", 2)
     x1t, x2t = families.carleman_solve(args.lam, args.c, x0, args.time)
     if x0[0] == 0.0 or args.c == 0.0:
@@ -289,6 +300,7 @@ _MAX_SERIES_N = 64
 
 
 def _cmd_series(args) -> None:
+    from . import series
     if not 1 <= args.n <= _MAX_SERIES_N:
         raise UsageError(f"--N must be between 1 and {_MAX_SERIES_N}, got {args.n}")
     # The coefficients do not depend on N: one pass gives every partial sum.
@@ -310,6 +322,7 @@ def _cmd_series(args) -> None:
 
 
 def _cmd_oned(args) -> None:
+    from . import families
     fpoly = parse_polynomial(args.f, variables=("x",))
     if args.n < 2:
         raise UsageError("--n must be at least 2")

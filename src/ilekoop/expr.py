@@ -17,7 +17,7 @@ the end, which makes exact algebraic cancellations test as exactly zero; a
 flat sum of n terms is one operation.  Numeric evaluation runs
 generated straight-line code (:func:`_kernel_factory`): one kernel per term
 structure for ``Poly2.evaluate``, and one RK4 step, its tangent step and one
-pullback march per field.
+pullback march per field.  ``format_float`` (17-digit output) lives here, away from numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+
+from .errors import NumericalError
 
 # Coefficients below this magnitude are treated as exact zeros.
 CANONICAL_ZERO = 1e-12
@@ -644,3 +646,10 @@ def _finite(p: Poly2) -> Poly2:
 def parse_polynomial(text: str, variables: tuple[str, ...] = ("x", "y")) -> Poly2:
     """Parse and lower in one step."""
     return to_polynomial(parse_expression(text, variables), variables)
+
+
+def format_float(v: float) -> str:
+    """17 significant digits, enough to reproduce any double exactly."""
+    if not math.isfinite(v):
+        raise NumericalError(f"a result is not finite ({v!r})")
+    return f"{v:.17g}"

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NumericalError
 from .expr import Poly2, _collect
 from .koopman import KeigCandidate, best_lambda, keig_residual, rms
@@ -264,15 +262,16 @@ def carleman_solve(lam: float, c: float, x0: tuple[float, float], t: float) -> t
     closed = tuple(sum(m[i][j] * lift[j] for j in range(3)) for i in range(3))
     if not (math.isfinite(closed[0]) and math.isfinite(closed[1])):
         raise NumericalError("normal-form endpoint overflows a double")
-    check = _expm3(model.matrix, t) @ np.array(lift)
+    check = _expm3(model.matrix, t) @ lift
     for a, b in zip(closed, check):
         if abs(a - b) > 1e-12 * max(1.0, abs(a), abs(b)):
             raise NumericalError("lift exponential cross-check failed")
     return (closed[0], closed[1])
 
 
-def _expm3(matrix, t: float) -> np.ndarray:
-    """Taylor series with scaling and squaring for a 3x3 matrix."""
+def _expm3(matrix, t: float):
+    """Taylor series with scaling and squaring for a 3x3 matrix (an array)."""
+    import numpy as np  # only this cross-check needs numpy; the exact commands skip it
     b = np.array(matrix) * t
     norm = float(np.max(np.sum(np.abs(b), axis=1)))
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0

@@ -178,8 +178,10 @@ def saddle_cauchy_green(pt: tuple[float, float], t: float) -> SymTensor2:
 
 
 def saddle_ftle(pt: tuple[float, float], t: float) -> float:
-    """Closed-form saddle FTLE tracking the y-direction stretching (the
-    dominant direction in backward time away from |y| near 1)."""
+    """Closed-form saddle FTLE: log of the larger eigenvalue of the diagonal
+    ``saddle_cauchy_green``, over 2|t|.  The y-direction dominates in
+    backward time away from |y| near 1; in forward time the x-direction can."""
     if t == 0.0:
         raise ValueError("FTLE needs a nonzero integration time")
-    return -math.log(saddle_cauchy_green(pt, t).syy) / (2.0 * t)
+    c = saddle_cauchy_green(pt, t)
+    return math.log(max(c.sxx, c.syy)) / (2.0 * abs(t))

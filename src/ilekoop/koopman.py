@@ -14,12 +14,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import NoCrossingError
 from .expr import Poly2
-from .flowmap import IntegratorConfig, _check_step_budget, flow_endpoint
 from .vectorfield import VectorField2D, _check_domain, shear_free_defect
+
+if TYPE_CHECKING:  # flowmap loads numpy; only the two RK4 users below import it
+    from .flowmap import IntegratorConfig
 
 #: Step used by the fourth-order finite-difference gradient fallback.
 _FD_STEP = 1e-4
@@ -143,6 +145,7 @@ def evolution_check(
 ) -> float:
     """Relative defect |g(F_t x0) - e^{lam t} g(x0)| / |g(x0)| along the
     RK4 flow."""
+    from .flowmap import flow_endpoint
     g0 = observable_value(cand.g, *x0)
     if g0 == 0.0:
         raise ValueError("observable vanishes at the start point")
@@ -201,6 +204,7 @@ def pullback_eigenfunction(
     inside its strip.  Crossings are bracketed at step boundaries and
     bisected to a time tolerance of 1e-10.
     """
+    from .flowmap import _check_step_budget
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     _check_step_budget(t_max, cfg.step)

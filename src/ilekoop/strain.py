@@ -14,12 +14,12 @@ node-by-node loop, so it returns the same hit list.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+from .expr import format_float
 from .vectorfield import VectorField2D
 
 
@@ -58,6 +58,9 @@ class Grid2D:
             raise ValueError("grid needs at least 2 nodes per axis")
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("grid bounds must satisfy xmin < xmax and ymin < ymax")
+        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
+            # np.linspace would put a NaN node on such an axis
+            raise NumericalError("grid width or height overflows a double")
 
     @property
     def dx(self) -> float:
@@ -149,6 +152,7 @@ def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.nda
     if threads == 1:
         list(map(fill, chunks))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # ~10 ms to load; serial grids skip it
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, chunks))
     return out
@@ -223,13 +227,6 @@ def extract_extremal_set(
 
 
 # -- file formats ---------------------------------------------------------------
-
-def format_float(v: float) -> str:
-    """17 significant digits, enough to reproduce any double exactly."""
-    if not math.isfinite(v):
-        raise NumericalError(f"a result is not finite ({v!r})")
-    return f"{v:.17g}"
-
 
 def axis_text(grid: Grid2D) -> tuple[list[str], list[str]]:
     """``format_float`` of every x and every y node coordinate."""

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 from .expr import Poly2, _field_rk4
 
@@ -93,11 +91,13 @@ class VectorField2D:
 def _check_domain(y) -> None:
     """The saddle guard: :class:`DomainError` unless ``|y| < SADDLE_Y_BOUND``
     for the float ``y`` (the message names it) or every entry of the array.
-    An inside float costs one comparison: it runs four times per RK4 step."""
+    An inside float costs one comparison: it runs four times per RK4 step.
+    No numpy: arrays and numpy scalars compare to an object with ``all()``,
+    and of the two only an array has a length (and goes unnamed)."""
     inside = abs(y) < SADDLE_Y_BOUND
-    if inside is not True and not np.all(inside):
+    if inside is not True and (inside is False or not inside.all()):
         raise DomainError("saddle field is only defined for |y| < 1"
-                          + ("" if isinstance(y, np.ndarray) else f" (got y={y!r})"))
+                          + ("" if hasattr(y, "__len__") else f" (got y={y!r})"))
 
 
 def shear_free_defect(f: VectorField2D) -> Poly2:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilekoop import cli, strain
+from ilekoop import cli, flowmap, series, strain
 from ilekoop.cli import run_command
 from ilekoop.errors import NumericalError
 from ilekoop.expr import Poly2, parse_polynomial
@@ -698,7 +698,7 @@ def test_arithmetic_errors_map_to_exit_2(capsys, monkeypatch):
     def overflow(*_):
         raise OverflowError("math range error")
 
-    monkeypatch.setattr(cli.series, "decompose_monomial", overflow)
+    monkeypatch.setattr(series, "decompose_monomial", overflow)
     code, _, err = run(["series", "--target", "y", "--N", "5", "--y", "0.3"], capsys)
     assert (code, err) == (2, "error: math range error\n")
 
@@ -822,6 +822,19 @@ def test_overflowing_grid_result_exit_code(capsys, tmp_path, argv):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("command", ["ile", "ftle"])
+@pytest.mark.parametrize("grid", ["-0.5:0.5:2,-1e+308:1e+308:2", "-1.7e308:1.7e308:3,0:1:3"])
+def test_overflowing_grid_span_exit_code(capsys, tmp_path, command, grid):
+    # np.linspace would give such an axis a NaN node, found only once --out was open
+    argv = [command, "--field", "expr:0.5*x;-0.5*y", f"--grid={grid}"]
+    if command == "ftle":
+        argv += ["--time", "-0.05"]
+    out_file = tmp_path / "x.csv"
+    code, out, err = run([*argv, "--out", str(out_file)], capsys)
+    assert (code, out, err) == (2, "", "error: grid width or height overflows a double\n")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_keig_check_samples_must_be_positive(capsys, value):
     code, out, err = run(["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1",
@@ -882,7 +895,7 @@ def test_memory_error_exit_code(capsys, tmp_path, monkeypatch, command, message,
     def no_memory(*_):
         raise MemoryError(message) if message else MemoryError
 
-    module = cli.strain if command == "ile" else cli.flowmap
+    module = strain if command == "ile" else flowmap
     monkeypatch.setattr(module, "_sample_grid", no_memory)
     argv = ["--field", "saddle", "--grid", "0:0.5:100000,0:0.5:100000"]
     if command == "ftle":

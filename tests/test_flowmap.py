@@ -369,7 +369,7 @@ def test_small_grids_run_serially(monkeypatch):
     def no_pool(*_, **__):
         raise AssertionError("a small grid started a thread pool")
 
-    monkeypatch.setattr(strain, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     grid = Grid2D(0.1, 0.9, 21, 0.1, 0.9, 21)
     ftle_field(make_transformed_family(-1.0, [-0.5]), grid, -0.05, None, CFG, threads=4)
 
@@ -482,6 +482,21 @@ def test_saddle_ftle_matches_closed_form(t):
         assert abs(ftle(f, pt, t, CFG) - _saddle_ftle_exact(*pt, t)) <= 1e-12
         if t < 0.0:  # here the y-direction dominates
             assert abs(ftle(f, pt, t, CFG) - saddle_ftle(pt, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [-0.05, -0.5, 0.05, 0.5])
+def test_saddle_ftle_follows_the_larger_stretch(t):
+    # forward time: at (0, 0.5) the x-direction dominates, with FTLE 1
+    f = VectorField2D.saddle()
+    rng = random.Random(53)
+    pts = [(0.0, 0.5), (0.3, -0.2), (-0.8, 0.95)] + [
+        (rng.uniform(-1.0, 1.0), rng.uniform(-0.95, 0.95)) for _ in range(20)]
+    for pt in pts:
+        assert abs(saddle_ftle(pt, t) - ftle(f, pt, t, CFG)) <= 1e-12
+        c = saddle_cauchy_green(pt, t)
+        if t < 0.0 and c.syy >= c.sxx:  # as the y-direction formula gave, bit for bit
+            assert saddle_ftle(pt, t) == -math.log(c.syy) / (2.0 * t)
+    assert saddle_ftle((0.0, 0.5), 0.05) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("lam, c, t", [(1.2, 0.7, -0.08), (-0.9, -0.4, 0.06), (0.6, -1.0, 0.1)])
