@@ -12,7 +12,7 @@ _EXPORTS = {
                 " cubic_attraction_rate equilibrium_and_r_solution make_cubic_family"
                 " make_quadratic_family make_transformed_family one_d_residual"
                 " quadratic_repulsion_rate s1_evolution_check transformed_claimed_attraction_rate",
-    "flowmap": "IntegratorConfig Trajectory cauchy_green flow_endpoint ftle ftle_field integrate"
+    "flowmap": "Trajectory cauchy_green flow_endpoint ftle ftle_field integrate"
                " saddle_cauchy_green saddle_ftle",
     "koopman": "DataSurface KeigCandidate best_lambda evolution_check generator_apply"
                " keig_condition_residual keig_residual pullback_eigenfunction residual_report",
@@ -22,8 +22,8 @@ _EXPORTS = {
               " series_term",
     "strain": "Grid2D ScalarField SymTensor2 extract_extremal_set rate_field strain_rates"
               " strain_tensor write_csv write_pgm",
-    "vectorfield": "VectorField2D analytic_saddle_flow field_from_json field_to_json"
-                   " shear_free_defect",
+    "vectorfield": "IntegratorConfig VectorField2D analytic_saddle_flow field_from_json"
+                   " field_to_json shear_free_defect",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -245,7 +245,7 @@ def _parse_box(text: str) -> tuple[float, float, float, float]:
 
 
 def _cmd_pullback(args) -> None:
-    from . import flowmap, koopman
+    from . import koopman, vectorfield
     f = _load_field(args.field)
     x0, y0, dx, dy = _floats(args.line, "--line", 4)
     try:
@@ -257,7 +257,7 @@ def _cmd_pullback(args) -> None:
         (const,) = _floats(args.h, "--h")
         h = lambda s, c=const: c  # noqa: E731
     surf = koopman.DataSurface((x0, y0), (dx, dy), h)
-    cfg = flowmap.IntegratorConfig(step=args.step)
+    cfg = vectorfield.IntegratorConfig(step=args.step)
     lines = _read_text(args.points).splitlines()
     points = [_floats(line.strip(), "--points", 2) for line in lines if line.strip()]
     # Every row is computed and formatted (format_float refuses non-finite

@@ -26,9 +26,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .strain import Grid2D, ScalarField, SymTensor2, _sample_grid, _finite_field
-from .vectorfield import VectorField2D, _check_domain
-
-MAX_STEP_COUNT = 1e8
+from .vectorfield import IntegratorConfig, VectorField2D, _check_domain, _check_step_budget
 
 # _advance tests its state for non-finite values every this many steps, so an
 # orbit that blows up stops within this many steps instead of running its plan.
@@ -40,17 +38,6 @@ _FINITE_CHECK_STEPS = 64
 # 567 / 428; two threads at 12,288 436 / 275.  A second thread so starts only
 # at 2 x 12,288 nodes (157x157).
 _FTLE_CHUNK_NODES = 12288
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed RK4 step magnitude; integration direction follows sign(t)."""
-
-    step: float = 1e-3
-
-    def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("integrator step must be positive")
 
 
 @dataclass
@@ -68,12 +55,6 @@ def _step_plan(t: float, step: float) -> tuple[int, float]:
         n -= 1
     r = abs(t) - n * step
     return n, r
-
-
-def _check_step_budget(t: float, step: float) -> None:
-    """Refuse NaN times and those needing more than MAX_STEP_COUNT steps."""
-    if not abs(t) / step <= MAX_STEP_COUNT:
-        raise ValueError(f"integration time {t!r} is not a number or needs more than 1e8 steps")
 
 
 def _steps(t: float, step: float):

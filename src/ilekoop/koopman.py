@@ -14,14 +14,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .errors import NoCrossingError
 from .expr import Poly2
-from .vectorfield import VectorField2D, _check_domain, shear_free_defect
-
-if TYPE_CHECKING:  # flowmap loads numpy; only the two RK4 users below import it
-    from .flowmap import IntegratorConfig
+from .vectorfield import (IntegratorConfig, VectorField2D, _check_domain, _check_step_budget,
+                          shear_free_defect)
 
 #: Step used by the fourth-order finite-difference gradient fallback.
 _FD_STEP = 1e-4
@@ -204,7 +202,6 @@ def pullback_eigenfunction(
     inside its strip.  Crossings are bracketed at step boundaries and
     bisected to a time tolerance of 1e-10.
     """
-    from .flowmap import _check_step_budget
     if not t_max > 0.0:
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     _check_step_budget(t_max, cfg.step)

@@ -5,17 +5,40 @@ A field is a polynomial pair ``(p, q)``.  The cubic nonlinear saddle
 raises :class:`DomainError`.  Its explicit flow is the oracle for the
 numerical integrator and the finite-time stretching computations.  The name
 ``"saddle"`` is only an alias in field JSON and on the command line.
+The RK4 step settings (``IntegratorConfig`` and the step budget) live here
+too, so the pullback's float march runs without :mod:`ilekoop.flowmap` and
+numpy.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .expr import Poly2, _field_rk4
 
 # The explicit saddle solution is singular at |y| = 1; stay strictly inside.
 SADDLE_Y_BOUND = 1.0 - 1e-12
+
+MAX_STEP_COUNT = 1e8
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """Fixed RK4 step magnitude; integration direction follows sign(t)."""
+
+    step: float = 1e-3
+
+    def __post_init__(self):
+        if not self.step > 0.0:
+            raise ValueError("integrator step must be positive")
+
+
+def _check_step_budget(t: float, step: float) -> None:
+    """Refuse NaN times and those needing more than MAX_STEP_COUNT steps."""
+    if not abs(t) / step <= MAX_STEP_COUNT:
+        raise ValueError(f"integration time {t!r} is not a number or needs more than 1e8 steps")
 
 
 class VectorField2D:

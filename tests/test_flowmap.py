@@ -461,42 +461,24 @@ def test_ftle_field_equals_old_stretch_path(monkeypatch, k):
 
 # -- the tangent step against closed forms -------------------------------------------
 
-def _saddle_ftle_exact(x, y, t):
-    """The saddle's FTLE from the larger eigenvalue of its closed-form
-    Cauchy-Green tensor, which is diagonal.  In forward time the x-direction
-    can dominate, which ``saddle_ftle`` does not track."""
-    c = saddle_cauchy_green((x, y), t)
-    return math.log(max(c.sxx, c.syy)) / (2.0 * abs(t))
-
-
-@pytest.mark.parametrize("t", [-0.05, -0.1, 0.05])
+@pytest.mark.parametrize("t", [-0.05, -0.1, 0.05, -0.5, 0.5])
 def test_saddle_ftle_matches_closed_form(t):
+    # saddle_ftle takes the larger eigenvalue of the diagonal closed-form
+    # Cauchy-Green tensor: in forward time at (0, 0.5) that is sxx, FTLE 1
     f = VectorField2D.saddle()
     grid = Grid2D(-1.0, 1.0, 101, -0.75, 0.75, 101)
     got = ftle_field(f, grid, t, None, CFG).values
-    want = [[_saddle_ftle_exact(x, y, t) for x in grid.xs().tolist()] for y in grid.ys().tolist()]
+    want = [[saddle_ftle((x, y), t) for x in grid.xs().tolist()] for y in grid.ys().tolist()]
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
     rng = random.Random(47)
-    for _ in range(10):
-        pt = (rng.uniform(-1.0, 1.0), rng.uniform(-0.75, 0.75))
-        assert abs(ftle(f, pt, t, CFG) - _saddle_ftle_exact(*pt, t)) <= 1e-12
-        if t < 0.0:  # here the y-direction dominates
-            assert abs(ftle(f, pt, t, CFG) - saddle_ftle(pt, t)) <= 1e-12
-
-
-@pytest.mark.parametrize("t", [-0.05, -0.5, 0.05, 0.5])
-def test_saddle_ftle_follows_the_larger_stretch(t):
-    # forward time: at (0, 0.5) the x-direction dominates, with FTLE 1
-    f = VectorField2D.saddle()
-    rng = random.Random(53)
-    pts = [(0.0, 0.5), (0.3, -0.2), (-0.8, 0.95)] + [
-        (rng.uniform(-1.0, 1.0), rng.uniform(-0.95, 0.95)) for _ in range(20)]
+    pts = [(0.0, 0.5)] + [(rng.uniform(-1.0, 1.0), rng.uniform(-0.75, 0.75)) for _ in range(10)]
     for pt in pts:
-        assert abs(saddle_ftle(pt, t) - ftle(f, pt, t, CFG)) <= 1e-12
+        assert abs(ftle(f, pt, t, CFG) - saddle_ftle(pt, t)) <= 1e-12
         c = saddle_cauchy_green(pt, t)
         if t < 0.0 and c.syy >= c.sxx:  # as the y-direction formula gave, bit for bit
             assert saddle_ftle(pt, t) == -math.log(c.syy) / (2.0 * t)
-    assert saddle_ftle((0.0, 0.5), 0.05) == pytest.approx(1.0, abs=1e-12)
+    if t > 0.0:
+        assert saddle_ftle((0.0, 0.5), t) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("lam, c, t", [(1.2, 0.7, -0.08), (-0.9, -0.4, 0.06), (0.6, -1.0, 0.1)])

@@ -1,7 +1,7 @@
 """Fresh-process start-up times of the README's commands, for two source trees.
 
     python3 tools/startup.py --parent DIR --change DIR [--repeats 11] \\
-        [--only NAME,...] [--out FILE]
+        [--only NAME,...]
 
 ``DIR`` is a source tree with ``src/ilekoop`` (a clone, or an unpacked
 ``git archive`` of a commit).  Every command runs as a new interpreter,
@@ -19,8 +19,7 @@ Every run's exit code, stdout, stderr and output files must equal the parent's
 reference run; a mismatch is printed and the script exits 1.
 
 It prints one line per command: each side's median and quartiles in ms and
-the parent's median over the change's.  ``--out`` also writes the raw times
-as JSON.  The interpreter's environment passes through unchanged: with
+the parent's median over the change's.  The interpreter's environment passes through unchanged: with
 ``PYTHONDONTWRITEBYTECODE`` set, every run compiles every module it imports,
 and without it the first run caches bytecode under each tree's ``src/``.
 """
@@ -28,7 +27,6 @@ and without it the first run caches bytecode under each tree's ``src/``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import subprocess
@@ -111,7 +109,6 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--repeats", type=int, default=11)
     ap.add_argument("--only", help="comma-separated command names (default: all)")
-    ap.add_argument("--out", type=Path, help="write the raw times as JSON here")
     args = ap.parse_args(argv)
     names = args.only.split(",") if args.only else list(COMMANDS)
     unknown = sorted(set(names) - set(COMMANDS))
@@ -136,18 +133,13 @@ def main(argv=None) -> int:
                         mismatches.append(f"{name}: {side} repeat {k} differs from the reference")
 
     print(f"{'command':<20} {'parent ms (q1-q3)':>24} {'change ms (q1-q3)':>24} {'ratio':>6}")
-    summary = {}
     for name in names:
         parent, change = spread_ms(times[name]["parent"]), spread_ms(times[name]["change"])
-        summary[name] = {"parent": parent, "change": change,
-                         "ratio": parent["median"] / change["median"]}
         cells = [f"{s['median']:7.1f} ({s['q1']:.1f}-{s['q3']:.1f})" for s in (parent, change)]
-        print(f"{name:<20} {cells[0]:>24} {cells[1]:>24} {summary[name]['ratio']:6.2f}")
+        print(f"{name:<20} {cells[0]:>24} {cells[1]:>24} "
+              f"{parent['median'] / change['median']:6.2f}")
     for line in mismatches:
         print(f"MISMATCH {line}")
-    if args.out:
-        args.out.write_text(json.dumps({"repeats": args.repeats, "summary": summary,
-                                        "times_s": times, "mismatches": mismatches}, indent=1))
     return 1 if mismatches else 0
 
 
