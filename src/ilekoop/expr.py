@@ -26,7 +26,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .errors import NumericalError
@@ -53,39 +52,77 @@ class ParseError(ValueError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Record:
+    """Base of the package's value records.  Each subclass lists its fields
+    in ``__slots__`` and assigns them in ``__init__``; equality, hash and repr
+    follow the fields, in the form a dataclass gives.  Records are immutable
+    by convention, as ``Poly2`` is."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(_Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
+class Var(_Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Sum:
+class Neg(_Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expression):
+        self.operand = operand
+
+
+class Sum(_Record):
     """``first`` followed by ``rest``, a tuple of ``("+" | "-", term)`` pairs,
     applied left to right."""
-    first: "Expression"
-    rest: tuple
+
+    __slots__ = ("first", "rest")
+
+    def __init__(self, first: Expression, rest: tuple):
+        self.first = first
+        self.rest = rest
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(_Record):
     """A tuple of two or more factors, multiplied left to right."""
-    factors: tuple
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expression"
-    exponent: int
+class Pow(_Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expression, exponent: int):
+        self.base = base
+        self.exponent = exponent
 
 
 Expression = Num | Var | Neg | Sum | Product | Pow

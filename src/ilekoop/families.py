@@ -13,18 +13,19 @@ against which the integrator is checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NumericalError
-from .expr import Poly2, _collect
+from .expr import Poly2, _collect, _Record
 from .koopman import KeigCandidate, best_lambda, keig_residual, rms
 from .vectorfield import VectorField2D
 
 
-@dataclass(frozen=True)
-class QuadraticParams:
-    lam: float
-    a20: float
+class QuadraticParams(_Record):
+    __slots__ = ("lam", "a20")
+
+    def __init__(self, lam: float, a20: float):
+        self.lam = lam
+        self.a20 = a20
 
 
 def make_quadratic_family(params: QuadraticParams) -> VectorField2D:
@@ -52,8 +53,7 @@ def _check_pattern(poly: Poly2, expected: dict) -> None:
         raise NumericalError("family constructor produced an unexpected coefficient pattern")
 
 
-@dataclass(frozen=True)
-class CubicParams:
+class CubicParams(_Record):
     """Cubic family parameters (a10, k, a20, b00), k != 0.
 
     The remaining coefficients are pinned by the construction:
@@ -61,14 +61,15 @@ class CubicParams:
     with eigenvalue lam = a10 - a20/(3k) and curvature scale c = -2*k*a20.
     """
 
-    a10: float
-    k: float
-    a20: float
-    b00: float
+    __slots__ = ("a10", "k", "a20", "b00")
 
-    def __post_init__(self):
-        if self.k == 0.0:
+    def __init__(self, a10: float, k: float, a20: float, b00: float):
+        if k == 0.0:
             raise ValueError("cubic family needs k != 0")
+        self.a10 = a10
+        self.k = k
+        self.a20 = a20
+        self.b00 = b00
 
     @classmethod
     def from_rate_eigenvalue(cls, lam: float, c: float, k: float, a00: float) -> "CubicParams":
@@ -223,12 +224,14 @@ def one_d_residual(fpoly: Poly2, lam: float, samples) -> tuple[float, float]:
 # Exact solution of the normal form via a monomial lift
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CarlemanModel:
+class CarlemanModel(_Record):
     """Linear lift of the normal form on the observables (x1, x2, x1^3)."""
 
-    lam: float
-    c: float
+    __slots__ = ("lam", "c")
+
+    def __init__(self, lam: float, c: float):
+        self.lam = lam
+        self.c = c
 
     @property
     def matrix(self) -> tuple:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+from .expr import _Record
 from .strain import Grid2D, ScalarField, SymTensor2, _sample_grid, _finite_field
 from .vectorfield import IntegratorConfig, VectorField2D, _check_domain, _check_step_budget
 
@@ -40,12 +40,14 @@ _FINITE_CHECK_STEPS = 64
 _FTLE_CHUNK_NODES = 12288
 
 
-@dataclass
-class Trajectory:
+class Trajectory(_Record):
     """Sampled orbit; times run from 0 to t, strictly monotone either way."""
 
-    times: list[float]
-    states: list[tuple[float, float]]
+    __slots__ = ("times", "states")
+
+    def __init__(self, times: list[float], states: list[tuple[float, float]]):
+        self.times = times
+        self.states = states
 
 
 def _step_plan(t: float, step: float) -> tuple[int, float]:
@@ -128,7 +130,8 @@ def ftle(f: VectorField2D, x0: tuple, t: float, cfg: IntegratorConfig) -> float 
     if t == 0.0:
         raise ValueError("FTLE needs a nonzero integration time")
     lam2 = cauchy_green(f, x0, t, cfg).eigenvalues()[1]
-    sigma = np.log(lam2) / (2.0 * abs(t))
+    with np.errstate(divide="ignore"):
+        sigma = np.log(lam2) / (2.0 * abs(t))
     return sigma if isinstance(sigma, np.ndarray) else float(sigma)
 
 

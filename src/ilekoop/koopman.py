@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import NoCrossingError
-from .expr import Poly2
+from .expr import Poly2, _Record
 from .vectorfield import (IntegratorConfig, VectorField2D, _check_domain, _check_step_budget,
                           shear_free_defect)
 
@@ -30,16 +29,18 @@ class TangentialCrossingWarning(UserWarning):
     crossing time is low-confidence."""
 
 
-@dataclass(frozen=True)
-class KeigCandidate:
+class KeigCandidate(_Record):
     """An observable paired with a trial eigenvalue.
 
     ``g`` may be a Poly2, an object with ``value(x, y)`` and optionally
     ``gradient(x, y)`` methods, or a plain callable ``(x, y) -> float``.
     """
 
-    g: object
-    lam: float
+    __slots__ = ("g", "lam")
+
+    def __init__(self, g: object, lam: float):
+        self.g = g
+        self.lam = lam
 
 
 def observable_value(g, x: float, y: float) -> float:
@@ -156,21 +157,21 @@ def evolution_check(
 # Pullback construction on a line data surface
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DataSurface:
+class DataSurface(_Record):
     """A line carrying initial data: base point, unit direction, and a data
     function of the signed arclength parameter along the line."""
 
-    base: tuple[float, float]
-    direction: tuple[float, float]
-    h: Callable[[float], float]
+    __slots__ = ("base", "direction", "h")
 
-    def __post_init__(self):
-        dx, dy = self.direction
+    def __init__(self, base: tuple[float, float], direction: tuple[float, float],
+                 h: Callable[[float], float]):
+        dx, dy = direction
         norm = math.hypot(dx, dy)
         if norm == 0.0:
             raise ValueError("surface direction must be nonzero")
-        object.__setattr__(self, "direction", (dx / norm, dy / norm))
+        self.base = base
+        self.direction = (dx / norm, dy / norm)
+        self.h = h
 
     def signed_distance(self, x: float, y: float) -> float:
         ux, uy = self.direction

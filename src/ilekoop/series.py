@@ -14,11 +14,11 @@ x-power n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 from .errors import DomainError
+from .expr import _Record
 from .vectorfield import SADDLE_Y_BOUND
 
 
@@ -37,8 +37,7 @@ def _signed_base(y: float) -> float:
     return y * math.sqrt(3.0 / (1.0 - y * y))
 
 
-@dataclass(frozen=True)
-class SaddleEigenfunction:
+class SaddleEigenfunction(_Record):
     """Eigenfunction h(s) * q^(-lam) of the nonlinear saddle, where
     q(y) = y * sqrt(3 / (1 - y^2)), s = x * q, and h(s) = h_scale * s^h_degree.
 
@@ -46,9 +45,12 @@ class SaddleEigenfunction:
     signed choice of q keeps odd-degree data functions odd in y.
     """
 
-    lam: float
-    h_degree: int = 0
-    h_scale: float = 1.0
+    __slots__ = ("lam", "h_degree", "h_scale")
+
+    def __init__(self, lam: float, h_degree: int = 0, h_scale: float = 1.0):
+        self.lam = lam
+        self.h_degree = h_degree
+        self.h_scale = h_scale
 
     @classmethod
     def constant(cls, c: float, lam: float) -> "SaddleEigenfunction":
@@ -130,13 +132,15 @@ def attraction_series_coefficients(n: int) -> tuple:
     return tuple(greedy_series_coefficients([0.0, 3.0], _q_power_basis(2, n), n))
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(_Record):
     """One term coefficient * w^k of the attraction-rate series; an exact
     eigenfunction of the saddle with eigenvalue -2k."""
 
-    k: int
-    coefficient: float
+    __slots__ = ("k", "coefficient")
+
+    def __init__(self, k: int, coefficient: float):
+        self.k = k
+        self.coefficient = coefficient
 
     def value(self, x: float, y: float) -> float:
         if not abs(y) < SADDLE_Y_BOUND:

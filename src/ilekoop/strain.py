@@ -14,22 +14,22 @@ node-by-node loop, so it returns the same hit list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError
-from .expr import format_float
+from .expr import _Record, format_float
 from .vectorfield import VectorField2D
 
 
-@dataclass(frozen=True)
-class SymTensor2:
+class SymTensor2(_Record):
     """Symmetric 2x2 tensor (sxx, sxy, syy)."""
 
-    sxx: float
-    sxy: float
-    syy: float
+    __slots__ = ("sxx", "sxy", "syy")
+
+    def __init__(self, sxx: float, sxy: float, syy: float):
+        self.sxx = sxx
+        self.sxy = sxy
+        self.syy = syy
 
     def eigenvalues(self):
         """(min, max) eigenvalue pair, via the closed-form quadratic.  The
@@ -42,25 +42,25 @@ class SymTensor2:
         return (mean - rad, mean + rad)
 
 
-@dataclass(frozen=True)
-class Grid2D:
+class Grid2D(_Record):
     """Uniform rectangular grid; node (ix, iy) sits at (xs()[ix], ys()[iy])."""
 
-    xmin: float
-    xmax: float
-    nx: int
-    ymin: float
-    ymax: float
-    ny: int
+    __slots__ = ("xmin", "xmax", "nx", "ymin", "ymax", "ny")
 
-    def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
+    def __init__(self, xmin: float, xmax: float, nx: int, ymin: float, ymax: float, ny: int):
+        if nx < 2 or ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
-        if not (self.xmin < self.xmax and self.ymin < self.ymax):
+        if not (xmin < xmax and ymin < ymax):
             raise ValueError("grid bounds must satisfy xmin < xmax and ymin < ymax")
-        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
+        if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
             # np.linspace would put a NaN node on such an axis
             raise NumericalError("grid width or height overflows a double")
+        self.xmin = xmin
+        self.xmax = xmax
+        self.nx = nx
+        self.ymin = ymin
+        self.ymax = ymax
+        self.ny = ny
 
     @property
     def dx(self) -> float:
@@ -77,19 +77,19 @@ class Grid2D:
         return np.linspace(self.ymin, self.ymax, self.ny)
 
 
-@dataclass
-class ScalarField:
+class ScalarField(_Record):
     """Values sampled on a grid; ``values[iy, ix]`` matches node (ix, iy)."""
 
-    grid: Grid2D
-    values: np.ndarray
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.ny, self.grid.nx):
+    def __init__(self, grid: Grid2D, values: np.ndarray):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.ny, grid.nx):
             raise ValueError("value array shape does not match the grid")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("scalar field contains non-finite values")
+        self.grid = grid
+        self.values = values
 
     def min(self) -> float:
         return float(np.min(self.values))
@@ -244,6 +244,10 @@ def write_csv(f: ScalarField, stream) -> None:
         stream.write(row_text.replace("\0", y) % tuple(row))
 
 
+#: The text of each gray level.
+_PIXEL_TEXT = tuple(map(str, range(256)))
+
+
 def write_pgm(f: ScalarField, stream) -> None:
     """Plain (P2) PGM; values mapped affinely min -> 0, max -> 255, top row
     at ymax so the image is in conventional orientation."""
@@ -251,8 +255,12 @@ def write_pgm(f: ScalarField, stream) -> None:
     if math.isinf(hi - lo):
         # The span overflows; halving every value keeps it finite.
         lo, hi, values = 0.5 * lo, 0.5 * hi, 0.5 * values
+    elif hi > lo and math.isinf(255.0 / (hi - lo)):
+        # 255 / span overflows; scaling every value by 2^600 is exact.
+        lo, hi, values = lo * 2.0**600, hi * 2.0**600, values * 2.0**600
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     pixels = ((values - lo) * scale).round().astype(int)
     stream.write(f"P2\n{f.grid.nx} {f.grid.ny}\n255\n")
+    text = _PIXEL_TEXT
     for row in pixels[::-1].tolist():
-        stream.write(" ".join(map(str, row)) + "\n")
+        stream.write(" ".join([text[p] for p in row]) + "\n")

@@ -13,10 +13,8 @@ numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import DomainError
-from .expr import Poly2, _field_rk4
+from .expr import Poly2, _Record, _field_rk4
 
 # The explicit saddle solution is singular at |y| = 1; stay strictly inside.
 SADDLE_Y_BOUND = 1.0 - 1e-12
@@ -24,15 +22,15 @@ SADDLE_Y_BOUND = 1.0 - 1e-12
 MAX_STEP_COUNT = 1e8
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(_Record):
     """Fixed RK4 step magnitude; integration direction follows sign(t)."""
 
-    step: float = 1e-3
+    __slots__ = ("step",)
 
-    def __post_init__(self):
-        if not self.step > 0.0:
+    def __init__(self, step: float = 1e-3):
+        if not step > 0.0:
             raise ValueError("integrator step must be positive")
+        self.step = step
 
 
 def _check_step_budget(t: float, step: float) -> None:

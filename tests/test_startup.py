@@ -1,8 +1,10 @@
 """What a fresh ``ilekoop`` process loads.  The exact-algebra commands, the
 pullback, --help and usage errors never load numpy; the array and integration
 commands load it and still print the bytes they did when every command loaded
-it.  The commands are those ``tools/startup.py`` times."""
+it.  No command loads ``dataclasses``, and those without numpy never load
+``inspect``.  The commands are those ``tools/startup.py`` times."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -23,13 +25,18 @@ _spec = importlib.util.spec_from_file_location("startup", TOOLS / "startup.py")
 startup = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(startup)
 
+#: Standard-library modules that cost start-up time and that the package
+#: itself never needs; ``inspect`` comes with numpy.
+SLOW_STDLIB = ("dataclasses", "inspect")
+
 # Runs the entry point; at exit, the last stderr line lists the loaded modules.
 _PROBE = """import atexit, sys
 atexit.register(lambda: sys.stderr.write("\\nloaded " + " ".join(sorted(
-    m for m in sys.modules if m.partition(".")[0] in ("ilekoop", "numpy") and m.count(".") < 2))))
+    m for m in sys.modules
+    if m.partition(".")[0] in ("ilekoop", "numpy") + %r and m.count(".") < 2))))
 from ilekoop.cli import main
 main()
-"""
+""" % (SLOW_STDLIB,)
 
 
 def fresh(argv, cwd, code: str = _PROBE):
@@ -57,6 +64,20 @@ def test_importing_the_cli_loads_errors_and_expr_only(tmp_path):
     assert {m for m in modules if m.startswith("ilekoop")} == {
         "ilekoop", "ilekoop.cli", "ilekoop.errors", "ilekoop.expr"}
     assert "numpy" not in modules
+    assert not modules.intersection(SLOW_STDLIB)
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    for path in sorted((SRC / "ilekoop").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] not in ("dataclasses", "typing"), path.name
 
 
 #: The commands that load numpy; every other command of the tool must not.
@@ -77,7 +98,10 @@ def test_tool_commands_load_numpy_only_for_arrays(inputs, name):
     argv, outputs = startup.COMMANDS[name]
     proc = fresh(argv, inputs)
     assert proc.returncode == (1 if name == "usage-error" else 0), proc.stderr
-    assert ("numpy" in loaded(proc)) == (name in NUMPY)
+    modules = loaded(proc)
+    assert ("numpy" in modules) == (name in NUMPY)
+    assert "dataclasses" not in modules
+    assert name in NUMPY or "inspect" not in modules
     if name in PINNED:
         h = hashlib.sha256(proc.stdout.encode())
         for path in outputs:
@@ -95,7 +119,7 @@ def test_tool_commands_load_numpy_only_for_arrays(inputs, name):
 def test_more_exact_commands_never_load_numpy(inputs, argv, code):
     proc = fresh(argv, inputs)
     assert proc.returncode == code, proc.stderr
-    assert "numpy" not in loaded(proc)
+    assert not loaded(proc).intersection(("numpy",) + SLOW_STDLIB)
 
 
 def test_startup_tool_smoke():

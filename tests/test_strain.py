@@ -367,6 +367,10 @@ def _loop_write_csv(f, stream):
 def _loop_write_pgm(f, stream):
     lo = f.min()
     hi = f.max()
+    if hi > lo and math.isinf(255.0 / (hi - lo)):
+        # a span below 255 / max double: the pixels of the field scaled by 2^600
+        f = ScalarField(f.grid, f.values * 2.0**600)
+        lo, hi = f.min(), f.max()
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     stream.write(f"P2\n{f.grid.nx} {f.grid.ny}\n255\n")
     for iy in range(f.grid.ny - 1, -1, -1):
@@ -471,6 +475,67 @@ def test_csv_and_pgm_match_row_loops(f):
             new(f, a)
             old(f, b)
         assert a.getvalue() == b.getvalue()
+
+
+def _map_str_write_pgm(f, stream):
+    """``write_pgm`` as it was before the pixel table, including the halved
+    path for a span that overflows."""
+    lo, hi, values = f.min(), f.max(), f.values
+    if math.isinf(hi - lo):
+        lo, hi, values = 0.5 * lo, 0.5 * hi, 0.5 * values
+    scale = 255.0 / (hi - lo) if hi > lo else 0.0
+    pixels = ((values - lo) * scale).round().astype(int)
+    stream.write(f"P2\n{f.grid.nx} {f.grid.ny}\n255\n")
+    for row in pixels[::-1].tolist():
+        stream.write(" ".join(map(str, row)) + "\n")
+
+
+def _pgm_text(writer, f) -> str:
+    buf = io.StringIO()
+    with np.errstate(all="ignore"):
+        writer(f, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def _pgm_fields(draw):
+    """Fields of any finite values: ordinary, constant, overflowing spans
+    (halved by the writer) and spans below 255 / max double."""
+    nx, ny = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    pool = draw(st.sampled_from([
+        st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-1.7e308, 1.7e308, 1e308, -1e308, 0.0, 1.0]),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-307, 2.5e-308])]))
+    if draw(st.booleans()):
+        values = draw(st.lists(pool, min_size=nx * ny, max_size=nx * ny))
+    else:
+        values = [draw(pool)] * (nx * ny)
+    return ScalarField(Grid2D(0.0, 1.0, nx, 0.0, 1.0, ny),
+                       np.array(values, dtype=float).reshape(ny, nx))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_pgm_fields())
+@example(f=ScalarField(Grid2D(0.0, 1.0, 2, 0.0, 1.0, 2), np.full((2, 2), -3.5)))
+@example(f=ScalarField(Grid2D(0.0, 1.0, 3, 0.0, 1.0, 2),
+                       np.array([[-1.7e308, 0.0, 1.7e308], [1.0, -1.0, 5e-324]])))
+@example(f=ScalarField(Grid2D(0.0, 1.0, 2, 0.0, 1.0, 2), np.array([[0.0, 5e-324], [0.0, 0.0]])))
+def test_pgm_table_writes_the_map_str_bytes(f):
+    old = _pgm_text(_map_str_write_pgm, f)
+    pixels = [int(p) for line in old.splitlines()[3:] for p in line.split()]
+    if all(0 <= p <= 255 for p in pixels):
+        assert _pgm_text(write_pgm, f) == old
+    else:
+        # 255 / span overflowed and the old writer printed the int64 minimum;
+        # the span is now scaled by 2^600 first, exactly
+        assert _pgm_text(write_pgm, f) == _pgm_text(
+            _map_str_write_pgm, ScalarField(f.grid, f.values * 2.0**600))
+
+
+def test_pgm_tiny_span_maps_ends():
+    grid = Grid2D(0.0, 1.0, 3, 0.0, 1.0, 2)
+    f = ScalarField(grid, np.array([[0.0, 5e-324, 1e-323], [1e-323, 1e-323, 0.0]]))
+    assert _pgm_text(write_pgm, f) == "P2\n3 2\n255\n255 255 0\n0 128 255\n"
 
 
 def test_pgm_overflowing_range_maps_ends():
