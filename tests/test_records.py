@@ -179,8 +179,3 @@ def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
-
-
-def test_data_surface_normalizes_its_direction():
-    surf = DataSurface(base=(1.0, 2.0), direction=(0.0, -2.0), h=abs)
-    assert surf.direction == (0.0, -1.0) and surf.base == (1.0, 2.0) and surf.h is abs
