@@ -256,7 +256,7 @@ def write_pgm(f: ScalarField, stream) -> None:
         # The span overflows; halving every value keeps it finite.
         lo, hi, values = 0.5 * lo, 0.5 * hi, 0.5 * values
     elif hi > lo and math.isinf(255.0 / (hi - lo)):
-        # 255 / span overflows; scaling every value by 2^600 is exact.
+        # 255 / span overflows, so every value is below about 1e-289; scaling by 2^600 is exact.
         lo, hi, values = lo * 2.0**600, hi * 2.0**600, values * 2.0**600
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     pixels = ((values - lo) * scale).round().astype(int)
