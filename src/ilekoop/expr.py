@@ -384,6 +384,57 @@ def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
                     "yn = y + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)"]
 
 
+def _step_lines(shapes, guard: str | None) -> list[str]:
+    """The statements of the in-place ``"step"`` and ``"tangent"`` functions
+    (see :func:`_kernel_factory`): ``hh`` and ``h6`` from ``h``, then
+    :func:`_rk4_lines`.  :func:`_c_tangent` emits the same list as C."""
+    return ["hh = 0.5 * h", "h6 = h / 6.0"] + _rk4_lines(shapes, guard, True)
+
+
+# The tangent step's names for the flow-map gradient rows (see _rk4_lines):
+# the gradient rows f0, f1, their stage points f0s, f1s, results f0n, f1n and
+# stage rates g0_k, g1_k.  Each holds two numbers per node.
+_ROW_NAME = re.compile(r"\b(?:f[01][sn]?|g[01]_\d)\b")
+
+
+def _c_tangent(shapes: tuple, guarded: bool) -> str:
+    """C source of the ``"tangent"`` function of :func:`_kernel_factory` for
+    ``shapes`` over ``n`` nodes: ``int ilekoop_tangent(n, h, bound, c, x, y,
+    f0, f1, out)``.  ``c`` holds the coefficients in the factory's argument
+    order, ``f0``, ``f1`` are (2, n) and ``out`` is (6, n): xn, yn, f0n, f1n.
+
+    Each node runs :func:`_step_lines` itself: every statement of that list
+    is already a C statement (``a = b * c``, ``a += b * c * d``, ``a *= 2.0``)
+    of the same operations in the same order, and one whose target is a
+    gradient row runs once per entry of the row.  Built without contraction
+    or reassociation, every exactly-rounded operation of a node so gives the
+    bits of the numpy step.  ``guarded`` makes a stage whose y fails
+    ``fabs(y) < bound`` (NaN too) end the call with 1 where the Python step
+    raises; otherwise it returns 0."""
+    guard = "if (!(fabs({y}) < bound)) return 1" if guarded else None
+    body, names = [], {}
+    for line in _step_lines(shapes, guard):
+        rows = (0, 1) if _ROW_NAME.match(line) else (None,)
+        for r in rows:
+            stmt = line if r is None else _ROW_NAME.sub(lambda m: f"{m[0]}_{r}", line)
+            names.setdefault(stmt.partition(" ")[0], None)
+            body.append(f"{stmt};")
+    names.pop("if", None)
+    args = [f"c{m}_{k}" for m, shape in enumerate(shapes) for k in range(len(shape))]
+    const = "".join(f"    const double {a} = c[{k}];\n" for k, a in enumerate(args))
+    load = ("const double x = X[i], y = Y[i], f0_0 = F0[i], f0_1 = F0[n + i],"
+            " f1_0 = F1[i], f1_1 = F1[n + i];")
+    store = " ".join(f"out[{k} * n + i] = {v};" for k, v in enumerate(
+        ("xn", "yn", "f0n_0", "f0n_1", "f1n_0", "f1n_1")))
+    return ("#include <math.h>\n\n"
+            "int ilekoop_tangent(long n, double h, double bound, const double *c,\n"
+            "                    const double *X, const double *Y, const double *F0,\n"
+            "                    const double *F1, double *out)\n{\n" + const
+            + "    for (long i = 0; i < n; i++) {\n"
+            + "".join(f"        {s}\n" for s in (load, f"double {', '.join(names)};", *body, store))
+            + "    }\n    return 0;\n}\n")
+
+
 @functools.lru_cache(maxsize=256)
 def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
     """Compile straight-line code for the term structures ``shapes``, one
@@ -419,8 +470,7 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
         head, out = (("step(x, y, h)", "xn, yn") if mode == "step"
                      else ("tangent(x, y, f0, f1, h)", "xn, yn, f0n, f1n"))
         args += ["check"] * guarded
-        body = (["hh = 0.5 * h", "h6 = h / 6.0"]
-                + _rk4_lines(shapes, "check({y})" if guarded else None, True) + [f"return {out}"])
+        body = _step_lines(shapes, "check({y})" if guarded else None) + [f"return {out}"]
     else:
         head = "march(x, y, h, n, d_prev, ux, uy, bx, by)"
         args += ["bound"] * guarded
@@ -443,9 +493,16 @@ def _field_rk4(polys: tuple, mode: str, guard=None):
     :func:`_kernel_factory`) of the field whose components are ``polys``;
     ``guard``, if given, is the factory's guard argument (``check`` or
     ``bound``)."""
+    shapes, coeffs = _field_terms(polys)
+    return _kernel_factory(shapes, mode, guard is not None)(
+        *coeffs, *([] if guard is None else [guard]))
+
+
+def _field_terms(polys: tuple) -> tuple[tuple, list[float]]:
+    """The term structures of ``polys`` (the code generator's key) and their
+    coefficients in the generated factory's argument order."""
     terms = tuple(p.items_sorted() for p in polys)
-    factory = _kernel_factory(tuple(map(_shape, terms)), mode, guard is not None)
-    return factory(*(c for t in terms for _, c in t), *([] if guard is None else [guard]))
+    return tuple(map(_shape, terms)), [c for t in terms for _, c in t]
 
 
 class Poly2:

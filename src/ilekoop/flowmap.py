@@ -9,7 +9,8 @@ that accumulates in place, the same source for floats and arrays of one
 shape.  The pullback's fixed-step march runs the same stages, chained, in
 one generated loop (``VectorField2D._rk4_march()``), and ``cauchy_green``
 runs them with their exact derivative (``VectorField2D._rk4_tangent()``),
-which carries the flow-map gradient beside each trajectory.
+which carries the flow-map gradient beside each trajectory; on arrays that
+step runs compiled, with the same bits (see ``ilekoop._native``).
 ``cauchy_green`` and ``ftle`` take a point or equal-shape arrays of points,
 and ``ftle_field`` is ``ftle`` at every grid node, so a point's FTLE equals
 its node bit for bit.  For the built-in saddle the
@@ -33,11 +34,13 @@ from .vectorfield import IntegratorConfig, VectorField2D, _check_domain, _check_
 _FINITE_CHECK_STEPS = 64
 
 # ftle_field's fewest nodes per thread and serial block (strain._sample_grid).
-# Cubic, t = -0.05, 2 vCPUs, best of 5, serial 201x201 / 161x161 in ms:
-# 3,072-node blocks 649 / 424, 6,144 579 / 344, 12,288 472 / 334, 24,576
-# 567 / 428; two threads at 12,288 436 / 275.  A second thread so starts only
-# at 2 x 12,288 nodes (157x157).
-_FTLE_CHUNK_NODES = 12288
+# The compiled tangent step releases the interpreter lock, so two threads pay
+# off from about 8,000 nodes.  Cubic, t = -0.05, 2 vCPUs, best of 11
+# interleaved, threads 1 / 2 in ms, with 4,096 against 12,288 here: 91x91
+# 33.3 / 21.0 against 34.1 / 32.8, 101x101 42.4 / 24.4 against 43.0 / 42.3,
+# 121x121 61.1 / 39.2 against 61.6 / 60.2; serial blocks of either size
+# take the same time from 61x61 to 201x201.
+_FTLE_CHUNK_NODES = 4096
 
 
 class Trajectory(_Record):

@@ -21,8 +21,24 @@ from .expr import _Record, format_float
 from .vectorfield import VectorField2D
 
 
-class SymTensor2(_Record):
-    """Symmetric 2x2 tensor (sxx, sxy, syy)."""
+class _ArrayRecord(_Record):
+    """A record whose fields may hold arrays: such a field compares with
+    ``np.array_equal``, so ``==`` gives one bool, and hashing a record that
+    holds an array raises TypeError."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in zip(self._fields(), other._fields()))
+
+    __hash__ = _Record.__hash__
+
+
+class SymTensor2(_ArrayRecord):
+    """Symmetric 2x2 tensor (sxx, sxy, syy): floats, or arrays (elementwise)."""
 
     __slots__ = ("sxx", "sxy", "syy")
 
@@ -77,7 +93,7 @@ class Grid2D(_Record):
         return np.linspace(self.ymin, self.ymax, self.ny)
 
 
-class ScalarField(_Record):
+class ScalarField(_ArrayRecord):
     """Values sampled on a grid; ``values[iy, ix]`` matches node (ix, iy)."""
 
     __slots__ = ("grid", "values")

@@ -89,11 +89,26 @@ class VectorField2D:
     def _rk4_tangent(self):
         """The :meth:`_rk4` step with its exact derivative applied to the
         flow-map gradient rows, ``tangent(x, y, f0, f1, h) -> (x, y, f0, f1)``
-        (see ``expr._kernel_factory``), built on first use."""
-        if self._tangent is None:
-            self._tangent = _field_rk4((self.p, self.q, *self._jac), "tangent",
-                                       _check_domain if self.is_saddle else None)
-        return self._tangent
+        (see ``expr._kernel_factory``), built on first use.  Floats run the
+        generated Python step; the first array call loads the same step
+        compiled (``ilekoop._native``), which gives the same bits, and every
+        array call after it goes there."""
+        tangent = self._tangent
+        if tangent is None:
+            polys = (self.p, self.q, *self._jac)
+            python = _field_rk4(polys, "tangent", _check_domain if self.is_saddle else None)
+            bound, compiled = SADDLE_Y_BOUND if self.is_saddle else None, []
+
+            def tangent(x, y, f0, f1, h):
+                if type(x) is float:
+                    return python(x, y, f0, f1, h)
+                if not compiled:
+                    from ._native import array_tangent
+                    compiled.append(array_tangent(polys, bound, python))
+                return compiled[0](x, y, f0, f1, h)
+
+            self._tangent = tangent
+        return tangent
 
     def _rk4_march(self):
         """The field's generated fixed-step crossing search

@@ -179,3 +179,24 @@ def test_validation_messages(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+def test_records_holding_arrays_compare_as_one_bool():
+    grid = Grid2D(0.0, 1.0, 2, 0.0, 1.0, 2)
+    values = np.array([[0.0, 1.0], [2.0, 3.0]])
+    field = ScalarField(grid, values)
+    assert field == ScalarField(grid, values.copy())
+    assert field != ScalarField(grid, values + 1.0)
+    assert field != ScalarField(Grid2D(0.0, 2.0, 2, 0.0, 1.0, 2), values)
+    assert field in [ScalarField(grid, values + 1.0), ScalarField(grid, values.copy())]
+    assert [field].index(ScalarField(grid, values.copy())) == 0
+    xs = np.array([1.0, 2.0])
+    tensor = SymTensor2(xs, 0.5, xs * 2.0)
+    assert tensor == SymTensor2(xs.copy(), 0.5, xs * 2.0)
+    assert tensor != SymTensor2(xs, 0.5, xs * 3.0)
+    assert tensor != SymTensor2(xs, np.array([0.5, 0.5]), xs * 2.0)
+    assert tensor != SymTensor2(1.0, 0.5, 2.0)
+    for record in (field, tensor):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    assert hash(SymTensor2(1.0, 0.5, 2.0)) == hash(SymTensor2(1.0, 0.5, 2.0))

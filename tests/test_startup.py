@@ -63,7 +63,7 @@ def test_importing_the_cli_loads_errors_and_expr_only(tmp_path):
     modules = set(proc.stdout.split())
     assert {m for m in modules if m.startswith("ilekoop")} == {
         "ilekoop", "ilekoop.cli", "ilekoop.errors", "ilekoop.expr"}
-    assert "numpy" not in modules
+    assert "numpy" not in modules and "ctypes" not in modules
     assert not modules.intersection(SLOW_STDLIB)
 
 
