@@ -1,30 +1,16 @@
 """The compiled FTLE tangent step.
 
-``expr._c_tangent`` emits a field's generated RK4 tangent statements as one
-C function over every node of an array.  This module builds it with the
-system C compiler, loads it with ctypes, checks it against the generated
-Python step and hands it array calls.  Only a field's first array call to
-``VectorField2D._rk4_tangent()`` imports this module, so importing the CLI,
-float points and the commands without numpy never load it.
-
-- **Flags.** ``-O2 -fPIC -shared -ffp-contract=off``: no fused multiply-add
-  and, without ``-ffast-math``, no reassociation, so each node runs the
-  numpy step's exactly-rounded operations in the same order and gets its
-  bits.  No ``-march=native``: a kernel runs wherever its cache file goes.
-- **Cache.** Built kernels sit beside the bytecode in
-  ``ilekoop/__pycache__/``, named by the SHA-256 of the C source, the build
-  command and the platform, and are written under a temporary name and
-  renamed.  Under ``sys.dont_write_bytecode``, or where that directory cannot
-  be written, a build goes to a private temporary directory that is deleted
-  once the kernel is loaded.
-- **Probe.** The first load of a term structure in a process steps a few
-  nodes forward and backward, partial steps included, and must reproduce
-  the generated Python tangent bit for bit; a guarded kernel must also
-  refuse a node outside its bound.  Otherwise the kernel is discarded.
-- **Fallback.** No compiler, a source too long to build quickly, a failed
-  or timed-out build, a failed probe, and every call that is not non-empty
-  float64 arrays of matching shapes, C-contiguous, aligned and writable,
-  with a float step, run the generated Python step: the same bytes, slower.
+``_c_tangent`` emits a field's generated RK4 tangent statements as one C
+function over every node of an array.  This module builds it once per
+term structure with the system compiler (no contraction, no reassociation:
+the numpy step's bits), caches it beside the bytecode in
+``ilekoop/__pycache__/`` (a private temporary directory under
+``sys.dont_write_bytecode`` or where that cannot be written), loads it with
+ctypes, probes it against the generated Python step and hands it array
+calls.  No compiler, a source too long to build quickly, a failed build or
+probe, and every call the kernel cannot take run the Python step instead,
+with the same bytes.  Only a field's first array call to
+``VectorField2D._rk4_tangent()`` imports this module.
 """
 
 from __future__ import annotations
@@ -32,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import re
 import sys
 import sysconfig
 import tempfile
@@ -40,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import _c_tangent, _field_terms, _kernel_factory
+from .expr import _field_terms, _kernel_factory, _step_lines
 
 #: The build command; the source arrives on stdin.
 _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-")
@@ -69,9 +56,10 @@ def array_tangent(polys: tuple, bound: float | None, python):
     Q_y) are ``polys``: the compiled kernel for non-empty float64 arrays x,
     y of one shape and rows f0, f1 of shape (2, *x.shape), all C-contiguous,
     aligned and writable (``flags.carray``), with a float h; and ``python``,
-    the generated Python tangent with the same guard, for any other call.  ``bound`` is the saddle's |y| bound (None: unguarded).  A
-    kernel's guard failure re-runs the call in ``python``, which raises the
-    guard's own DomainError.  ``python`` itself where no kernel loads."""
+    the generated Python tangent with the same guard, for any other call.
+    ``bound`` is the saddle's |y| bound (None: unguarded).  A kernel's guard
+    failure re-runs the call in ``python``, which raises the guard's own
+    DomainError.  ``python`` itself where no kernel loads."""
     shapes, coeffs = _field_terms(polys)
     kernel = _kernel(shapes, bound is not None)
     if kernel is None:
@@ -85,12 +73,62 @@ def array_tangent(polys: tuple, bound: float | None, python):
                 and x.shape == y.shape and f0.shape == f1.shape == (2, *x.shape)
                 and x.flags.carray and y.flags.carray and f0.flags.carray and f1.flags.carray):
             return python(x, y, f0, f1, h)
-        out = np.empty((6, *x.shape))
-        if kernel(x.size, h, bound, *map(_address, (c, x, y, f0, f1, out))):
-            return python(x, y, f0, f1, h)
-        return out[0], out[1], out[2:4], out[4:6]
+        code, state = _run(kernel, c, bound, x, y, f0, f1, h)
+        return python(x, y, f0, f1, h) if code else state
 
     return tangent
+
+
+def _run(kernel, c: np.ndarray, bound: float, x, y, f0, f1, h: float) -> tuple:
+    """One call of ``kernel``: its return code (1: the guard failed) and
+    ``(xn, yn, f0n, f1n)``, views of one new (6, ...) array."""
+    out = np.empty((6, *x.shape))
+    code = kernel(x.size, h, bound, *map(_address, (c, x, y, f0, f1, out)))
+    return code, (out[0], out[1], out[2:4], out[4:6])
+
+
+# The tangent step's names for the flow-map gradient rows (expr._rk4_lines):
+# the gradient rows f0, f1, their stage points f0s, f1s, results f0n, f1n and
+# stage rates g0_k, g1_k.  Each holds two numbers per node.
+_ROW_NAME = re.compile(r"\b(?:f[01][sn]?|g[01]_\d)\b")
+
+
+def _c_tangent(shapes: tuple, guarded: bool) -> str:
+    """C source of the ``"tangent"`` function of ``expr._kernel_factory`` for
+    ``shapes`` over ``n`` nodes: ``int ilekoop_tangent(n, h, bound, c, x, y,
+    f0, f1, out)``.  ``c`` holds the coefficients in the factory's argument
+    order, ``f0``, ``f1`` are (2, n) and ``out`` is (6, n): xn, yn, f0n, f1n.
+
+    Each node runs ``expr._step_lines``, the Python step's own list: every
+    statement of it is already a C statement (``a = b * c``, ``a += b * c *
+    d``, ``a *= 2.0``) of the same operations in the same order, and one
+    whose target is a gradient row runs once per entry of the row.  Built without contraction
+    or reassociation, every exactly-rounded operation of a node so gives the
+    bits of the numpy step.  ``guarded`` makes a stage whose y fails
+    ``fabs(y) < bound`` (NaN too) end the call with 1 where the Python step
+    raises; otherwise it returns 0."""
+    guard = "if (!(fabs({y}) < bound)) return 1" if guarded else None
+    body, names = [], {}
+    for line in _step_lines(shapes, guard):
+        rows = (0, 1) if _ROW_NAME.match(line) else (None,)
+        for r in rows:
+            stmt = line if r is None else _ROW_NAME.sub(lambda m: f"{m[0]}_{r}", line)
+            names.setdefault(stmt.partition(" ")[0], None)
+            body.append(f"{stmt};")
+    names.pop("if", None)
+    args = [f"c{m}_{k}" for m, shape in enumerate(shapes) for k in range(len(shape))]
+    const = "".join(f"    const double {a} = c[{k}];\n" for k, a in enumerate(args))
+    load = ("const double x = X[i], y = Y[i], f0_0 = F0[i], f0_1 = F0[n + i],"
+            " f1_0 = F1[i], f1_1 = F1[n + i];")
+    store = " ".join(f"out[{k} * n + i] = {v};" for k, v in enumerate(
+        ("xn", "yn", "f0n_0", "f0n_1", "f1n_0", "f1n_1")))
+    return ("#include <math.h>\n\n"
+            "int ilekoop_tangent(long n, double h, double bound, const double *c,\n"
+            "                    const double *X, const double *Y, const double *F0,\n"
+            "                    const double *F1, double *out)\n{\n" + const
+            + "    for (long i = 0; i < n; i++) {\n"
+            + "".join(f"        {s}\n" for s in (load, f"double {', '.join(names)};", *body, store))
+            + "    }\n    return 0;\n}\n")
 
 
 def _address(a: np.ndarray) -> int:
@@ -179,17 +217,12 @@ def _probe(kernel, shapes: tuple, guarded: bool) -> bool:
     c = np.array(coeffs + [0.0])
     x0, y0 = np.array(_PROBE_X), np.array(_PROBE_Y)
     f0, f1 = np.multiply.outer(np.eye(2), np.ones(x0.shape))
-
-    def run(x, y, f0, f1, h):
-        out = np.empty((6, *x.shape))
-        code = kernel(x.size, h, 1.0, *map(_address, (c, x, y, f0, f1, out)))
-        return code, (out[0], out[1], out[2:4], out[4:6])
-
     for steps in _PROBE_STEPS:
         want = got = (x0, y0, f0, f1)
         for h in steps:
             want = python(*want, h)
-            code, got = run(*got, h)
+            code, got = _run(kernel, c, 1.0, *got, h)
             if code or [v.tobytes() for v in want] != [v.tobytes() for v in got]:
                 return False
-    return not guarded or run(x0, np.array([0.0, 2.0, 0.0, 0.0]), f0, f1, 0.01)[0] == 1
+    y_out = np.array([0.0, 2.0, 0.0, 0.0])
+    return not guarded or _run(kernel, c, 1.0, x0, y_out, f0, f1, 0.01)[0] == 1

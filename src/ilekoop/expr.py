@@ -387,52 +387,8 @@ def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
 def _step_lines(shapes, guard: str | None) -> list[str]:
     """The statements of the in-place ``"step"`` and ``"tangent"`` functions
     (see :func:`_kernel_factory`): ``hh`` and ``h6`` from ``h``, then
-    :func:`_rk4_lines`.  :func:`_c_tangent` emits the same list as C."""
+    :func:`_rk4_lines`.  ``ilekoop._native`` emits the same list as C."""
     return ["hh = 0.5 * h", "h6 = h / 6.0"] + _rk4_lines(shapes, guard, True)
-
-
-# The tangent step's names for the flow-map gradient rows (see _rk4_lines):
-# the gradient rows f0, f1, their stage points f0s, f1s, results f0n, f1n and
-# stage rates g0_k, g1_k.  Each holds two numbers per node.
-_ROW_NAME = re.compile(r"\b(?:f[01][sn]?|g[01]_\d)\b")
-
-
-def _c_tangent(shapes: tuple, guarded: bool) -> str:
-    """C source of the ``"tangent"`` function of :func:`_kernel_factory` for
-    ``shapes`` over ``n`` nodes: ``int ilekoop_tangent(n, h, bound, c, x, y,
-    f0, f1, out)``.  ``c`` holds the coefficients in the factory's argument
-    order, ``f0``, ``f1`` are (2, n) and ``out`` is (6, n): xn, yn, f0n, f1n.
-
-    Each node runs :func:`_step_lines` itself: every statement of that list
-    is already a C statement (``a = b * c``, ``a += b * c * d``, ``a *= 2.0``)
-    of the same operations in the same order, and one whose target is a
-    gradient row runs once per entry of the row.  Built without contraction
-    or reassociation, every exactly-rounded operation of a node so gives the
-    bits of the numpy step.  ``guarded`` makes a stage whose y fails
-    ``fabs(y) < bound`` (NaN too) end the call with 1 where the Python step
-    raises; otherwise it returns 0."""
-    guard = "if (!(fabs({y}) < bound)) return 1" if guarded else None
-    body, names = [], {}
-    for line in _step_lines(shapes, guard):
-        rows = (0, 1) if _ROW_NAME.match(line) else (None,)
-        for r in rows:
-            stmt = line if r is None else _ROW_NAME.sub(lambda m: f"{m[0]}_{r}", line)
-            names.setdefault(stmt.partition(" ")[0], None)
-            body.append(f"{stmt};")
-    names.pop("if", None)
-    args = [f"c{m}_{k}" for m, shape in enumerate(shapes) for k in range(len(shape))]
-    const = "".join(f"    const double {a} = c[{k}];\n" for k, a in enumerate(args))
-    load = ("const double x = X[i], y = Y[i], f0_0 = F0[i], f0_1 = F0[n + i],"
-            " f1_0 = F1[i], f1_1 = F1[n + i];")
-    store = " ".join(f"out[{k} * n + i] = {v};" for k, v in enumerate(
-        ("xn", "yn", "f0n_0", "f0n_1", "f1n_0", "f1n_1")))
-    return ("#include <math.h>\n\n"
-            "int ilekoop_tangent(long n, double h, double bound, const double *c,\n"
-            "                    const double *X, const double *Y, const double *F0,\n"
-            "                    const double *F1, double *out)\n{\n" + const
-            + "    for (long i = 0; i < n; i++) {\n"
-            + "".join(f"        {s}\n" for s in (load, f"double {', '.join(names)};", *body, store))
-            + "    }\n    return 0;\n}\n")
 
 
 @functools.lru_cache(maxsize=256)

@@ -145,9 +145,8 @@ def test_saddle_kernel_refuses_what_the_guard_refuses():
     c, f0, f1 = np.array(coeffs + [0.0]), *np.multiply.outer(np.eye(2), np.ones(2))
     for y, code in ((1.0, 1), (-1.0, 1), (np.nan, 1), (SADDLE_Y_BOUND, 1), (-np.inf, 1),
                     (np.nextafter(SADDLE_Y_BOUND, 0.0), 0), (0.5, 0)):
-        out = np.empty((6, 2))
-        args = map(_native._address, (c, np.zeros(2), np.array([0.0, y]), f0, f1, out))
-        assert kernel(2, 0.0, SADDLE_Y_BOUND, *args) == code, y
+        got = _native._run(kernel, c, SADDLE_Y_BOUND, np.zeros(2), np.array([0.0, y]), f0, f1, 0.0)
+        assert got[0] == code, y
 
 
 def test_blow_up_stops_stepping_soon_on_the_python_step(monkeypatch):
