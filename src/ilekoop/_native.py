@@ -102,9 +102,9 @@ def _c_tangent(shapes: tuple, guarded: bool) -> str:
     Each node runs ``expr._step_lines``, the Python step's own list: every
     statement of it is already a C statement (``a = b * c``, ``a += b * c *
     d``, ``a *= 2.0``) of the same operations in the same order, and one
-    whose target is a gradient row runs once per entry of the row.  Built without contraction
-    or reassociation, every exactly-rounded operation of a node so gives the
-    bits of the numpy step.  ``guarded`` makes a stage whose y fails
+    whose target is a gradient row runs once per entry of the row.  Built
+    without contraction or reassociation, every exactly-rounded operation of
+    a node so gives the bits of the numpy step.  ``guarded`` makes a stage whose y fails
     ``fabs(y) < bound`` (NaN too) end the call with 1 where the Python step
     raises; otherwise it returns 0."""
     guard = "if (!(fabs({y}) < bound)) return 1" if guarded else None
