@@ -1,16 +1,18 @@
 """The compiled FTLE tangent step.
 
 ``_c_tangent`` emits a field's generated RK4 tangent statements as one C
-function over every node of an array.  This module builds it once per
-term structure with the system compiler (no contraction, no reassociation:
-the numpy step's bits), caches it beside the bytecode in
-``ilekoop/__pycache__/`` (a private temporary directory under
-``sys.dont_write_bytecode`` or where that cannot be written), loads it with
-ctypes, probes it against the generated Python step and hands it array
-calls.  No compiler, a source too long to build quickly, a failed build or
-probe, and every call the kernel cannot take run the Python step instead,
-with the same bytes.  Only a field's first array call to
-``VectorField2D._rk4_tangent()`` imports this module.
+function over every node of an array.  A node's state is six doubles (x, y
+and the four entries of the flow-map gradient), so each Python statement is
+one C statement, unchanged.  This module builds the function once per term
+structure with the system compiler (no contraction, no reassociation: the
+numpy step's bits), caches it beside the bytecode in ``ilekoop/__pycache__/``
+(a private temporary directory under ``sys.dont_write_bytecode`` or where
+that cannot be written), loads it with ctypes, probes it against the
+generated Python step and hands it array calls.  No compiler, a source too
+long to build quickly, a failed build or probe, and every call the kernel
+cannot take run the Python step instead, with the same bytes.  Only a
+field's first array call to ``VectorField2D._rk4_tangent()`` imports this
+module; float calls never do.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import re
 import sys
 import sysconfig
 import tempfile
@@ -43,7 +44,7 @@ _MAX_SOURCE_BYTES = 65536
 
 _CACHE = Path(__file__).resolve().parent / "__pycache__"
 
-_ARGTYPES = (ctypes.c_long, ctypes.c_double, ctypes.c_double) + (ctypes.c_void_p,) * 6
+_ARGTYPES = (ctypes.c_long, ctypes.c_double, ctypes.c_double) + (ctypes.c_void_p,) * 8
 
 # (shapes, guarded) -> the probed kernel, or None where none could be had.
 # Filled once per key under the lock, so threads never build twice.
@@ -52,14 +53,14 @@ _LOCK = threading.Lock()
 
 
 def array_tangent(polys: tuple, bound: float | None, python):
-    """``tangent(x, y, f0, f1, h)`` for the field whose (P, Q, P_x, P_y, Q_x,
-    Q_y) are ``polys``: the compiled kernel for non-empty float64 arrays x,
-    y of one shape and rows f0, f1 of shape (2, *x.shape), all C-contiguous,
-    aligned and writable (``flags.carray``), with a float h; and ``python``,
-    the generated Python tangent with the same guard, for any other call.
-    ``bound`` is the saddle's |y| bound (None: unguarded).  A kernel's guard
-    failure re-runs the call in ``python``, which raises the guard's own
-    DomainError.  ``python`` itself where no kernel loads."""
+    """``tangent(x, y, f11, f12, f21, f22, h)`` for the field whose (P, Q,
+    P_x, P_y, Q_x, Q_y) are ``polys``: the compiled kernel where the six
+    state entries are float64 arrays of x's shape, C-contiguous, aligned and
+    writable (``flags.carray``), x is not empty and h is a float; and
+    ``python``, the generated Python tangent with the same guard, for any
+    other call.  ``bound`` is the saddle's |y| bound (None: unguarded).  A
+    kernel's guard failure re-runs the call in ``python``, which raises the
+    guard's own DomainError.  ``python`` itself where no kernel loads."""
     shapes, coeffs = _field_terms(polys)
     kernel = _kernel(shapes, bound is not None)
     if kernel is None:
@@ -67,67 +68,61 @@ def array_tangent(polys: tuple, bound: float | None, python):
     c = np.array(coeffs + [0.0])  # one spare entry: _address needs a non-empty array
     bound = 0.0 if bound is None else bound
 
-    def tangent(x, y, f0, f1, h):
-        if not (type(x) is type(y) is type(f0) is type(f1) is np.ndarray and type(h) is float
-                and x.size and x.dtype == y.dtype == f0.dtype == f1.dtype == np.float64
-                and x.shape == y.shape and f0.shape == f1.shape == (2, *x.shape)
-                and x.flags.carray and y.flags.carray and f0.flags.carray and f1.flags.carray):
-            return python(x, y, f0, f1, h)
-        code, state = _run(kernel, c, bound, x, y, f0, f1, h)
-        return python(x, y, f0, f1, h) if code else state
+    def tangent(*call):
+        *state, h = call
+        x = state[0]
+        if type(h) is float and type(x) is np.ndarray and x.size and all(
+                type(v) is np.ndarray and v.dtype == np.float64 and v.shape == x.shape
+                and v.flags.carray for v in state):
+            code, new = _run(kernel, c, bound, *call)
+            if not code:
+                return new
+        return python(*call)
 
     return tangent
 
 
-def _run(kernel, c: np.ndarray, bound: float, x, y, f0, f1, h: float) -> tuple:
-    """One call of ``kernel``: its return code (1: the guard failed) and
-    ``(xn, yn, f0n, f1n)``, views of one new (6, ...) array."""
-    out = np.empty((6, *x.shape))
-    code = kernel(x.size, h, bound, *map(_address, (c, x, y, f0, f1, out)))
-    return code, (out[0], out[1], out[2:4], out[4:6])
-
-
-# The tangent step's names for the flow-map gradient rows (expr._rk4_lines):
-# the gradient rows f0, f1, their stage points f0s, f1s, results f0n, f1n and
-# stage rates g0_k, g1_k.  Each holds two numbers per node.
-_ROW_NAME = re.compile(r"\b(?:f[01][sn]?|g[01]_\d)\b")
+def _run(kernel, c: np.ndarray, bound: float, *call) -> tuple:
+    """One call ``(x, y, f11, f12, f21, f22, h)`` of ``kernel``: its return
+    code (1: the guard failed) and the new state, views of one new (6, ...)
+    array."""
+    *state, h = call
+    out = np.empty((6, *state[0].shape))
+    code = kernel(state[0].size, h, bound, *map(_address, (c, *state, out)))
+    return code, tuple(out)
 
 
 def _c_tangent(shapes: tuple, guarded: bool) -> str:
     """C source of the ``"tangent"`` function of ``expr._kernel_factory`` for
-    ``shapes`` over ``n`` nodes: ``int ilekoop_tangent(n, h, bound, c, x, y,
-    f0, f1, out)``.  ``c`` holds the coefficients in the factory's argument
-    order, ``f0``, ``f1`` are (2, n) and ``out`` is (6, n): xn, yn, f0n, f1n.
+    ``shapes`` over ``n`` nodes: ``int ilekoop_tangent(n, h, bound, c, X, Y,
+    F11, F12, F21, F22, out)``.  ``c`` holds the coefficients in the
+    factory's argument order, the six state arrays hold n nodes each and
+    ``out`` is (6, n): xn, yn, f11n, f12n, f21n, f22n.  Only ``out`` is
+    written, so state arrays may share memory (``flowmap.cauchy_green``
+    passes one array of ones as F11 and F22 and one of zeros as F12 and F21).
 
     Each node runs ``expr._step_lines``, the Python step's own list: every
     statement of it is already a C statement (``a = b * c``, ``a += b * c *
-    d``, ``a *= 2.0``) of the same operations in the same order, and one
-    whose target is a gradient row runs once per entry of the row.  Built
+    d``, ``a *= 2.0``) of the same operations in the same order.  Built
     without contraction or reassociation, every exactly-rounded operation of
-    a node so gives the bits of the numpy step.  ``guarded`` makes a stage whose y fails
-    ``fabs(y) < bound`` (NaN too) end the call with 1 where the Python step
-    raises; otherwise it returns 0."""
-    guard = "if (!(fabs({y}) < bound)) return 1" if guarded else None
-    body, names = [], {}
-    for line in _step_lines(shapes, guard):
-        rows = (0, 1) if _ROW_NAME.match(line) else (None,)
-        for r in rows:
-            stmt = line if r is None else _ROW_NAME.sub(lambda m: f"{m[0]}_{r}", line)
-            names.setdefault(stmt.partition(" ")[0], None)
-            body.append(f"{stmt};")
-    names.pop("if", None)
+    a node so gives the bits of the numpy step.  ``guarded`` makes a stage
+    whose y fails ``fabs(y) < bound`` (NaN too) end the call with 1 where the
+    Python step raises; otherwise it returns 0."""
+    lines = _step_lines(shapes, "if (!(fabs({y}) < bound)) return 1" if guarded else None)
+    names = [a for a in dict.fromkeys(line.partition(" ")[0] for line in lines) if a != "if"]
     args = [f"c{m}_{k}" for m, shape in enumerate(shapes) for k in range(len(shape))]
     const = "".join(f"    const double {a} = c[{k}];\n" for k, a in enumerate(args))
-    load = ("const double x = X[i], y = Y[i], f0_0 = F0[i], f0_1 = F0[n + i],"
-            " f1_0 = F1[i], f1_1 = F1[n + i];")
-    store = " ".join(f"out[{k} * n + i] = {v};" for k, v in enumerate(
-        ("xn", "yn", "f0n_0", "f0n_1", "f1n_0", "f1n_1")))
+    state = ("x", "y", "f11", "f12", "f21", "f22")
+    load = f"const double {', '.join(f'{v} = {v.upper()}[i]' for v in state)};"
+    store = " ".join(f"out[{k} * n + i] = {v}n;" for k, v in enumerate(state))
     return ("#include <math.h>\n\n"
             "int ilekoop_tangent(long n, double h, double bound, const double *c,\n"
-            "                    const double *X, const double *Y, const double *F0,\n"
-            "                    const double *F1, double *out)\n{\n" + const
+            "                    const double *X, const double *Y, const double *F11,\n"
+            "                    const double *F12, const double *F21, const double *F22,\n"
+            "                    double *out)\n{\n" + const
             + "    for (long i = 0; i < n; i++) {\n"
-            + "".join(f"        {s}\n" for s in (load, f"double {', '.join(names)};", *body, store))
+            + "".join(f"        {s}\n" for s in (load, f"double {', '.join(names)};",
+                                                 *(f"{line};" for line in lines), store))
             + "    }\n    return 0;\n}\n")
 
 
@@ -216,13 +211,13 @@ def _probe(kernel, shapes: tuple, guarded: bool) -> bool:
     python = _kernel_factory(shapes, "tangent", guarded)(*coeffs, *[lambda y: None] * guarded)
     c = np.array(coeffs + [0.0])
     x0, y0 = np.array(_PROBE_X), np.array(_PROBE_Y)
-    f0, f1 = np.multiply.outer(np.eye(2), np.ones(x0.shape))
+    one, zero = np.ones(x0.shape), np.zeros(x0.shape)
     for steps in _PROBE_STEPS:
-        want = got = (x0, y0, f0, f1)
+        want = got = (x0, y0, one, zero, zero, one)
         for h in steps:
             want = python(*want, h)
             code, got = _run(kernel, c, 1.0, *got, h)
             if code or [v.tobytes() for v in want] != [v.tobytes() for v in got]:
                 return False
     y_out = np.array([0.0, 2.0, 0.0, 0.0])
-    return not guarded or _run(kernel, c, 1.0, x0, y_out, f0, f1, 0.01)[0] == 1
+    return not guarded or _run(kernel, c, 1.0, x0, y_out, one, zero, zero, one, 0.01)[0] == 1

@@ -356,11 +356,13 @@ def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
     ``{y}`` slot that runs on each stage's y before F is evaluated there.
     ``inplace`` also accumulates the stage points and the result in place.
     Four more shapes, those of J = (P_x, P_y, Q_x, Q_y), also step the
-    flow-map gradient rows ``f0, f1`` into ``f0n, f1n`` (in place): stage k
-    takes G_k = J(stage k)*(F + c*h*G_(k-1)), with no product for a zero
+    flow-map gradient entries ``f11, f12, f21, f22`` into ``f11n`` ...
+    ``f22n``: stage k takes G_k = J(stage k)*(F + c*h*G_(k-1)), entry by
+    entry ``g{r}{j}_k = J_r1*F_1j + J_r2*F_2j`` with no product for a zero
     entry of J, and the result is F + h6*(G1 + 2*G2 + 2*G3 + G4)."""
-    pairs = (("x", "u"), ("y", "v"), ("f0", "g0_"), ("f1", "g1_"))[:2 + 2 * (len(shapes) > 2)]
-    jac = ["px", "py", "qx", "qy"][:len(shapes) - 2]
+    jac = list(zip(["px", "py", "qx", "qy"], shapes[2:]))  # J_11, J_12, J_21, J_22
+    entries = [(r, j) for r in (1, 2) for j in (1, 2)] if jac else []
+    pairs = [("x", "u"), ("y", "v")] + [(f"f{r}{j}", f"g{r}{j}_") for r, j in entries]
     lines = []
     for k, scale in enumerate((None, "hh", "hh", "h"), 1):
         if scale:
@@ -369,26 +371,30 @@ def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
                           else [f"{z}s = {z} + {scale} * {u}{k - 1}"])
         xv, yv = ("xs", "ys") if scale else ("x", "y")
         lines += [guard.format(y=yv)] if guard else []
-        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"] + [f"{d}{k}" for d in jac], xv, yv, inplace)
-        rows = [z + "s" * bool(scale) for z, _ in pairs[2:]]
-        for r, (_, g) in enumerate(pairs[2:]):
-            prods = [f"{d}{k} * {z}" for d, z, shape in zip(jac[2 * r:], rows, shapes[2 + 2 * r:])
-                     if shape]
-            lines += [f"{g}{k} = {prods[0] if prods else '0.0'}"] + [
-                f"{g}{k} += {prod}" for prod in prods[1:]]
+        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"] + [f"{d}{k}" for d, _ in jac], xv, yv,
+                             inplace)
+        for r, j in entries:
+            prods = [f"{d}{k} * f{i}{j}{'s' * bool(scale)}"
+                     for i, (d, shape) in enumerate(jac[2 * r - 2:2 * r], 1) if shape]
+            lines += [f"g{r}{j}_{k} = {prods[0] if prods else '0.0'}"] + [
+                f"g{r}{j}_{k} += {prod}" for prod in prods[1:]]
     if inplace:
         return lines + [line for z, u in pairs for line in (
             f"{z}n = 2.0 * {u}2", f"{z}n += {u}1", f"{u}3 *= 2.0", f"{z}n += {u}3",
             f"{z}n += {u}4", f"{z}n *= h6", f"{z}n += {z}")]
-    return lines + ["xn = x + h6 * (u1 + 2.0 * u2 + 2.0 * u3 + u4)",
-                    "yn = y + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)"]
+    return lines + [f"{z}n = {z} + h6 * ({u}1 + 2.0 * {u}2 + 2.0 * {u}3 + {u}4)" for z, u in pairs]
+
+
+#: The step sizes every generated RK4 function binds before its stages.
+_STEP_SIZES = ["hh = 0.5 * h", "h6 = h / 6.0"]
 
 
 def _step_lines(shapes, guard: str | None) -> list[str]:
-    """The statements of the in-place ``"step"`` and ``"tangent"`` functions
-    (see :func:`_kernel_factory`): ``hh`` and ``h6`` from ``h``, then
-    :func:`_rk4_lines`.  ``ilekoop._native`` emits the same list as C."""
-    return ["hh = 0.5 * h", "h6 = h / 6.0"] + _rk4_lines(shapes, guard, True)
+    """The statements of the ``"tangent"`` function (see
+    :func:`_kernel_factory`): :data:`_STEP_SIZES`, then :func:`_rk4_lines`
+    accumulated in place, which on arrays makes fewer temporaries than the
+    chained form.  ``ilekoop._native`` emits the same list as C."""
+    return _STEP_SIZES + _rk4_lines(shapes, guard, True)
 
 
 @functools.lru_cache(maxsize=256)
@@ -401,14 +407,15 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
 
     - ``"kernel"``: the one component gives ``kernel(x, y)``.
     - ``"step"``: the components (P, Q) give one RK4 step
-      ``step(x, y, h) -> (x, y)`` (see :func:`_rk4_lines`), accumulated in
-      place, so x and y must be floats or share one shape.  ``guarded``
-      adds a last factory argument ``check``; ``check(y)`` runs on each
-      stage's y.  Every operation is elementwise, so floats and float
-      arrays run the same source and agree bit for bit.
+      ``step(x, y, h) -> (x, y)`` (see :func:`_rk4_lines`), chained as the
+      march chains it.  ``guarded`` adds a last factory argument ``check``;
+      ``check(y)`` runs on each stage's y.  Every operation is elementwise,
+      so floats and float arrays run the same source and agree bit for bit.
     - ``"tangent"``: (P, Q, P_x, P_y, Q_x, Q_y) give ``"step"`` with its
-      derivative, ``tangent(x, y, f0, f1, h) -> (x, y, f0, f1)``, the
-      gradient rows f0 = (F11, F12), f1 = (F21, F22) of shape (2, ...).
+      derivative, ``tangent(x, y, f11, f12, f21, f22, h) -> (x, y, f11,
+      f12, f21, f22)``: six floats, or six arrays of x's shape, with the
+      flow-map gradient F as its four entries.  It accumulates in place
+      (:func:`_step_lines`), so its arrays run with fewer temporaries.
     - ``"march"``: the same steps in a loop over floats,
       ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
       returns None if its state is not finite (x - x == 0.0 fails only for
@@ -423,10 +430,13 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
     if mode == "kernel":
         head, body = "kernel(x, y)", _eval_lines(shapes, ["s"], "x", "y") + ["return s"]
     elif mode in ("step", "tangent"):
-        head, out = (("step(x, y, h)", "xn, yn") if mode == "step"
-                     else ("tangent(x, y, f0, f1, h)", "xn, yn, f0n, f1n"))
         args += ["check"] * guarded
-        body = _step_lines(shapes, "check({y})" if guarded else None) + [f"return {out}"]
+        guard = "check({y})" if guarded else None
+        if mode == "step":
+            head, body = "step(x, y, h)", _STEP_SIZES + _rk4_lines(shapes, guard) + ["return xn, yn"]
+        else:
+            head = "tangent(x, y, f11, f12, f21, f22, h)"
+            body = _step_lines(shapes, guard) + ["return xn, yn, f11n, f12n, f21n, f22n"]
     else:
         head = "march(x, y, h, n, d_prev, ux, uy, bx, by)"
         args += ["bound"] * guarded
@@ -435,7 +445,7 @@ def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
                  "d = -uy * (xn - bx) + ux * (yn - by)",
                  "if d == 0.0 or d * d_prev < 0.0: return k, x, y, xn, yn, d_prev, d",
                  "x, y, d_prev = xn, yn, d"]
-        body = (["hh = 0.5 * h", "h6 = h / 6.0", "for k in range(1, n + 1):"]
+        body = (_STEP_SIZES + ["for k in range(1, n + 1):"]
                 + [f"    {line}" for line in loop] + ["return None"])
     src = (f"def factory({', '.join(args)}):\n    def {head}:\n"
            + "".join(f"        {line}\n" for line in body) + f"    return {head[:head.index('(')]}\n")

@@ -4,13 +4,14 @@ Integration is classical fixed-step RK4 (deterministic, bit-reproducible);
 the final partial step is shortened to land exactly on the requested time.
 Every driver (``integrate``, ``flow_endpoint`` and the pullback bisection
 in :mod:`ilekoop.koopman`) runs the field's one generated step
-``VectorField2D._rk4()``: P, Q and all four stages as straight-line code
-that accumulates in place, the same source for floats and arrays of one
-shape.  The pullback's fixed-step march runs the same stages, chained, in
-one generated loop (``VectorField2D._rk4_march()``), and ``cauchy_green``
-runs them with their exact derivative (``VectorField2D._rk4_tangent()``),
-which carries the flow-map gradient beside each trajectory; on arrays that
-step runs compiled, with the same bits (see ``ilekoop._native``).
+``VectorField2D._rk4()``: P, Q and all four stages as chained
+straight-line code, the same source for floats and arrays.  The pullback's
+fixed-step march runs the same stages in one generated loop
+(``VectorField2D._rk4_march()``), and ``cauchy_green`` runs them, in place,
+with their exact derivative (``VectorField2D._rk4_tangent()``), which
+carries the four entries of the flow-map gradient beside each trajectory:
+floats for a point, arrays of its shape for arrays of points, where the
+step runs compiled with the same bits (see ``ilekoop._native``).
 ``cauchy_green`` and ``ftle`` take a point or equal-shape arrays of points,
 and ``ftle_field`` is ``ftle`` at every grid node, so a point's FTLE equals
 its node bit for bit.  For the built-in saddle the
@@ -117,9 +118,8 @@ def cauchy_green(f: VectorField2D, x0: tuple, t: float, cfg: IntegratorConfig) -
     RK4 flow map.  ``x0`` is a pair of floats (float entries) or of
     equal-shape arrays (elementwise entries)."""
     x, y = x0
-    f0, f1 = np.multiply.outer(np.eye(2), np.ones(np.shape(x)))
-    _, _, f0, f1 = _advance(f._rk4_tangent(), t, cfg.step, x, y, f0, f1)
-    (f11, f12), (f21, f22) = (f0, f1) if isinstance(x, np.ndarray) else (f0.tolist(), f1.tolist())
+    one, zero = (np.ones(x.shape), np.zeros(x.shape)) if isinstance(x, np.ndarray) else (1.0, 0.0)
+    _, _, f11, f12, f21, f22 = _advance(f._rk4_tangent(), t, cfg.step, x, y, one, zero, zero, one)
     return SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22)
 
 

@@ -181,10 +181,6 @@ class DataSurface(_Record):
         ux, uy = self.direction
         return ux * (x - self.base[0]) + uy * (y - self.base[1])
 
-    def point_at(self, s: float) -> tuple[float, float]:
-        ux, uy = self.direction
-        return (self.base[0] + s * ux, self.base[1] + s * uy)
-
 
 def pullback_eigenfunction(
     f: VectorField2D,

@@ -148,9 +148,6 @@ class SeriesTerm(_Record):
         w = 3.0 * y * y / (1.0 - y * y)
         return self.coefficient * w**self.k
 
-    def as_observable(self) -> SaddleEigenfunction:
-        return SaddleEigenfunction.constant(self.coefficient, lam=-2.0 * self.k)
-
 
 def series_term(k: int) -> SeriesTerm:
     if k < 1:

@@ -88,24 +88,25 @@ class VectorField2D:
 
     def _rk4_tangent(self):
         """The :meth:`_rk4` step with its exact derivative applied to the
-        flow-map gradient rows, ``tangent(x, y, f0, f1, h) -> (x, y, f0, f1)``
-        (see ``expr._kernel_factory``), built on first use.  Floats run the
-        generated Python step; the first array call loads the same step
-        compiled (``ilekoop._native``), which gives the same bits, and every
-        array call after it goes there."""
+        four entries of the flow-map gradient, ``tangent(x, y, f11, f12, f21,
+        f22, h) -> (x, y, f11, f12, f21, f22)`` (see ``expr._kernel_factory``),
+        built on first use.  Floats run the generated Python step at float
+        cost; the first array call loads the same step compiled
+        (``ilekoop._native``), which gives the same bits, and every array
+        call after it goes there."""
         tangent = self._tangent
         if tangent is None:
             polys = (self.p, self.q, *self._jac)
             python = _field_rk4(polys, "tangent", _check_domain if self.is_saddle else None)
             bound, compiled = SADDLE_Y_BOUND if self.is_saddle else None, []
 
-            def tangent(x, y, f0, f1, h):
+            def tangent(x, y, f11, f12, f21, f22, h):
                 if type(x) is float:
-                    return python(x, y, f0, f1, h)
+                    return python(x, y, f11, f12, f21, f22, h)
                 if not compiled:
                     from ._native import array_tangent
                     compiled.append(array_tangent(polys, bound, python))
-                return compiled[0](x, y, f0, f1, h)
+                return compiled[0](x, y, f11, f12, f21, f22, h)
 
             self._tangent = tangent
         return tangent

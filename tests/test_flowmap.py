@@ -183,6 +183,16 @@ def test_point_paths_return_floats():
     assert ftle(f, (xs, xs - 0.1), -0.1, CFG).shape == (2,)
 
 
+@pytest.mark.parametrize("field", ["saddle", "cubic"])
+def test_float_tangent_step_returns_six_floats(field):
+    """A point carries its flow-map gradient as four Python floats, not as
+    numpy arrays, so one point's FTLE runs at float cost."""
+    f = (VectorField2D.saddle() if field == "saddle"
+         else make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0)))
+    state = f._rk4_tangent()(0.3, 0.2, 1.0, 0.0, 0.0, 1.0, -1e-3)
+    assert [type(v) for v in state] == [float] * 6
+
+
 def test_ftle_of_an_underflowing_gradient_is_minus_inf():
     # each RK4 step scales the flow-map gradient by 0.375, so by t = 1 it is
     # 0; a clamp on log 0 made this -345.38776394910684
@@ -595,15 +605,15 @@ def test_tangent_step_moves_the_point_as_the_step_does(p, q, h, pts):
     f = VectorField2D(Poly2(p), Poly2(q))
     step, tangent = f._rk4(), f._rk4_tangent()
     xs, ys = (np.array(c) for c in zip(*pts))
-    f0, f1 = np.multiply.outer(np.eye(2), np.ones(xs.shape))
-    whole = [np.asarray(v, dtype=float) for v in tangent(xs, ys, f0, f1, h)]
+    one, zero = np.ones(xs.shape), np.zeros(xs.shape)
+    whole = [np.asarray(v, dtype=float) for v in tangent(xs, ys, one, zero, zero, one, h)]
     assert [v.tobytes() for v in whole[:2]] == [v.tobytes() for v in step(xs, ys, h)]
     for k, (x, y) in enumerate(pts):
-        xn, yn, g0, g1 = tangent(x, y, *np.eye(2), h)
+        xn, yn, *grad = tangent(x, y, 1.0, 0.0, 0.0, 1.0, h)
         assert np.array([xn, yn]).tobytes() == np.array(step(x, y, h)).tobytes()
         assert np.array([whole[0][k], whole[1][k]]).tobytes() == np.array([xn, yn]).tobytes()
-        got = np.broadcast_to(np.array([whole[2], whole[3]]), (2, 2, len(pts)))[..., k]
-        assert got.tobytes() == np.array([g0, g1]).tobytes()
+        got = np.broadcast_to(np.array(whole[2:]), (4, len(pts)))[:, k]
+        assert got.tobytes() == np.array(grad).tobytes()
 
 
 def _failing_stage(x, y, h):
@@ -641,7 +651,7 @@ def test_saddle_step_raises_at_the_same_stage():
         assert (_outcome(f._rk4(), xs, ys, h)
                 == _outcome(_old_rk4_step, f.evaluate_arrays, xs, ys, h))
         # the tangent step guards the same stages
-        for point in ((x, y), (xs, ys)):
+        for point, one, zero in (((x, y), 1.0, 0.0), ((xs, ys), np.ones(1), np.zeros(1))):
             with pytest.raises(DomainError) as exc:
-                f._rk4_tangent()(*point, *np.eye(2), h)
+                f._rk4_tangent()(*point, one, zero, zero, one, h)
             assert str(exc.value) == _outcome(f._rk4(), *point, h)[1]

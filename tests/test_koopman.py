@@ -366,7 +366,7 @@ def test_data_surface_normalizes_direction():
     surf = DataSurface((0.0, 0.0), (3.0, 4.0), lambda s: s)
     assert math.hypot(*surf.direction) == pytest.approx(1.0, abs=1e-15)
     assert surf.signed_distance(0.0, 0.0) == 0.0
-    pt = surf.point_at(2.5)
+    pt = (surf.base[0] + 2.5 * surf.direction[0], surf.base[1] + 2.5 * surf.direction[1])
     assert surf.parameter(*pt) == pytest.approx(2.5, abs=1e-12)
 
 

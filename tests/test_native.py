@@ -47,6 +47,11 @@ def _polys(f):
     return (f.p, f.q, *f._jac)
 
 
+def _identity(shape) -> tuple:
+    """The flow-map gradient's four entries at time 0, as separate arrays."""
+    return np.ones(shape), np.zeros(shape), np.zeros(shape), np.ones(shape)
+
+
 def _python_only(monkeypatch):
     """Make every field built from now on run the generated Python tangent."""
     monkeypatch.setattr(_native, "_kernel", lambda shapes, guarded: None)
@@ -81,14 +86,21 @@ _COORDS = st.floats(-1.5, 1.5, allow_nan=False) | st.sampled_from([-0.0, 1e150, 
 
 @settings(max_examples=40, deadline=None)
 @given(p=_COMPONENT, q=_COMPONENT, shape=st.sampled_from([(1,), (5,), (1, 3), (2, 3)]),
-       t=st.floats(0.0005, 0.05) | st.floats(-0.05, -0.0005), data=st.data())
+       t=st.floats(0.0005, 0.05) | st.floats(-0.05, -0.0005), data=st.data(),
+       shared=st.booleans())
 # zero field, unit constant Jacobian, and a plan whose last step is partial
-@example(p={}, q={}, shape=(2, 3), t=-0.0237, data=None)
-@example(p={(1, 0): 1.0}, q={(0, 1): -1.0, (2, 0): 1.0}, shape=(5,), t=0.0213, data=None)
-@example(p={(0, 0): 1.0, (1, 1): 0.5}, q={(1, 0): 2.0}, shape=(1, 3), t=-0.035, data=None)
-def test_compiled_tangent_equals_the_python_tangent(private_cache, p, q, shape, t, data):
+@example(p={}, q={}, shape=(2, 3), t=-0.0237, data=None, shared=False)
+@example(p={(1, 0): 1.0}, q={(0, 1): -1.0, (2, 0): 1.0}, shape=(5,), t=0.0213, data=None,
+         shared=False)
+@example(p={(0, 0): 1.0, (1, 1): 0.5}, q={(1, 0): 2.0}, shape=(1, 3), t=-0.035, data=None,
+         shared=False)
+# the identity as cauchy_green passes it: F11 and F22 one array, F12 and F21 another
+@example(p={(0, 2): 1.0, (1, 0): -0.5}, q={(1, 1): 2.0, (0, 1): 1.0}, shape=(2, 3), t=-0.0237,
+         data=None, shared=True)
+def test_compiled_tangent_equals_the_python_tangent(private_cache, p, q, shape, t, data, shared):
     """Each step of a plan (step 0.01) gives the bits of the generated Python
-    tangent on 1-D and 2-D arrays, non-finite entries included."""
+    tangent on 1-D and 2-D arrays, non-finite entries included, whether or
+    not the gradient's entries start as shared arrays."""
     f = VectorField2D(Poly2(p), Poly2(q))
     size = int(np.prod(shape))
     if data is None:
@@ -96,10 +108,10 @@ def test_compiled_tangent_equals_the_python_tangent(private_cache, p, q, shape, 
     else:
         coords = np.array(data.draw(st.lists(_COORDS, min_size=2 * size, max_size=2 * size)))
     x, y = coords[:size].reshape(shape), coords[size:].reshape(shape)
-    f0, f1 = np.multiply.outer(np.eye(2), np.ones(shape))
+    one, zero = np.ones(shape), np.zeros(shape)
     python = _field_rk4(_polys(f), "tangent")
     compiled = f._rk4_tangent()
-    want = got = (x, y, f0, f1)
+    want = got = (x, y, *((one, zero, zero, one) if shared else _identity(shape)))
     with np.errstate(all="ignore"):
         for _, h in flowmap._steps(t, 0.01):
             want, got = python(*want, h), compiled(*got, h)
@@ -142,10 +154,11 @@ def test_saddle_guard_exit_has_one_text_on_both_paths(monkeypatch):
 def test_saddle_kernel_refuses_what_the_guard_refuses():
     shapes, coeffs = _field_terms(_polys(VectorField2D.saddle()))
     kernel = _native._kernel(shapes, True)
-    c, f0, f1 = np.array(coeffs + [0.0]), *np.multiply.outer(np.eye(2), np.ones(2))
+    c, one, zero = np.array(coeffs + [0.0]), np.ones(2), np.zeros(2)
     for y, code in ((1.0, 1), (-1.0, 1), (np.nan, 1), (SADDLE_Y_BOUND, 1), (-np.inf, 1),
                     (np.nextafter(SADDLE_Y_BOUND, 0.0), 0), (0.5, 0)):
-        got = _native._run(kernel, c, SADDLE_Y_BOUND, np.zeros(2), np.array([0.0, y]), f0, f1, 0.0)
+        got = _native._run(kernel, c, SADDLE_Y_BOUND, np.zeros(2), np.array([0.0, y]),
+                           one, zero, zero, one, 0.0)
         assert got[0] == code, y
 
 
@@ -173,14 +186,13 @@ def test_calls_the_kernel_cannot_take_run_python():
     f = _cubic()
     python, tangent = _field_rk4(_polys(f), "tangent"), f._rk4_tangent()
     x, y = np.linspace(0.1, 0.9, 6).reshape(2, 3), np.linspace(0.2, 0.7, 6).reshape(2, 3)
-    f0, f1 = np.multiply.outer(np.eye(2), np.ones(x.shape))
+    grad = _identity(x.shape)
     frozen = x.copy()
     frozen.flags.writeable = False
-    calls = [(0.5, 0.25, *np.eye(2), 0.01), (x, y, f0, f1, np.float64(0.01)),
-             (x.astype(np.float32), y, f0, f1, 0.01),
-             (x.T, y.T, *np.multiply.outer(np.eye(2), np.ones(x.T.shape)), 0.01),
-             (frozen, y, f0, f1, 0.01), (x[:, :0], y[:, :0], f0[..., :0], f1[..., :0], 0.01),
-             (x, y, f0[0], f1[0], 0.01), (x, y, f0, f1, 0.01)]
+    calls = [(0.5, 0.25, 1.0, 0.0, 0.0, 1.0, 0.01), (x, y, *grad, np.float64(0.01)),
+             (x.astype(np.float32), y, *grad, 0.01), (x.T, y.T, *_identity(x.T.shape), 0.01),
+             (frozen, y, *grad, 0.01), (x[:, :0], y[:, :0], *(v[:, :0] for v in grad), 0.01),
+             (x, y, *(v[0] for v in grad), 0.01), (x, y, *grad, 0.01)]
     for call in calls:
         assert all(map(_same, python(*call), tangent(*call)))
 

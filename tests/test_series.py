@@ -86,7 +86,7 @@ def test_terms_are_eigenfunctions():
         if 0.05 <= abs(y):
             pts.append((rng.uniform(-2, 2), y))
     for k in (1, 2, 3, 5):
-        obs = series_term(k).as_observable()
+        obs = SaddleEigenfunction.constant(series_term(k).coefficient, -2.0 * k)
         res = keig_residual(f, KeigCandidate(obs, -2.0 * k))
         assert max(abs(res(x, y)) for x, y in pts) < 1e-10
 

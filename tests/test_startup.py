@@ -67,6 +67,22 @@ def test_importing_the_cli_loads_errors_and_expr_only(tmp_path):
     assert not modules.intersection(SLOW_STDLIB)
 
 
+def test_a_float_point_ftle_loads_no_compiled_step(tmp_path):
+    """A float-only caller never pays for a C build: one point's FTLE loads
+    neither ``ilekoop._native`` nor any module that its imports did not
+    already load (numpy itself brings ``ctypes``, so only the call is held
+    to that)."""
+    code = ("import sys\nfrom ilekoop.flowmap import IntegratorConfig, ftle\n"
+            "from ilekoop.vectorfield import VectorField2D\n"
+            "before = set(sys.modules)\n"
+            "print(ftle(VectorField2D.saddle(), (0.3, 0.2), -0.5, IntegratorConfig()))\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+            "print('ilekoop._native' in sys.modules)")
+    proc = fresh([], tmp_path, code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[1:] == ["", "False", ""]
+
+
 def test_no_module_imports_dataclasses_or_typing():
     for path in sorted((SRC / "ilekoop").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
