@@ -5,14 +5,14 @@ function over every node of an array.  A node's state is six doubles (x, y
 and the four entries of the flow-map gradient), so each Python statement is
 one C statement, unchanged.  This module builds the function once per term
 structure with the system compiler (no contraction, no reassociation: the
-numpy step's bits), caches it beside the bytecode in ``ilekoop/__pycache__/``
-(a private temporary directory under ``sys.dont_write_bytecode`` or where
-that cannot be written), loads it with ctypes, probes it against the
-generated Python step and hands it array calls.  No compiler, a source too
-long to build quickly, a failed build or probe, and every call the kernel
-cannot take run the Python step instead, with the same bytes.  Only a
-field's first array call to ``VectorField2D._rk4_tangent()`` imports this
-module; float calls never do.
+numpy step's bits), caches it in ``ilekoop/__pycache__/`` (a private
+temporary directory where that cannot be written), loads it with ctypes,
+probes it against the generated Python step and hands it array calls.  The
+saddle's bound is written into the source, as it is into the Python step.
+No compiler, a source too long to build quickly, a failed build or probe,
+and every call the kernel cannot take run the Python step instead, with the
+same bytes.  Only a field's first array call to
+``VectorField2D._rk4("tangent")`` imports this module; float calls never do.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import sys
 import sysconfig
 import tempfile
 import threading
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .expr import _field_terms, _kernel_factory, _step_lines
+from .vectorfield import _BOUND, _rk4_factory, _step_lines
 
 #: The build command; the source arrives on stdin.
 _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-")
@@ -44,29 +43,28 @@ _MAX_SOURCE_BYTES = 65536
 
 _CACHE = Path(__file__).resolve().parent / "__pycache__"
 
-_ARGTYPES = (ctypes.c_long, ctypes.c_double, ctypes.c_double) + (ctypes.c_void_p,) * 8
+_ARGTYPES = (ctypes.c_long, ctypes.c_double) + (ctypes.c_void_p,) * 8
 
-# (shapes, guarded) -> the probed kernel, or None where none could be had.
+# (shapes, saddle) -> the probed kernel, or None where none could be had.
 # Filled once per key under the lock, so threads never build twice.
 _KERNELS: dict = {}
 _LOCK = threading.Lock()
 
 
-def array_tangent(polys: tuple, bound: float | None, python):
+def array_tangent(shapes: tuple, coeffs: list, saddle: bool, python):
     """``tangent(x, y, f11, f12, f21, f22, h)`` for the field whose (P, Q,
-    P_x, P_y, Q_x, Q_y) are ``polys``: the compiled kernel where the six
-    state entries are float64 arrays of x's shape, C-contiguous, aligned and
-    writable (``flags.carray``), x is not empty and h is a float; and
-    ``python``, the generated Python tangent with the same guard, for any
-    other call.  ``bound`` is the saddle's |y| bound (None: unguarded).  A
-    kernel's guard failure re-runs the call in ``python``, which raises the
-    guard's own DomainError.  ``python`` itself where no kernel loads."""
-    shapes, coeffs = _field_terms(polys)
-    kernel = _kernel(shapes, bound is not None)
+    P_x, P_y, Q_x, Q_y) have the term structures ``shapes`` and the
+    coefficients ``coeffs`` (``vectorfield._field_terms``), guarded if it is
+    the ``saddle``: the compiled kernel where the six state entries are
+    float64 arrays of x's shape, C-contiguous, aligned and writable
+    (``flags.carray``), x is not empty and h is a float; and ``python``, the
+    generated Python tangent, for any other call.  A kernel's guard failure
+    re-runs the call in ``python``, which raises the guard's own
+    DomainError.  ``python`` itself where no kernel loads."""
+    kernel = _kernel(shapes, saddle)
     if kernel is None:
         return python
     c = np.array(coeffs + [0.0])  # one spare entry: _address needs a non-empty array
-    bound = 0.0 if bound is None else bound
 
     def tangent(*call):
         *state, h = call
@@ -74,7 +72,7 @@ def array_tangent(polys: tuple, bound: float | None, python):
         if type(h) is float and type(x) is np.ndarray and x.size and all(
                 type(v) is np.ndarray and v.dtype == np.float64 and v.shape == x.shape
                 and v.flags.carray for v in state):
-            code, new = _run(kernel, c, bound, *call)
+            code, new = _run(kernel, c, *call)
             if not code:
                 return new
         return python(*call)
@@ -82,33 +80,33 @@ def array_tangent(polys: tuple, bound: float | None, python):
     return tangent
 
 
-def _run(kernel, c: np.ndarray, bound: float, *call) -> tuple:
+def _run(kernel, c: np.ndarray, *call) -> tuple:
     """One call ``(x, y, f11, f12, f21, f22, h)`` of ``kernel``: its return
     code (1: the guard failed) and the new state, views of one new (6, ...)
     array."""
     *state, h = call
     out = np.empty((6, *state[0].shape))
-    code = kernel(state[0].size, h, bound, *map(_address, (c, *state, out)))
+    code = kernel(state[0].size, h, *map(_address, (c, *state, out)))
     return code, tuple(out)
 
 
-def _c_tangent(shapes: tuple, guarded: bool) -> str:
-    """C source of the ``"tangent"`` function of ``expr._kernel_factory`` for
-    ``shapes`` over ``n`` nodes: ``int ilekoop_tangent(n, h, bound, c, X, Y,
+def _c_tangent(shapes: tuple, saddle: bool) -> str:
+    """C source of the ``"tangent"`` function of ``vectorfield._rk4_factory``
+    for ``shapes`` over ``n`` nodes: ``int ilekoop_tangent(n, h, c, X, Y,
     F11, F12, F21, F22, out)``.  ``c`` holds the coefficients in the
     factory's argument order, the six state arrays hold n nodes each and
     ``out`` is (6, n): xn, yn, f11n, f12n, f21n, f22n.  Only ``out`` is
     written, so state arrays may share memory (``flowmap.cauchy_green``
     passes one array of ones as F11 and F22 and one of zeros as F12 and F21).
 
-    Each node runs ``expr._step_lines``, the Python step's own list: every
+    Each node runs ``vectorfield._step_lines``, the Python step's own list: every
     statement of it is already a C statement (``a = b * c``, ``a += b * c *
     d``, ``a *= 2.0``) of the same operations in the same order.  Built
     without contraction or reassociation, every exactly-rounded operation of
-    a node so gives the bits of the numpy step.  ``guarded`` makes a stage
-    whose y fails ``fabs(y) < bound`` (NaN too) end the call with 1 where the
-    Python step raises; otherwise it returns 0."""
-    lines = _step_lines(shapes, "if (!(fabs({y}) < bound)) return 1" if guarded else None)
+    a node so gives the bits of the numpy step.  On the ``saddle`` a stage
+    whose y fails ``fabs(y) < SADDLE_Y_BOUND`` (NaN too) ends the call with 1
+    where the Python step raises; otherwise it returns 0."""
+    lines = _step_lines(shapes, f"if (!(fabs({{y}}) < {_BOUND})) return 1" if saddle else None)
     names = [a for a in dict.fromkeys(line.partition(" ")[0] for line in lines) if a != "if"]
     args = [f"c{m}_{k}" for m, shape in enumerate(shapes) for k in range(len(shape))]
     const = "".join(f"    const double {a} = c[{k}];\n" for k, a in enumerate(args))
@@ -116,10 +114,9 @@ def _c_tangent(shapes: tuple, guarded: bool) -> str:
     load = f"const double {', '.join(f'{v} = {v.upper()}[i]' for v in state)};"
     store = " ".join(f"out[{k} * n + i] = {v}n;" for k, v in enumerate(state))
     return ("#include <math.h>\n\n"
-            "int ilekoop_tangent(long n, double h, double bound, const double *c,\n"
-            "                    const double *X, const double *Y, const double *F11,\n"
-            "                    const double *F12, const double *F21, const double *F22,\n"
-            "                    double *out)\n{\n" + const
+            "int ilekoop_tangent(long n, double h, const double *c, const double *X,\n"
+            "                    const double *Y, const double *F11, const double *F12,\n"
+            "                    const double *F21, const double *F22, double *out)\n{\n" + const
             + "    for (long i = 0; i < n; i++) {\n"
             + "".join(f"        {s}\n" for s in (load, f"double {', '.join(names)};",
                                                  *(f"{line};" for line in lines), store))
@@ -133,18 +130,17 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
 
 
-def _kernel(shapes: tuple, guarded: bool):
-    key = (shapes, guarded)
+def _kernel(shapes: tuple, saddle: bool):
     with _LOCK:
-        if key not in _KERNELS:
-            _KERNELS[key] = _load(shapes, guarded)
-        return _KERNELS[key]
+        if (shapes, saddle) not in _KERNELS:
+            _KERNELS[shapes, saddle] = _load(shapes, saddle)
+        return _KERNELS[shapes, saddle]
 
 
-def _load(shapes: tuple, guarded: bool):
+def _load(shapes: tuple, saddle: bool):
     """The probed kernel for ``shapes`` from the cache, else freshly built;
     None if it cannot be built or fails the probe."""
-    source = _c_tangent(shapes, guarded)
+    source = _c_tangent(shapes, saddle)
     if len(source) > _MAX_SOURCE_BYTES:
         return None
     key = "\0".join((source, " ".join(_COMPILE), sysconfig.get_platform()))
@@ -157,12 +153,12 @@ def _load(shapes: tuple, guarded: bool):
         return None
     kernel = lib.ilekoop_tangent
     kernel.argtypes, kernel.restype = _ARGTYPES, ctypes.c_int
-    return kernel if _probe(kernel, shapes, guarded) else None
+    return kernel if _probe(kernel, shapes, saddle) else None
 
 
 def _build(source: str, path: Path):
-    """Compile ``source``, store it in the cache as ``path`` where allowed,
-    and load it; None if the compiler is missing, fails or times out."""
+    """Compile ``source``, cache it as ``path`` where that can be written, and
+    load it; None if the compiler is missing, fails or times out."""
     import subprocess  # only a build needs it
 
     with tempfile.TemporaryDirectory() as private:
@@ -172,11 +168,10 @@ def _build(source: str, path: Path):
                            capture_output=True, timeout=_BUILD_TIMEOUT_S, check=True)
         except (OSError, subprocess.SubprocessError):
             return None
-        if not sys.dont_write_bytecode:
-            try:
-                _publish(built, path)
-            except OSError:
-                pass  # an unwritable cache: this process keeps the private copy
+        try:
+            _publish(built, path)
+        except OSError:
+            pass  # an unwritable cache: this process keeps the private copy
         return ctypes.CDLL(str(built))  # the mapping outlives the deleted file
 
 
@@ -202,13 +197,13 @@ _PROBE_Y = (-0.125, 0.5, 0.0625, -0.0)
 _PROBE_STEPS = ((0.01, 0.01, 0.0037), (-0.01, -0.01, -0.0041))
 
 
-def _probe(kernel, shapes: tuple, guarded: bool) -> bool:
+def _probe(kernel, shapes: tuple, saddle: bool) -> bool:
     """Whether ``kernel`` reproduces the generated Python tangent of
     ``shapes`` bit for bit on the probe, with fixed coefficients of either
-    sign, and (if ``guarded``) refuses a node at y = 2."""
+    sign, and (on the ``saddle``) refuses a node at y = 2."""
     count = sum(map(len, shapes))
     coeffs = [0.625 - 0.25 * (k % 5) for k in range(count)]
-    python = _kernel_factory(shapes, "tangent", guarded)(*coeffs, *[lambda y: None] * guarded)
+    python = _rk4_factory(shapes, "tangent", saddle)(*coeffs)
     c = np.array(coeffs + [0.0])
     x0, y0 = np.array(_PROBE_X), np.array(_PROBE_Y)
     one, zero = np.ones(x0.shape), np.zeros(x0.shape)
@@ -216,8 +211,8 @@ def _probe(kernel, shapes: tuple, guarded: bool) -> bool:
         want = got = (x0, y0, one, zero, zero, one)
         for h in steps:
             want = python(*want, h)
-            code, got = _run(kernel, c, 1.0, *got, h)
+            code, got = _run(kernel, c, *got, h)
             if code or [v.tobytes() for v in want] != [v.tobytes() for v in got]:
                 return False
     y_out = np.array([0.0, 2.0, 0.0, 0.0])
-    return not guarded or _run(kernel, c, 1.0, x0, y_out, one, zero, zero, one, 0.01)[0] == 1
+    return not saddle or _run(kernel, c, x0, y_out, one, zero, zero, one, 0.01)[0] == 1

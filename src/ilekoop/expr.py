@@ -14,10 +14,10 @@ input exhausts the stack.  Polynomials are stored sparsely as a
 map from exponent pairs to float coefficients.  Each operation adds its
 coefficients in order and then drops those below ``CANONICAL_ZERO`` once, at
 the end, which makes exact algebraic cancellations test as exactly zero; a
-flat sum of n terms is one operation.  Numeric evaluation runs
-generated straight-line code (:func:`_kernel_factory`): one kernel per term
-structure for ``Poly2.evaluate``, and one RK4 step, its tangent step and one
-pullback march per field.  ``format_float`` (17-digit output) lives here, away from numpy.
+flat sum of n terms is one operation.  ``Poly2.evaluate`` runs generated
+straight-line code, one kernel per term structure (:func:`_kernel_factory`);
+:func:`_compile` compiles it and every other generated function of the
+package.  ``format_float`` (17-digit output) lives here, away from numpy.
 """
 
 from __future__ import annotations
@@ -347,128 +347,24 @@ def _eval_lines(shapes, outs, xv: str, yv: str, inplace: bool = False) -> list[s
     return lines
 
 
-def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
-    """Source of one classical RK4 step of the field whose components (P, Q)
-    have the term structures ``shapes``, from ``(x, y)`` into ``(xn, yn)``
-    with ``hh = 0.5*h`` and ``h6 = h/6.0`` bound: k1 = F(x, y),
-    k2 = F(x + hh*k1), k3 = F(x + hh*k2), k4 = F(x + h*k3), then
-    x + h6*(k1 + 2*k2 + 2*k3 + k4).  ``guard``, if given, is a line with a
-    ``{y}`` slot that runs on each stage's y before F is evaluated there.
-    ``inplace`` also accumulates the stage points and the result in place.
-    Four more shapes, those of J = (P_x, P_y, Q_x, Q_y), also step the
-    flow-map gradient entries ``f11, f12, f21, f22`` into ``f11n`` ...
-    ``f22n``: stage k takes G_k = J(stage k)*(F + c*h*G_(k-1)), entry by
-    entry ``g{r}{j}_k = J_r1*F_1j + J_r2*F_2j`` with no product for a zero
-    entry of J, and the result is F + h6*(G1 + 2*G2 + 2*G3 + G4)."""
-    jac = list(zip(["px", "py", "qx", "qy"], shapes[2:]))  # J_11, J_12, J_21, J_22
-    entries = [(r, j) for r in (1, 2) for j in (1, 2)] if jac else []
-    pairs = [("x", "u"), ("y", "v")] + [(f"f{r}{j}", f"g{r}{j}_") for r, j in entries]
-    lines = []
-    for k, scale in enumerate((None, "hh", "hh", "h"), 1):
-        if scale:
-            for z, u in pairs:
-                lines += ([f"{z}s = {scale} * {u}{k - 1}", f"{z}s += {z}"] if inplace
-                          else [f"{z}s = {z} + {scale} * {u}{k - 1}"])
-        xv, yv = ("xs", "ys") if scale else ("x", "y")
-        lines += [guard.format(y=yv)] if guard else []
-        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"] + [f"{d}{k}" for d, _ in jac], xv, yv,
-                             inplace)
-        for r, j in entries:
-            prods = [f"{d}{k} * f{i}{j}{'s' * bool(scale)}"
-                     for i, (d, shape) in enumerate(jac[2 * r - 2:2 * r], 1) if shape]
-            lines += [f"g{r}{j}_{k} = {prods[0] if prods else '0.0'}"] + [
-                f"g{r}{j}_{k} += {prod}" for prod in prods[1:]]
-    if inplace:
-        return lines + [line for z, u in pairs for line in (
-            f"{z}n = 2.0 * {u}2", f"{z}n += {u}1", f"{u}3 *= 2.0", f"{z}n += {u}3",
-            f"{z}n += {u}4", f"{z}n *= h6", f"{z}n += {z}")]
-    return lines + [f"{z}n = {z} + h6 * ({u}1 + 2.0 * {u}2 + 2.0 * {u}3 + {u}4)" for z, u in pairs]
-
-
-#: The step sizes every generated RK4 function binds before its stages.
-_STEP_SIZES = ["hh = 0.5 * h", "h6 = h / 6.0"]
-
-
-def _step_lines(shapes, guard: str | None) -> list[str]:
-    """The statements of the ``"tangent"`` function (see
-    :func:`_kernel_factory`): :data:`_STEP_SIZES`, then :func:`_rk4_lines`
-    accumulated in place, which on arrays makes fewer temporaries than the
-    chained form.  ``ilekoop._native`` emits the same list as C."""
-    return _STEP_SIZES + _rk4_lines(shapes, guard, True)
+def _compile(shapes: tuple, head: str, body: list, **names):
+    """The one place where generated source is compiled: a factory that binds
+    the coefficients c<m>_<n> of the term structures ``shapes`` in a closure,
+    so they never enter the source, and returns the function ``head`` whose
+    statements are ``body``.  ``names`` are the globals the body calls."""
+    args = [f"c{m}_{n}" for m, shape in enumerate(shapes) for n in range(len(shape))]
+    src = (f"def factory({', '.join(args)}):\n    def {head}:\n"
+           + "".join(f"        {line}\n" for line in body)
+           + f"    return {head[:head.index('(')]}\n")
+    exec(compile(src, "<ilekoop generated>", "exec"), names)
+    return names["factory"]
 
 
 @functools.lru_cache(maxsize=256)
-def _kernel_factory(shapes: tuple, mode: str = "kernel", guarded: bool = False):
-    """Compile straight-line code for the term structures ``shapes``, one
-    per component (see :func:`_eval_lines`), and return a factory that binds
-    the coefficients c<m>_<n> in a closure; they never enter the source.
-
-    ``mode`` picks the function:
-
-    - ``"kernel"``: the one component gives ``kernel(x, y)``.
-    - ``"step"``: the components (P, Q) give one RK4 step
-      ``step(x, y, h) -> (x, y)`` (see :func:`_rk4_lines`), chained as the
-      march chains it.  ``guarded`` adds a last factory argument ``check``;
-      ``check(y)`` runs on each stage's y.  Every operation is elementwise,
-      so floats and float arrays run the same source and agree bit for bit.
-    - ``"tangent"``: (P, Q, P_x, P_y, Q_x, Q_y) give ``"step"`` with its
-      derivative, ``tangent(x, y, f11, f12, f21, f22, h) -> (x, y, f11,
-      f12, f21, f22)``: six floats, or six arrays of x's shape, with the
-      flow-map gradient F as its four entries.  It accumulates in place
-      (:func:`_step_lines`), so its arrays run with fewer temporaries.
-    - ``"march"``: the same steps in a loop over floats,
-      ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
-      returns None if its state is not finite (x - x == 0.0 fails only for
-      inf and NaN), and otherwise takes the signed distance
-      d = -uy*(xn - bx) + ux*(yn - by) to the line through (bx, by) along
-      (ux, uy).  The first step with d == 0.0 or d*d_prev < 0.0 returns
-      ``(k, x, y, xn, yn, d_prev, d)``; no such step gives None.
-      ``guarded`` adds a last factory argument ``bound``: a stage whose y
-      fails -bound < y < bound returns None.
-    """
-    args = [f"c{m}_{n}" for m, shape in enumerate(shapes) for n in range(len(shape))]
-    if mode == "kernel":
-        head, body = "kernel(x, y)", _eval_lines(shapes, ["s"], "x", "y") + ["return s"]
-    elif mode in ("step", "tangent"):
-        args += ["check"] * guarded
-        guard = "check({y})" if guarded else None
-        if mode == "step":
-            head, body = "step(x, y, h)", _STEP_SIZES + _rk4_lines(shapes, guard) + ["return xn, yn"]
-        else:
-            head = "tangent(x, y, f11, f12, f21, f22, h)"
-            body = _step_lines(shapes, guard) + ["return xn, yn, f11n, f12n, f21n, f22n"]
-    else:
-        head = "march(x, y, h, n, d_prev, ux, uy, bx, by)"
-        args += ["bound"] * guarded
-        loop = _rk4_lines(shapes, "if not -bound < {y} < bound: return None" if guarded else None)
-        loop += ["if not (xn - xn == 0.0 and yn - yn == 0.0): return None",
-                 "d = -uy * (xn - bx) + ux * (yn - by)",
-                 "if d == 0.0 or d * d_prev < 0.0: return k, x, y, xn, yn, d_prev, d",
-                 "x, y, d_prev = xn, yn, d"]
-        body = (_STEP_SIZES + ["for k in range(1, n + 1):"]
-                + [f"    {line}" for line in loop] + ["return None"])
-    src = (f"def factory({', '.join(args)}):\n    def {head}:\n"
-           + "".join(f"        {line}\n" for line in body) + f"    return {head[:head.index('(')]}\n")
-    namespace: dict = {}
-    exec(compile(src, "<ilekoop.expr kernel>", "exec"), namespace)
-    return namespace["factory"]
-
-
-def _field_rk4(polys: tuple, mode: str, guard=None):
-    """The generated ``"step"``, ``"tangent"`` or ``"march"`` (see
-    :func:`_kernel_factory`) of the field whose components are ``polys``;
-    ``guard``, if given, is the factory's guard argument (``check`` or
-    ``bound``)."""
-    shapes, coeffs = _field_terms(polys)
-    return _kernel_factory(shapes, mode, guard is not None)(
-        *coeffs, *([] if guard is None else [guard]))
-
-
-def _field_terms(polys: tuple) -> tuple[tuple, list[float]]:
-    """The term structures of ``polys`` (the code generator's key) and their
-    coefficients in the generated factory's argument order."""
-    terms = tuple(p.items_sorted() for p in polys)
-    return tuple(map(_shape, terms)), [c for t in terms for _, c in t]
+def _kernel_factory(shapes: tuple):
+    """The factory of ``kernel(x, y)``, the straight-line code (see
+    :func:`_eval_lines`) of the one term structure in ``shapes``."""
+    return _compile(shapes, "kernel(x, y)", _eval_lines(shapes, ["s"], "x", "y") + ["return s"])
 
 
 class Poly2:

@@ -7,8 +7,8 @@ in :mod:`ilekoop.koopman`) runs the field's one generated step
 ``VectorField2D._rk4()``: P, Q and all four stages as chained
 straight-line code, the same source for floats and arrays.  The pullback's
 fixed-step march runs the same stages in one generated loop
-(``VectorField2D._rk4_march()``), and ``cauchy_green`` runs them, in place,
-with their exact derivative (``VectorField2D._rk4_tangent()``), which
+(``VectorField2D._rk4("march")``), and ``cauchy_green`` runs them, in place,
+with their exact derivative (``VectorField2D._rk4("tangent")``), which
 carries the four entries of the flow-map gradient beside each trajectory:
 floats for a point, arrays of its shape for arrays of points, where the
 step runs compiled with the same bits (see ``ilekoop._native``).
@@ -74,7 +74,7 @@ def _steps(t: float, step: float):
 
 def _advance(rk4, t: float, step: float, *state) -> tuple:
     """Time-t ``state`` (floats or arrays) under a generated step
-    ``rk4(*state, h)`` (``VectorField2D._rk4()`` or ``_rk4_tangent()``),
+    ``rk4(*state, h)`` (``VectorField2D._rk4()`` or ``_rk4("tangent")``),
     keeping no history; one that is not finite raises NumericalError."""
     for k, (_, h) in enumerate(_steps(t, step), 1):
         state = rk4(*state, h)
@@ -119,7 +119,7 @@ def cauchy_green(f: VectorField2D, x0: tuple, t: float, cfg: IntegratorConfig) -
     equal-shape arrays (elementwise entries)."""
     x, y = x0
     one, zero = (np.ones(x.shape), np.zeros(x.shape)) if isinstance(x, np.ndarray) else (1.0, 0.0)
-    _, _, f11, f12, f21, f22 = _advance(f._rk4_tangent(), t, cfg.step, x, y, one, zero, zero, one)
+    _, _, f11, f12, f21, f22 = _advance(f._rk4("tangent"), t, cfg.step, x, y, one, zero, zero, one)
     return SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22)
 
 

@@ -12,6 +12,7 @@ closed-form eigenfunctions live in :mod:`ilekoop.series`.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable
 
@@ -106,7 +107,13 @@ def rms(values) -> float:
 
 
 def residual_report(f: VectorField2D, cand: KeigCandidate, points) -> dict:
-    """Sampled residual summary in the CLI report shape."""
+    """Sampled residual summary in the CLI report shape.  On the saddle a
+    sample outside its strip raises :class:`DomainError`, as evaluating the
+    field there does."""
+    points = list(points)
+    if f.is_saddle:
+        for _, y in points:
+            _check_domain(y)
     res = keig_residual(f, cand)
     vals = [observable_value(res, x, y) for x, y in points]
     return {
@@ -169,6 +176,10 @@ class DataSurface(_Record):
         norm = math.hypot(dx, dy)
         if norm == 0.0:
             raise ValueError("surface direction must be nonzero")
+        if not sys.float_info.min <= norm < math.inf:  # overflowed or subnormal
+            big = max(abs(dx), abs(dy))
+            dx, dy = dx / big, dy / big
+            norm = math.hypot(dx, dy)
         self.base = base
         self.direction = (dx / norm, dy / norm)
         self.h = h
@@ -225,7 +236,7 @@ def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
     march) and bisect the first sign change of the signed distance.  Returns
     (tau, state) or None; leaving the field's domain (or blowing up) ends
     the search window."""
-    found = f._rk4_march()(float(x[0]), float(x[1]), time_sign * cfg.step,
+    found = f._rk4("march")(float(x[0]), float(x[1]), time_sign * cfg.step,
                            int(math.ceil(t_max / cfg.step)), d_prev, *surf.direction, *surf.base)
     if found is None:
         return None

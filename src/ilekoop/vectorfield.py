@@ -5,16 +5,19 @@ A field is a polynomial pair ``(p, q)``.  The cubic nonlinear saddle
 raises :class:`DomainError`.  Its explicit flow is the oracle for the
 numerical integrator and the finite-time stretching computations.  The name
 ``"saddle"`` is only an alias in field JSON and on the command line.
-The RK4 step settings (``IntegratorConfig`` and the step budget) live here
-too, so the pullback's float march runs without :mod:`ilekoop.flowmap` and
-numpy.
+The RK4 code lives here too: the step settings (``IntegratorConfig`` and
+the step budget) and the generator of every field's step, tangent step and
+pullback march (:func:`_rk4_factory`), with the saddle's bound written into
+the source.  So the pullback's float march runs without
+:mod:`ilekoop.flowmap` and numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from .errors import DomainError
-from .expr import Poly2, _Record, _field_rk4
+from .expr import Poly2, _Record, _compile, _eval_lines, _shape
 
 # The explicit saddle solution is singular at |y| = 1; stay strictly inside.
 SADDLE_Y_BOUND = 1.0 - 1e-12
@@ -44,14 +47,14 @@ class VectorField2D:
     (``is_saddle``) is guarded: its evaluation raises :class:`DomainError`
     outside ``|y| < 1``."""
 
-    __slots__ = ("p", "q", "is_saddle", "_jac", "_step", "_tangent", "_march")
+    __slots__ = ("p", "q", "is_saddle", "_jac", "_rk4s")
 
     def __init__(self, p: Poly2, q: Poly2):
         self.p = p
         self.q = q
         self.is_saddle = False
         self._jac = (p.diff("x"), p.diff("y"), q.diff("x"), q.diff("y"))
-        self._step = self._tangent = self._march = None
+        self._rk4s = {}
 
     @classmethod
     def saddle(cls) -> "VectorField2D":
@@ -76,53 +79,31 @@ class VectorField2D:
     # deletes them with those patches.
     evaluate_arrays, jacobian_arrays = evaluate, jacobian
 
-    def _rk4(self):
-        """The field's generated RK4 step ``step(x, y, h) -> (x, y)`` for
-        floats or float arrays, built on first use.  On the saddle every
-        stage runs :func:`_check_domain` on its y first."""
-        step = self._step
-        if step is None:
-            step = self._step = _field_rk4(
-                (self.p, self.q), "step", _check_domain if self.is_saddle else None)
-        return step
+    def _rk4(self, mode: str = "step"):
+        """The field's generated ``"step"``, ``"tangent"`` or ``"march"``
+        (see :func:`_rk4_factory`), built on first use and kept.  The tangent
+        runs floats in the generated Python step at float cost; its first
+        array call loads the same step compiled (``ilekoop._native``), which
+        gives the same bits, and every array call after it goes there."""
+        rk4 = self._rk4s.get(mode)
+        if rk4 is None:
+            polys = (self.p, self.q, *self._jac) if mode == "tangent" else (self.p, self.q)
+            shapes, coeffs = _field_terms(polys)
+            saddle = self.is_saddle
+            rk4 = python = _rk4_factory(shapes, mode, saddle)(*coeffs)
+            if mode == "tangent":
+                compiled = []
 
-    def _rk4_tangent(self):
-        """The :meth:`_rk4` step with its exact derivative applied to the
-        four entries of the flow-map gradient, ``tangent(x, y, f11, f12, f21,
-        f22, h) -> (x, y, f11, f12, f21, f22)`` (see ``expr._kernel_factory``),
-        built on first use.  Floats run the generated Python step at float
-        cost; the first array call loads the same step compiled
-        (``ilekoop._native``), which gives the same bits, and every array
-        call after it goes there."""
-        tangent = self._tangent
-        if tangent is None:
-            polys = (self.p, self.q, *self._jac)
-            python = _field_rk4(polys, "tangent", _check_domain if self.is_saddle else None)
-            bound, compiled = SADDLE_Y_BOUND if self.is_saddle else None, []
+                def rk4(x, y, f11, f12, f21, f22, h):
+                    if type(x) is float:
+                        return python(x, y, f11, f12, f21, f22, h)
+                    if not compiled:
+                        from ._native import array_tangent
+                        compiled.append(array_tangent(shapes, coeffs, saddle, python))
+                    return compiled[0](x, y, f11, f12, f21, f22, h)
 
-            def tangent(x, y, f11, f12, f21, f22, h):
-                if type(x) is float:
-                    return python(x, y, f11, f12, f21, f22, h)
-                if not compiled:
-                    from ._native import array_tangent
-                    compiled.append(array_tangent(polys, bound, python))
-                return compiled[0](x, y, f11, f12, f21, f22, h)
-
-            self._tangent = tangent
-        return tangent
-
-    def _rk4_march(self):
-        """The field's generated fixed-step crossing search
-        ``march(x, y, h, n, d_prev, ux, uy, bx, by)`` over floats (see
-        ``expr._kernel_factory``), built on first use.  It takes the steps of
-        :meth:`_rk4` bit for bit; on the saddle a stage whose y leaves
-        ``|y| < SADDLE_Y_BOUND`` ends the march with None where the step
-        raises :class:`DomainError`."""
-        march = self._march
-        if march is None:
-            march = self._march = _field_rk4(
-                (self.p, self.q), "march", SADDLE_Y_BOUND if self.is_saddle else None)
-        return march
+            self._rk4s[mode] = rk4
+        return rk4
 
 
 def _check_domain(y) -> None:
@@ -135,6 +116,114 @@ def _check_domain(y) -> None:
     if inside is not True and (inside is False or not inside.all()):
         raise DomainError("saddle field is only defined for |y| < 1"
                           + ("" if hasattr(y, "__len__") else f" (got y={y!r})"))
+
+
+# -- generated RK4 code ----------------------------------------------------------
+
+#: The step sizes every generated RK4 function binds before its stages.
+_STEP_SIZES = ["hh = 0.5 * h", "h6 = h / 6.0"]
+
+#: ``SADDLE_Y_BOUND`` as source text; it reads back as the same float.
+_BOUND = repr(SADDLE_Y_BOUND)
+
+
+def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
+    """Source of one classical RK4 step of the field whose components (P, Q)
+    have the term structures ``shapes``, from ``(x, y)`` into ``(xn, yn)``
+    with ``hh = 0.5*h`` and ``h6 = h/6.0`` bound: k1 = F(x, y),
+    k2 = F(x + hh*k1), k3 = F(x + hh*k2), k4 = F(x + h*k3), then
+    x + h6*(k1 + 2*k2 + 2*k3 + k4).  ``guard``, if given, is a line with a
+    ``{y}`` slot that runs on each stage's y before F is evaluated there.
+    ``inplace`` also accumulates the stage points and the result in place.
+    Four more shapes, those of J = (P_x, P_y, Q_x, Q_y), also step the
+    flow-map gradient entries ``f11, f12, f21, f22`` into ``f11n`` ...
+    ``f22n``: stage k takes G_k = J(stage k)*(F + c*h*G_(k-1)), entry by
+    entry ``g{r}{j}_k = J_r1*F_1j + J_r2*F_2j`` with no product for a zero
+    entry of J, and the result is F + h6*(G1 + 2*G2 + 2*G3 + G4)."""
+    jac = list(zip(["px", "py", "qx", "qy"], shapes[2:]))  # J_11, J_12, J_21, J_22
+    entries = [(r, j) for r in (1, 2) for j in (1, 2)] if jac else []
+    pairs = [("x", "u"), ("y", "v")] + [(f"f{r}{j}", f"g{r}{j}_") for r, j in entries]
+    lines = []
+    for k, scale in enumerate((None, "hh", "hh", "h"), 1):
+        if scale:
+            for z, u in pairs:
+                lines += ([f"{z}s = {scale} * {u}{k - 1}", f"{z}s += {z}"] if inplace
+                          else [f"{z}s = {z} + {scale} * {u}{k - 1}"])
+        xv, yv = ("xs", "ys") if scale else ("x", "y")
+        lines += [guard.format(y=yv)] if guard else []
+        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"] + [f"{d}{k}" for d, _ in jac], xv, yv,
+                             inplace)
+        for r, j in entries:
+            prods = [f"{d}{k} * f{i}{j}{'s' * bool(scale)}"
+                     for i, (d, shape) in enumerate(jac[2 * r - 2:2 * r], 1) if shape]
+            lines += [f"g{r}{j}_{k} = {prods[0] if prods else '0.0'}"] + [
+                f"g{r}{j}_{k} += {prod}" for prod in prods[1:]]
+    if inplace:
+        return lines + [line for z, u in pairs for line in (
+            f"{z}n = 2.0 * {u}2", f"{z}n += {u}1", f"{u}3 *= 2.0", f"{z}n += {u}3",
+            f"{z}n += {u}4", f"{z}n *= h6", f"{z}n += {z}")]
+    return lines + [f"{z}n = {z} + h6 * ({u}1 + 2.0 * {u}2 + 2.0 * {u}3 + {u}4)" for z, u in pairs]
+
+
+def _step_lines(shapes, guard: str | None) -> list[str]:
+    """The statements of the ``"tangent"`` function (see
+    :func:`_rk4_factory`): :data:`_STEP_SIZES`, then :func:`_rk4_lines`
+    accumulated in place, which on arrays makes fewer temporaries than the
+    chained form.  ``ilekoop._native`` emits the same list as C."""
+    return _STEP_SIZES + _rk4_lines(shapes, guard, True)
+
+
+@functools.lru_cache(maxsize=256)
+def _rk4_factory(shapes: tuple, mode: str, saddle: bool):
+    """The factory, over the coefficients in :func:`_field_terms` order, of
+    the generated RK4 function ``mode`` of the field whose components have
+    the term structures ``shapes``:
+
+    - ``"step"``: (P, Q) give one RK4 step ``step(x, y, h) -> (x, y)`` (see
+      :func:`_rk4_lines`), chained as the march chains it.  Every operation
+      is elementwise, so floats and float arrays run the same source and
+      agree bit for bit.
+    - ``"tangent"``: (P, Q, P_x, P_y, Q_x, Q_y) give ``"step"`` with its
+      derivative, ``tangent(x, y, f11, f12, f21, f22, h) -> (x, y, f11,
+      f12, f21, f22)``: six floats, or six arrays of x's shape, with the
+      flow-map gradient F as its four entries.  It accumulates in place
+      (:func:`_step_lines`), so its arrays run with fewer temporaries.
+    - ``"march"``: the same steps in a loop over floats,
+      ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
+      returns None if its state is not finite (x - x == 0.0 fails only for
+      inf and NaN), and otherwise takes the signed distance
+      d = -uy*(xn - bx) + ux*(yn - by) to the line through (bx, by) along
+      (ux, uy).  The first step with d == 0.0 or d*d_prev < 0.0 returns
+      ``(k, x, y, xn, yn, d_prev, d)``; no such step gives None.
+
+    ``saddle`` guards each stage's y before F is evaluated there: the step
+    and the tangent call :func:`_check_domain`, and the march returns None
+    unless ``-SADDLE_Y_BOUND < y < SADDLE_Y_BOUND``, the bound written into
+    the source."""
+    if mode == "march":
+        loop = _rk4_lines(shapes, f"if not -{_BOUND} < {{y}} < {_BOUND}: return None"
+                          if saddle else None)
+        loop += ["if not (xn - xn == 0.0 and yn - yn == 0.0): return None",
+                 "d = -uy * (xn - bx) + ux * (yn - by)",
+                 "if d == 0.0 or d * d_prev < 0.0: return k, x, y, xn, yn, d_prev, d",
+                 "x, y, d_prev = xn, yn, d"]
+        return _compile(shapes, "march(x, y, h, n, d_prev, ux, uy, bx, by)",
+                        _STEP_SIZES + ["for k in range(1, n + 1):"]
+                        + [f"    {line}" for line in loop] + ["return None"])
+    guard = "_check_domain({y})" if saddle else None
+    if mode == "step":
+        head, body = "step(x, y, h)", _STEP_SIZES + _rk4_lines(shapes, guard) + ["return xn, yn"]
+    else:
+        head = "tangent(x, y, f11, f12, f21, f22, h)"
+        body = _step_lines(shapes, guard) + ["return xn, yn, f11n, f12n, f21n, f22n"]
+    return _compile(shapes, head, body, _check_domain=_check_domain)
+
+
+def _field_terms(polys: tuple) -> tuple[tuple, list[float]]:
+    """The term structures of ``polys`` (the code generator's key) and their
+    coefficients in the generated factory's argument order."""
+    terms = tuple(p.items_sorted() for p in polys)
+    return tuple(map(_shape, terms)), [c for t in terms for _, c in t]
 
 
 def shear_free_defect(f: VectorField2D) -> Poly2:

@@ -284,6 +284,24 @@ def test_pullback_polynomial_data_function(capsys, tmp_path):
     assert value == pytest.approx(0.25**2 + 1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("line", ["0,0.5,1.5e308,1.5e308", "0,0.5,1e-320,1e-320"])
+def test_pullback_line_with_an_extreme_direction(capsys, tmp_path, line):
+    # the first direction's norm overflowed to inf, so every value was h(0);
+    # the second's subnormal norm was off in the 5th digit
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.25\n0.25,0.3\n0.3,1.2\n")
+    outputs = []
+    for direction in ("0,0.5,1,1", line):
+        code, _, err = run(
+            ["pullback", "--field", "expr:0.5*x;-0.5*y", "--line", direction, "--h", "s^2 + 1",
+             "--lambda", "0.5", "--points", str(pts), "--out", str(tmp_path / "phi.csv")],
+            capsys,
+        )
+        assert code == 0, err
+        outputs.append((tmp_path / "phi.csv").read_bytes())
+    assert outputs[1] == outputs[0]
+
+
 def test_carleman_command(capsys):
     code, out, _ = run(
         ["carleman", "--lambda", "-1", "--c", "-1", "--x0", "1,0", "--time", "1"], capsys
@@ -393,6 +411,14 @@ def test_domain_error_exit_code(capsys, tmp_path):
     )
     assert code == 2
     assert "|y| < 1" in err
+
+
+def test_keig_check_refuses_saddle_samples_outside_the_strip(capsys):
+    # ile exits 2 on this box; keig-check printed a residual with exit 0
+    code, out, err = run(["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "0",
+                          "--box", "-1:1,-2:2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: saddle field is only defined for |y| < 1 (got y=-1.8)\n"
 
 
 @pytest.mark.parametrize(

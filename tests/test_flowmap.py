@@ -189,7 +189,7 @@ def test_float_tangent_step_returns_six_floats(field):
     numpy arrays, so one point's FTLE runs at float cost."""
     f = (VectorField2D.saddle() if field == "saddle"
          else make_cubic_family(CubicParams(2.0, 2.0 / 3.0, -1.0 / 3.0, -2.0)))
-    state = f._rk4_tangent()(0.3, 0.2, 1.0, 0.0, 0.0, 1.0, -1e-3)
+    state = f._rk4("tangent")(0.3, 0.2, 1.0, 0.0, 0.0, 1.0, -1e-3)
     assert [type(v) for v in state] == [float] * 6
 
 
@@ -228,12 +228,12 @@ def test_blow_up_stops_stepping_soon():
     # steps into a plan of 10,000, after which inf and NaN stepped to the end
     f = VectorField2D(parse_polynomial("x^2"), Poly2())
     finite = []
-    f._step = _counting(f._rk4(), finite)
+    f._rk4s["step"] = _counting(f._rk4(), finite)
     with pytest.raises(NumericalError, match="^trajectory became non-finite$"):
         flow_endpoint(f, (10.0, 0.0), 10.0, CFG)
     assert 0 < finite.index(False) < len(finite) <= finite.index(False) + 64
     finite.clear()
-    f._tangent = _counting(f._rk4_tangent(), finite)
+    f._rk4s["tangent"] = _counting(f._rk4("tangent"), finite)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="^trajectory became non-finite$"):
         ftle_field(f, Grid2D(0.0, 10.0, 3, -1.0, 1.0, 3), 10.0, None, CFG)
@@ -603,7 +603,7 @@ def test_tangent_step_moves_the_point_as_the_step_does(p, q, h, pts):
     """The tangent step's (x, y) carries the bits of the RK4 step, on floats
     and on arrays, and each array element's gradient those of the float one."""
     f = VectorField2D(Poly2(p), Poly2(q))
-    step, tangent = f._rk4(), f._rk4_tangent()
+    step, tangent = f._rk4(), f._rk4("tangent")
     xs, ys = (np.array(c) for c in zip(*pts))
     one, zero = np.ones(xs.shape), np.zeros(xs.shape)
     whole = [np.asarray(v, dtype=float) for v in tangent(xs, ys, one, zero, zero, one, h)]
@@ -653,5 +653,5 @@ def test_saddle_step_raises_at_the_same_stage():
         # the tangent step guards the same stages
         for point, one, zero in (((x, y), 1.0, 0.0), ((xs, ys), np.ones(1), np.zeros(1))):
             with pytest.raises(DomainError) as exc:
-                f._rk4_tangent()(*point, one, zero, zero, one, h)
+                f._rk4("tangent")(*point, one, zero, zero, one, h)
             assert str(exc.value) == _outcome(f._rk4(), *point, h)[1]

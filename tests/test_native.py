@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilekoop import _native, flowmap, vectorfield
+from ilekoop import _native, flowmap
 from ilekoop.errors import DomainError, NumericalError
-from ilekoop.expr import Poly2, _field_rk4, _field_terms, parse_polynomial
+from ilekoop.expr import Poly2, parse_polynomial
 from ilekoop.families import (
     CubicParams,
     QuadraticParams,
@@ -23,7 +23,7 @@ from ilekoop.families import (
 )
 from ilekoop.flowmap import IntegratorConfig, ftle, ftle_field
 from ilekoop.strain import Grid2D
-from ilekoop.vectorfield import SADDLE_Y_BOUND, VectorField2D
+from ilekoop.vectorfield import SADDLE_Y_BOUND, VectorField2D, _field_terms, _rk4_factory
 
 CFG = IntegratorConfig(step=1e-3)
 HAVE_CC = shutil.which("cc") is not None
@@ -40,11 +40,20 @@ def _fields_and_boxes():
         (make_quadratic_family(QuadraticParams(1.0, 1.0)), (0.1, 0.9, 0.1, 0.9)),
         (make_transformed_family(-1.0, [-0.5]), (0.2, 1.2, -0.5, 0.5)),
         (VectorField2D.saddle(), (-1.0, 1.0, -0.75, 0.75)),
+        # mixed degrees and no family structure
+        (VectorField2D(parse_polynomial("x + 0.3*y^2 - 0.2*x^3"),
+                       parse_polynomial("-y + 0.4*x^2 + y^3")), (-0.5, 0.5, -0.5, 0.5)),
     ]
 
 
 def _polys(f):
     return (f.p, f.q, *f._jac)
+
+
+def _python_tangent(f):
+    """The field's generated Python tangent, never the compiled one."""
+    shapes, coeffs = _field_terms(_polys(f))
+    return _rk4_factory(shapes, "tangent", f.is_saddle)(*coeffs)
 
 
 def _identity(shape) -> tuple:
@@ -54,7 +63,7 @@ def _identity(shape) -> tuple:
 
 def _python_only(monkeypatch):
     """Make every field built from now on run the generated Python tangent."""
-    monkeypatch.setattr(_native, "_kernel", lambda shapes, guarded: None)
+    monkeypatch.setattr(_native, "_kernel", lambda shapes, saddle: None)
 
 
 def _same(a, b) -> bool:
@@ -66,14 +75,6 @@ def _same(a, b) -> bool:
     keep = ~np.isnan(a)
     return np.array_equal(a[keep], b[keep]) and np.array_equal(np.signbit(a[keep]),
                                                                np.signbit(b[keep]))
-
-
-@pytest.fixture(scope="module")
-def private_cache(tmp_path_factory):
-    """Random term structures build into a scratch cache, not the package's."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "_CACHE", tmp_path_factory.mktemp("kernels"))
-        yield
 
 
 # -- the same bits --------------------------------------------------------------------
@@ -97,7 +98,7 @@ _COORDS = st.floats(-1.5, 1.5, allow_nan=False) | st.sampled_from([-0.0, 1e150, 
 # the identity as cauchy_green passes it: F11 and F22 one array, F12 and F21 another
 @example(p={(0, 2): 1.0, (1, 0): -0.5}, q={(1, 1): 2.0, (0, 1): 1.0}, shape=(2, 3), t=-0.0237,
          data=None, shared=True)
-def test_compiled_tangent_equals_the_python_tangent(private_cache, p, q, shape, t, data, shared):
+def test_compiled_tangent_equals_the_python_tangent(p, q, shape, t, data, shared):
     """Each step of a plan (step 0.01) gives the bits of the generated Python
     tangent on 1-D and 2-D arrays, non-finite entries included, whether or
     not the gradient's entries start as shared arrays."""
@@ -109,8 +110,8 @@ def test_compiled_tangent_equals_the_python_tangent(private_cache, p, q, shape, 
         coords = np.array(data.draw(st.lists(_COORDS, min_size=2 * size, max_size=2 * size)))
     x, y = coords[:size].reshape(shape), coords[size:].reshape(shape)
     one, zero = np.ones(shape), np.zeros(shape)
-    python = _field_rk4(_polys(f), "tangent")
-    compiled = f._rk4_tangent()
+    python = _python_tangent(f)
+    compiled = f._rk4("tangent")
     want = got = (x, y, *((one, zero, zero, one) if shared else _identity(shape)))
     with np.errstate(all="ignore"):
         for _, h in flowmap._steps(t, 0.01):
@@ -120,7 +121,7 @@ def test_compiled_tangent_equals_the_python_tangent(private_cache, p, q, shape, 
         assert _native._KERNELS[_field_terms(_polys(f))[0], False] is not None
 
 
-@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("k", range(5))
 def test_ftle_field_bytes_equal_on_both_paths(monkeypatch, k):
     """At threads 1 and 2, with rows split into many blocks."""
     monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 30)
@@ -157,8 +158,8 @@ def test_saddle_kernel_refuses_what_the_guard_refuses():
     c, one, zero = np.array(coeffs + [0.0]), np.ones(2), np.zeros(2)
     for y, code in ((1.0, 1), (-1.0, 1), (np.nan, 1), (SADDLE_Y_BOUND, 1), (-np.inf, 1),
                     (np.nextafter(SADDLE_Y_BOUND, 0.0), 0), (0.5, 0)):
-        got = _native._run(kernel, c, SADDLE_Y_BOUND, np.zeros(2), np.array([0.0, y]),
-                           one, zero, zero, one, 0.0)
+        got = _native._run(kernel, c, np.zeros(2), np.array([0.0, y]), one, zero, zero, one,
+                           0.0)
         assert got[0] == code, y
 
 
@@ -166,14 +167,14 @@ def test_blow_up_stops_stepping_soon_on_the_python_step(monkeypatch):
     """``test_blow_up_stops_stepping_soon``'s grid, with the compiled step off."""
     _python_only(monkeypatch)
     f = VectorField2D(parse_polynomial("x^2"), Poly2())
-    finite, tangent = [], f._rk4_tangent()
+    finite, tangent = [], f._rk4("tangent")
 
     def counted(*args):
         out = tangent(*args)
         finite.append(all(np.isfinite(v).all() for v in out))
         return out
 
-    f._tangent = counted
+    f._rk4s["tangent"] = counted
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="^trajectory became non-finite$"):
         ftle_field(f, Grid2D(0.0, 10.0, 3, -1.0, 1.0, 3), 10.0, None, CFG)
@@ -184,7 +185,7 @@ def test_calls_the_kernel_cannot_take_run_python():
     """Floats, float32, non-contiguous and read-only arrays, empty arrays,
     mismatched shapes and a numpy step all give the Python tangent's bits."""
     f = _cubic()
-    python, tangent = _field_rk4(_polys(f), "tangent"), f._rk4_tangent()
+    python, tangent = _python_tangent(f), f._rk4("tangent")
     x, y = np.linspace(0.1, 0.9, 6).reshape(2, 3), np.linspace(0.2, 0.7, 6).reshape(2, 3)
     grad = _identity(x.shape)
     frozen = x.copy()
@@ -213,10 +214,10 @@ def test_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
     elif fault == "no compiler":
         monkeypatch.setattr(_native, "_COMPILE", ("ilekoop-no-such-cc", *_native._COMPILE[1:]))
     elif fault == "build fails":
-        monkeypatch.setattr(_native, "_c_tangent", lambda shapes, guarded: "not C\n")
+        monkeypatch.setattr(_native, "_c_tangent", lambda shapes, saddle: "not C\n")
     else:  # a kernel that builds but divides by 6 a little wrongly
-        monkeypatch.setattr(_native, "_c_tangent", lambda shapes, guarded: c_tangent(
-            shapes, guarded).replace("h / 6.0", "h / 6.000000001"))
+        monkeypatch.setattr(_native, "_c_tangent", lambda shapes, saddle: c_tangent(
+            shapes, saddle).replace("h / 6.0", "h / 6.000000001"))
     monkeypatch.setattr(_native, "_probe", lambda *args: probed.append(probe(*args)) or probed[-1])
     assert ftle_field(_cubic(), _GRID, -0.05, None, CFG).values.tobytes() == want
     assert list(_native._KERNELS.values()) == [None]
@@ -224,9 +225,12 @@ def test_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
 
 
 @needs_cc
-def test_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path):
+@pytest.mark.parametrize("bytecode", ["written", "dont_write_bytecode"])
+def test_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path, bytecode):
+    """A kernel is not bytecode: it is cached under ``sys.dont_write_bytecode``
+    too, and a later load needs no compiler."""
     shapes = _field_terms(_polys(_cubic()))[0]
-    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", bytecode == "dont_write_bytecode")
     monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
     monkeypatch.setattr(_native, "_KERNELS", {})
     assert _native._kernel(shapes, False) is not None
@@ -239,17 +243,15 @@ def test_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path):
 
 
 @needs_cc
-@pytest.mark.parametrize("cache", ["dont_write_bytecode", "unwritable"])
-def test_private_builds_leave_nothing_behind(monkeypatch, tmp_path, cache):
-    """Under ``sys.dont_write_bytecode``, or with a cache directory that
-    cannot be made, the kernel loads from a temporary directory that is gone
-    afterwards, and no cache file is written."""
+def test_private_builds_leave_nothing_behind(monkeypatch, tmp_path):
+    """With a cache directory that cannot be made, the kernel loads from a
+    temporary directory that is gone afterwards, and no cache file is
+    written."""
     shapes = _field_terms(_polys(_cubic()))[0]
     (tmp_path / "tmp").mkdir()
     (tmp_path / "a-file").write_text("")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", cache == "dont_write_bytecode")
-    target = tmp_path / ("cache" if cache == "dont_write_bytecode" else "a-file/cache")
+    target = tmp_path / "a-file" / "cache"
     monkeypatch.setattr(_native, "_CACHE", target)
     monkeypatch.setattr(_native, "_KERNELS", {})
     assert _native._kernel(shapes, False) is not None
@@ -261,19 +263,14 @@ def test_private_builds_leave_nothing_behind(monkeypatch, tmp_path, cache):
 def test_ftle_field_runs_the_compiled_step(monkeypatch):
     """With a compiler on PATH, no array call of ``ftle_field`` may reach the
     generated Python tangent: a broken build must not quietly cost the gain."""
-    field_rk4 = vectorfield._field_rk4
+    array_tangent = _native.array_tangent
 
-    def floats_only(polys, mode, guard=None):
-        step = field_rk4(polys, mode, guard)
-        if mode != "tangent":
-            return step
+    def python_refused(shapes, coeffs, saddle, python):
+        def refused(*call):
+            pytest.fail("an array call ran the Python tangent")
 
-        def tangent(x, *rest):
-            assert type(x) is float, "an array call ran the Python tangent"
-            return step(x, *rest)
+        return array_tangent(shapes, coeffs, saddle, refused)
 
-        return tangent
-
-    monkeypatch.setattr(vectorfield, "_field_rk4", floats_only)
+    monkeypatch.setattr(_native, "array_tangent", python_refused)
     for f, (x0, x1, y0, y1) in _fields_and_boxes():
         ftle_field(f, Grid2D(x0, x1, 21, y0, y1, 21), -0.05, None, CFG)

@@ -29,14 +29,15 @@ _spec.loader.exec_module(startup)
 #: itself never needs; ``inspect`` comes with numpy.
 SLOW_STDLIB = ("dataclasses", "inspect")
 
-# Runs the entry point; at exit, the last stderr line lists the loaded modules.
-_PROBE = """import atexit, sys
+# At exit, the last stderr line lists the loaded modules.
+_LOADED = """import atexit, sys
 atexit.register(lambda: sys.stderr.write("\\nloaded " + " ".join(sorted(
     m for m in sys.modules
     if m.partition(".")[0] in ("ilekoop", "numpy") + %r and m.count(".") < 2))))
-from ilekoop.cli import main
-main()
 """ % (SLOW_STDLIB,)
+
+# Runs the entry point, then lists the loaded modules.
+_PROBE = _LOADED + "from ilekoop.cli import main\nmain()\n"
 
 
 def fresh(argv, cwd, code: str = _PROBE):
@@ -112,7 +113,11 @@ PINNED = {
 @pytest.mark.parametrize("name", startup.COMMANDS)
 def test_tool_commands_load_numpy_only_for_arrays(inputs, name):
     argv, outputs = startup.COMMANDS[name]
-    proc = fresh(argv, inputs)
+    if argv is None:  # the import probe, which prints its time
+        proc = fresh([], inputs, _LOADED + startup.IMPORT_PROBE)
+        assert float(proc.stdout) > 0.0
+    else:
+        proc = fresh(argv, inputs)
     assert proc.returncode == (1 if name == "usage-error" else 0), proc.stderr
     modules = loaded(proc)
     assert ("numpy" in modules) == (name in NUMPY)
@@ -142,11 +147,11 @@ def test_startup_tool_smoke():
     # one repeat of two commands, this tree against itself
     proc = subprocess.run([sys.executable, str(TOOLS / "startup.py"), "--parent", str(SRC.parent),
                            "--change", str(SRC.parent), "--repeats", "1",
-                           "--only", "family-cubic,oned"],
+                           "--only", "family-cubic,oned,cli-import"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split()[0] for line in proc.stdout.splitlines()[1:]]
-    assert rows == ["family-cubic", "oned"], proc.stdout
+    assert rows == ["family-cubic", "oned", "cli-import"], proc.stdout
     assert "MISMATCH" not in proc.stdout
 
 

@@ -7,9 +7,12 @@
 ``git archive`` of a commit).  Every command runs as a new interpreter,
 ``python -c "from ilekoop.cli import main; main()" ARGS`` with ``DIR/src``
 first on ``PYTHONPATH``, which is what the ``ilekoop`` entry point runs; the
-time is the wall time of the whole process.  Each tree works in its own
-scratch directory holding the inputs the commands read: ``field.json`` and
-``nf.json`` (written by that tree's ``family`` commands) and ``pts.csv``.
+time is the wall time of the whole process.  ``cli-import`` is the
+benchmark's ``setup_s`` probe instead: ``import ilekoop.cli`` with no
+arguments, timed inside the process as the probe times it.  Each tree works
+in its own scratch directory holding the inputs the commands read:
+``field.json`` and ``nf.json`` (written by that tree's ``family`` commands)
+and ``pts.csv``.
 
 Each command first runs once per tree untimed (it fills the file cache and
 gives the reference output), then ``--repeats`` times per tree; repeat k
@@ -41,8 +44,8 @@ CUBIC = ["family", "cubic", "--lambda", "2", "--c", "0.66666666666666663",
 TRANSFORMED = ["family", "transformed", "--lambda", "-1", "--coeffs", "-0.5"]
 KEIG = ["keig-check", "--field", "field.json", "--g", "(x+y-1)^2", "--lambda", "2"]
 
-#: name -> (arguments, output files).  The README's commands, plus --help
-#: and a usage error (a missing required flag).
+#: name -> (arguments, output files).  The README's commands, plus --help,
+#: a usage error (a missing required flag) and the import probe (no arguments).
 COMMANDS = {
     "ile": (["ile", "--field", "saddle", "--grid", GRID, "--rate", "s1", "--out", "s1.csv",
              "--pgm", "s1.pgm", "--extract", "trench"], ("s1.csv", "s1.pgm")),
@@ -59,12 +62,18 @@ COMMANDS = {
     "oned": (["oned", "--f", "x - x^3", "--xmin", "-1", "--xmax", "1", "--n", "201"], ()),
     "help": (["--help"], ()),
     "usage-error": (["family", "cubic", "--lambda", "2"], ()),
+    "cli-import": (None, ()),
 }
 
 #: Points for ``pullback`` on both sides of its data line x = 1.
 POINTS = "0.5,0.25\n0.75,-0.5\n1.5,0.1\n2,0.3\n"
 
 MAIN = "from ilekoop.cli import main; main()"
+
+#: The benchmark's setup_s probe (bench/run.py): it prints the seconds its
+#: import of ilekoop.cli took.
+IMPORT_PROBE = ("import time; t = time.perf_counter(); import ilekoop.cli; "
+                "print(repr(time.perf_counter() - t))")
 
 
 class Tree:
@@ -82,14 +91,19 @@ class Tree:
         for name, argv in (("field.json", CUBIC), ("nf.json", TRANSFORMED)):
             (work / name).write_text(self.run(argv, ())[1][1])
 
-    def run(self, argv: list, outputs: tuple) -> tuple[float, tuple]:
-        """Seconds and (exit code, stdout, stderr, output files) of one fresh process."""
+    def run(self, argv: list | None, outputs: tuple) -> tuple[float, tuple]:
+        """Seconds and (exit code, stdout, stderr, output files) of one fresh
+        process.  ``argv`` None runs ``IMPORT_PROBE``: the seconds are those
+        it prints, and its stdout counts as empty."""
         for name in outputs:
             (self.work / name).unlink(missing_ok=True)
+        command = [MAIN, *argv] if argv is not None else [IMPORT_PROBE]
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=self.work, env=self.env,
+        proc = subprocess.run([sys.executable, "-c", *command], cwd=self.work, env=self.env,
                               capture_output=True, text=True, timeout=300)
         seconds = time.perf_counter() - start
+        if argv is None:
+            return float(proc.stdout), (proc.returncode, "", proc.stderr, ())
         files = tuple((self.work / name).read_text() if (self.work / name).exists() else None
                       for name in outputs)
         return seconds, (proc.returncode, proc.stdout, proc.stderr, files)
