@@ -251,13 +251,20 @@ def axis_text(grid: Grid2D) -> tuple[list[str], list[str]]:
 
 
 def write_csv(f: ScalarField, stream) -> None:
-    """Rows are emitted row-major: the y index varies slowest."""
+    """Rows are emitted row-major: the y index varies slowest.  Every number
+    is its ``format_float`` text; the values come in blocks of bounded size
+    from the compiled formatter, or from one ``%`` per row where none loads."""
+    from . import _native  # loads ctypes, so only commands that write a grid pay for it
+
     xt, yt = axis_text(f.grid)
     stream.write("x,y,value\n")
-    # one template per row: "%.17g" is format_float's format; the axis texts hold no "%"
-    row_text = "".join([x + ",\0,%.17g\n" for x in xt])
-    for y, row in zip(yt, f.values.tolist()):
-        stream.write(row_text.replace("\0", y) % tuple(row))
+    blocks = _native.csv_blocks(f.values, xt, yt)
+    if blocks is None:
+        # one template per row: "%.17g" is format_float's format; the axis texts hold no "%"
+        row_text = "".join([x + ",\0,%.17g\n" for x in xt])
+        blocks = (row_text.replace("\0", y) % tuple(row) for y, row in zip(yt, f.values.tolist()))
+    for text in blocks:
+        stream.write(text)
 
 
 #: The text of each gray level.

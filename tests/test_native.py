@@ -2,8 +2,12 @@
 on every array call, the same errors, and the same bytes wherever it falls
 back to Python."""
 
+import io
+import math
+import os
 import shutil
 import sys
+import time
 import tempfile
 
 import numpy as np
@@ -11,9 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilekoop import _native, flowmap
+from ilekoop import _native, flowmap, strain
 from ilekoop.errors import DomainError, NumericalError
-from ilekoop.expr import Poly2, parse_polynomial
+from ilekoop.expr import Poly2, format_float, parse_polynomial
 from ilekoop.families import (
     CubicParams,
     QuadraticParams,
@@ -22,7 +26,7 @@ from ilekoop.families import (
     make_transformed_family,
 )
 from ilekoop.flowmap import IntegratorConfig, ftle, ftle_field
-from ilekoop.strain import Grid2D
+from ilekoop.strain import Grid2D, ScalarField
 from ilekoop.vectorfield import SADDLE_Y_BOUND, VectorField2D, _field_terms, _rk4_factory
 
 CFG = IntegratorConfig(step=1e-3)
@@ -228,7 +232,7 @@ def test_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
 @pytest.mark.parametrize("bytecode", ["written", "dont_write_bytecode"])
 def test_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path, bytecode):
     """A kernel is not bytecode: it is cached under ``sys.dont_write_bytecode``
-    too, and a later load needs no compiler."""
+    too, and a later load needs no compiler and marks it recently used."""
     shapes = _field_terms(_polys(_cubic()))[0]
     monkeypatch.setattr(sys, "dont_write_bytecode", bytecode == "dont_write_bytecode")
     monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
@@ -236,10 +240,12 @@ def test_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path, bytecode)
     assert _native._kernel(shapes, False) is not None
     cached = list((tmp_path / "cache").iterdir())
     assert len(cached) == 1 and cached[0].name.startswith("tangent-") and cached[0].suffix == ".so"
+    os.utime(cached[0], ns=(0, 0))
     monkeypatch.setattr(_native, "_KERNELS", {})
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     monkeypatch.setattr(_native, "_build", lambda *args: pytest.fail("built again"))
     assert _native._kernel(shapes, False) is not None
+    assert cached[0].stat().st_mtime_ns > 0
 
 
 @needs_cc
@@ -274,3 +280,156 @@ def test_ftle_field_runs_the_compiled_step(monkeypatch):
     monkeypatch.setattr(_native, "array_tangent", python_refused)
     for f, (x0, x1, y0, y1) in _fields_and_boxes():
         ftle_field(f, Grid2D(x0, x1, 21, y0, y1, 21), -0.05, None, CFG)
+
+
+@pytest.mark.parametrize("others", ["older", "newer"])
+def test_publishing_keeps_the_most_recently_loaded_libraries(tmp_path, others):
+    """Publishing into a cache of cap + 5 libraries deletes the six least
+    recently loaded, never the one just published (even when the clock puts
+    every other library after it), and nothing that is not a library."""
+    cap = _native._CACHE_LIBRARIES
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    start = 0 if others == "older" else time.time_ns() + 86400 * 10**9
+    libraries = []
+    for k in range(cap + 5):
+        libraries.append(cache / f"tangent-{k:032x}.so")
+        libraries[-1].write_bytes(b"")
+        os.utime(libraries[-1], ns=(start + k * 10**9,) * 2)
+    (cache / "strain.cpython.pyc").write_bytes(b"")
+    built = tmp_path / "built.so"
+    built.write_bytes(b"library")
+    published = cache / "csv-new.so"
+    _native._publish(built, published)
+    assert sorted(cache.glob("*.so")) == sorted([published, *libraries[6:]])
+    assert published.read_bytes() == b"library"
+    assert (cache / "strain.cpython.pyc").exists()
+    assert len(list(cache.glob("*.so"))) == cap
+
+
+# -- the CSV formatter ------------------------------------------------------------------
+
+def _formatted(values) -> list:
+    """The compiled formatter's text of each value, through a one-row grid."""
+    values = np.array(values, dtype=np.float64).reshape(1, -1)
+    blocks = _native.csv_blocks(values, ["x"] * values.size, ["y"])
+    return [line.removeprefix("x,y,") for line in "".join(blocks).splitlines()]
+
+
+@needs_cc
+@settings(max_examples=1000, deadline=None)
+@given(v=st.floats(allow_nan=False, allow_infinity=False))
+@example(v=0.0)
+@example(v=-0.0)
+@example(v=5e-324)
+@example(v=2.2250738585072014e-308)
+@example(v=1.7976931348623157e308)
+@example(v=1.0 + 2.0**-17)  # a tie: 18 significant digits ending in 5, rounded to even
+@example(v=1e-4)  # the last fixed-point value ...
+@example(v=math.nextafter(1e-4, 0.0))  # ... and the first in exponent notation
+@example(v=1e16)
+@example(v=1e17)
+@example(v=math.nextafter(1e17, 0.0))
+@example(v=1e22)
+@example(v=1e23)
+def test_formatter_writes_format_float(v):
+    """Every finite double, either sign: the bytes of ``format_float``."""
+    assert _formatted([v, -v]) == [format_float(v), format_float(-v)]
+
+
+@needs_cc
+def test_formatter_on_many_doubles():
+    """Random bit patterns, normal values over 80 decades, and exact ties
+    odd / 2^j, whose 18th significant digit is a 5 followed by nothing."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(50_000) * 10.0 ** rng.integers(-40, 40, 50_000)
+    ties = (rng.integers(1, 2**52, 50_000) | 1) / 2.0 ** rng.integers(1, 53, 50_000)
+    for values in (bits[np.isfinite(bits)], scaled, ties):
+        assert _formatted(values) == [format_float(v) for v in values.tolist()]
+    assert _formatted([np.inf, -np.inf, np.nan, -np.nan]) == ["inf", "-inf", "nan", "nan"]
+
+
+def _template_csv(f) -> str:
+    """``write_csv`` with no formatter: the one-``%``-per-row writer."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "csv_blocks", lambda *args: None)
+        return _csv(f)
+
+
+def _csv(f) -> str:
+    out = io.StringIO()
+    strain.write_csv(f, out)
+    return out.getvalue()
+
+
+_ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False)
+_SLOW_PATH = st.sampled_from([5e-324, -2.5e-310, 1e-300, -3e-7, 1e39, -1.7976931348623157e308])
+
+
+@needs_cc
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 9), ny=st.integers(2, 9), data=st.data(),
+       box=st.sampled_from([(0.1, 0.9, -0.5, 0.5), (-1.2345678901234567e-300, -1.1e-300,
+                                                     1.0000000000000002e300, 1.5e300)]))
+def test_compiled_csv_equals_the_template_writer(nx, ny, data, box):
+    """Random fields, values of the snprintf path (subnormal, below 1e-6,
+    above 1e38) among them, on grids with 24-character axis texts, with
+    blocks of one row, a few rows, or the whole grid."""
+    values = data.draw(st.lists(_ANY_DOUBLE | _SLOW_PATH, min_size=nx * ny, max_size=nx * ny))
+    f = ScalarField(Grid2D(box[0], box[1], nx, box[2], box[3], ny),
+                    np.array(values).reshape(ny, nx))
+    want = _template_csv(f)
+    for budget in (1, 150 * nx, _native._CSV_BLOCK_BYTES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_native, "_CSV_BLOCK_BYTES", budget)
+            assert _csv(f) == want
+    assert _native._KERNELS["csv"] is not None
+
+
+@needs_cc
+@pytest.mark.parametrize("ny", [1, 6, 7, 8])
+def test_csv_blocks_straddle_rows(monkeypatch, ny):
+    """Three rows of 300-character axis texts per block: the last block is
+    full, short or one row; a row longer than the budget is one block."""
+    xt, yt = ["1" * 300, "-2" * 150], [f"{k}" * 300 for k in range(ny)]
+    values = np.linspace(-1.0, 1.0, 2 * ny).reshape(ny, 2)
+    want = [f"{x},{y},{format_float(v)}\n" for y, row in zip(yt, values.tolist())
+            for x, v in zip(xt, row)]
+    row = 600 + 2 + 2 * (301 + _native._VALUE_BYTES + 1)
+    for budget, rows in ((3 * row, 3), (100, 1)):
+        monkeypatch.setattr(_native, "_CSV_BLOCK_BYTES", budget)
+        blocks = list(_native.csv_blocks(values, xt, yt))
+        assert "".join(blocks) == "".join(want)
+        assert [b.count("\n") for b in blocks] == [2 * min(rows, ny - r) for r in range(0, ny, rows)]
+
+
+@needs_cc
+def test_csv_blocks_refuse_values_that_do_not_match_the_texts():
+    """The kernel reads one axis text per column and row, so a mismatch
+    never reaches it."""
+    for values in (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(4)):
+        with pytest.raises(ValueError, match="^values do not match the axis texts$"):
+            list(_native.csv_blocks(values, ["a", "b"], ["c", "d"]))
+
+
+@pytest.mark.parametrize("fault", ["no compiler", "probe fails"])
+def test_csv_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
+    """No compiler, or a formatter that rounds ties up: the template writer's
+    bytes, and no library loaded."""
+    f = ScalarField(Grid2D(0.1, 0.9, 9, -0.5, 0.5, 7),
+                    np.linspace(-2.0, 3.0, 63).reshape(7, 9) ** 3 * 1e-3)
+    want = _template_csv(f)
+    monkeypatch.setattr(_native, "_KERNELS", {})
+    monkeypatch.setattr(_native, "_CACHE", tmp_path)
+    probe, probed = _native._probe_csv, []
+    if fault == "no compiler":
+        monkeypatch.setattr(_native, "_COMPILE", ("ilekoop-no-such-cc", *_native._COMPILE[1:]))
+    else:
+        assert _native._C_CSV.count("(q & 1)") == 1
+        monkeypatch.setattr(_native, "_C_CSV", _native._C_CSV.replace("(q & 1)", "1"))
+    monkeypatch.setattr(_native, "_probe_csv", lambda kernel: probed.append(probe(kernel))
+                        or probed[-1])
+    assert _csv(f) == want
+    assert _native._KERNELS == {"csv": None}
+    assert probed == ([False] if fault == "probe fails" and HAVE_CC else [])

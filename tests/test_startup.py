@@ -1,8 +1,9 @@
 """What a fresh ``ilekoop`` process loads.  The exact-algebra commands, the
 pullback, --help and usage errors never load numpy; the array and integration
 commands load it and still print the bytes they did when every command loaded
-it.  No command loads ``dataclasses``, and those without numpy never load
-``inspect``.  The commands are those ``tools/startup.py`` times."""
+it.  Only the grid commands load the compiled kernels (``ilekoop._native``).
+No command loads ``dataclasses``, and those without numpy never load
+``inspect`` or ``ctypes``.  The commands are those ``tools/startup.py`` times."""
 
 import ast
 import hashlib
@@ -33,7 +34,7 @@ SLOW_STDLIB = ("dataclasses", "inspect")
 _LOADED = """import atexit, sys
 atexit.register(lambda: sys.stderr.write("\\nloaded " + " ".join(sorted(
     m for m in sys.modules
-    if m.partition(".")[0] in ("ilekoop", "numpy") + %r and m.count(".") < 2))))
+    if m.partition(".")[0] in ("ilekoop", "numpy", "ctypes") + %r and m.count(".") < 2))))
 """ % (SLOW_STDLIB,)
 
 # Runs the entry point, then lists the loaded modules.
@@ -100,6 +101,9 @@ def test_no_module_imports_dataclasses_or_typing():
 #: The commands that load numpy; every other command of the tool must not.
 NUMPY = {"ile", "ftle", "carleman"}
 
+#: The commands that load the compiled kernels: grids step or write CSV.
+NATIVE = {"ile", "ftle"}
+
 # SHA-256 of stdout and then each output file, as printed when every command
 # loaded every module.
 PINNED = {
@@ -121,8 +125,9 @@ def test_tool_commands_load_numpy_only_for_arrays(inputs, name):
     assert proc.returncode == (1 if name == "usage-error" else 0), proc.stderr
     modules = loaded(proc)
     assert ("numpy" in modules) == (name in NUMPY)
+    assert ("ilekoop._native" in modules) == (name in NATIVE)
     assert "dataclasses" not in modules
-    assert name in NUMPY or "inspect" not in modules
+    assert name in NUMPY or not modules.intersection(("inspect", "ctypes"))
     if name in PINNED:
         h = hashlib.sha256(proc.stdout.encode())
         for path in outputs:
@@ -140,7 +145,7 @@ def test_tool_commands_load_numpy_only_for_arrays(inputs, name):
 def test_more_exact_commands_never_load_numpy(inputs, argv, code):
     proc = fresh(argv, inputs)
     assert proc.returncode == code, proc.stderr
-    assert not loaded(proc).intersection(("numpy",) + SLOW_STDLIB)
+    assert not loaded(proc).intersection(("numpy", "ilekoop._native", "ctypes") + SLOW_STDLIB)
 
 
 def test_startup_tool_smoke():
