@@ -2,8 +2,9 @@
 
 ``_c_tangent`` emits a field's generated RK4 tangent statements as one C
 function over every node of an array.  A node's state is six doubles (x, y
-and the four entries of the flow-map gradient), so each Python statement is
-one C statement, unchanged.  The saddle's bound is written into the source,
+and the four entries of the flow-map gradient), and every generated
+statement is chained (``a = b + c * d``), so each Python statement is one C
+statement, unchanged.  The saddle's bound is written into the source,
 as it is into the Python step.  ``_C_CSV`` is the fixed source of the CSV
 formatter: it writes rows ``x,y,value`` of a grid with each value in the
 bytes of ``format_float`` (``f"{v:.17g}"``), exactly, from 128-bit integer
@@ -38,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .expr import format_float
-from .vectorfield import _BOUND, _rk4_factory, _step_lines
+from .vectorfield import _BOUND, _STEP_SIZES, _rk4_factory, _rk4_lines
 
 #: The build command; the source arrives on stdin.
 _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-")
@@ -47,9 +48,10 @@ _COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-"
 _BUILD_TIMEOUT_S = 60.0
 
 #: Longer sources are not built.  The build time grows faster than the
-#: source (gcc 12, 2 vCPUs, dense fields: 0.17 s at 14 KB, degree 4; 1.3 s at
-#: 59 KB, degree 10; 14 s at 218 KB, degree 20), and the fields of the
-#: families and the saddle stay under 20 KB.
+#: source (gcc 12, 2 vCPUs, dense fields, best of 2-3: 0.20 s at 9.5 KB,
+#: degree 4; 1.3 s at 40 KB, degree 10; 3.2 s at 65 KB, degree 13, the
+#: densest under the cap; 13 s at 152 KB, degree 20), and the fields of the
+#: families and the saddle stay under 7 KB.
 _MAX_SOURCE_BYTES = 65536
 
 _CACHE = Path(__file__).resolve().parent / "__pycache__"
@@ -115,14 +117,16 @@ def _c_tangent(shapes: tuple, saddle: bool) -> str:
     written, so state arrays may share memory (``flowmap.cauchy_green``
     passes one array of ones as F11 and F22 and one of zeros as F12 and F21).
 
-    Each node runs ``vectorfield._step_lines``, the Python step's own list: every
-    statement of it is already a C statement (``a = b * c``, ``a += b * c *
-    d``, ``a *= 2.0``) of the same operations in the same order.  Built
-    without contraction or reassociation, every exactly-rounded operation of
-    a node so gives the bits of the numpy step.  On the ``saddle`` a stage
-    whose y fails ``fabs(y) < SADDLE_Y_BOUND`` (NaN too) ends the call with 1
-    where the Python step raises; otherwise it returns 0."""
-    lines = _step_lines(shapes, f"if (!(fabs({{y}}) < {_BOUND})) return 1" if saddle else None)
+    Each node runs the Python tangent's own list, ``vectorfield._STEP_SIZES``
+    and ``vectorfield._rk4_lines``: every statement of it is already a C
+    statement (``a = b + c * d``) of the same operations in the same order.
+    Built without contraction or reassociation, every exactly-rounded
+    operation of a node so gives the bits of the numpy step.  On the
+    ``saddle`` a stage whose y fails ``fabs(y) < SADDLE_Y_BOUND`` (NaN too)
+    ends the call with 1 where the Python step raises; otherwise it returns
+    0."""
+    guard = f"if (!(fabs({{y}}) < {_BOUND})) return 1" if saddle else None
+    lines = _STEP_SIZES + _rk4_lines(shapes, guard)
     names = [a for a in dict.fromkeys(line.partition(" ")[0] for line in lines) if a != "if"]
     args = [f"c{m}_{k}" for m, shape in enumerate(shapes) for k in range(len(shape))]
     const = "".join(f"    const double {a} = c[{k}];\n" for k, a in enumerate(args))

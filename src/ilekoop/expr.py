@@ -325,23 +325,18 @@ def _shape(terms) -> tuple[tuple[int, int, bool], ...]:
     return tuple((i, j, c == 1.0) for (i, j), c in terms)
 
 
-def _eval_lines(shapes, outs, xv: str, yv: str, inplace: bool = False) -> list[str]:
+def _eval_lines(shapes, outs, xv: str, yv: str) -> list[str]:
     """Source that evaluates component m into ``outs[m]`` at ``(xv, yv)``:
     power ladders shared by all components (x2 = x*x, x3 = x2*x, ...), then
     0.0 + c*x^i*y^j in sorted term order with factors of exactly 1.0 left
     out (which changes no bit), 64 terms per statement at most so that the
-    compiler's nesting stays shallow.  ``inplace`` runs the same operations as
-    ``out = 0.0``, then ``out += c * x2 * y`` per term."""
+    compiler's nesting stays shallow.  Every statement is also valid C."""
     lines = [f"{v}{k} = {v}{k - 1 if k > 2 else ''} * {v}" for d, v in enumerate((xv, yv))
              for k in range(2, max((t[d] for s in shapes for t in s), default=0) + 1)]
     for m, (out, shape) in enumerate(zip(outs, shapes)):
-        terms = [([] if unit else [f"c{m}_{n}"]) + [
-            f"{v}{e if e > 1 else ''}" for v, e in ((xv, i), (yv, j)) if e] or ["1.0"]
+        parts = ["0.0"] + [" * ".join(([] if unit else [f"c{m}_{n}"]) + [
+            f"{v}{e if e > 1 else ''}" for v, e in ((xv, i), (yv, j)) if e] or ["1.0"])
             for n, (i, j, unit) in enumerate(shape)]
-        if inplace:
-            lines += [f"{out} = 0.0"] + [f"{out} += {' * '.join(fs)}" for fs in terms]
-            continue
-        parts = ["0.0"] + [" * ".join(fs) for fs in terms]
         lines += [f"{out} = {out + ' + ' if k else ''}{' + '.join(parts[k:k + 64])}"
                   for k in range(0, len(parts), 64)]
     return lines
@@ -497,7 +492,7 @@ class Poly2:
             kernel = self._kernel = _kernel_factory((_shape(terms),))(*(c for _, c in terms))
         return kernel(x, y)
 
-    # Kept only for bench/layers.py, which patches this name; ROADMAP item 5
+    # Kept only for bench/layers.py, which patches this name; ROADMAP item 6
     # deletes it with that patch.
     eval_array = evaluate
 

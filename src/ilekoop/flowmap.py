@@ -7,9 +7,10 @@ in :mod:`ilekoop.koopman`) runs the field's one generated step
 ``VectorField2D._rk4()``: P, Q and all four stages as chained
 straight-line code, the same source for floats and arrays.  The pullback's
 fixed-step march runs the same stages in one generated loop
-(``VectorField2D._rk4("march")``), and ``cauchy_green`` runs them, in place,
-with their exact derivative (``VectorField2D._rk4("tangent")``), which
-carries the four entries of the flow-map gradient beside each trajectory:
+(``VectorField2D._rk4("march")``), and ``cauchy_green`` runs the same
+statements with their exact derivative between them
+(``VectorField2D._rk4("tangent")``), which carries the four entries of the
+flow-map gradient beside each trajectory:
 floats for a point, arrays of its shape for arrays of points, where the
 step runs compiled with the same bits (see ``ilekoop._native``).
 ``cauchy_green`` and ``ftle`` take a point or equal-shape arrays of points,

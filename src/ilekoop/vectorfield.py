@@ -7,9 +7,10 @@ numerical integrator and the finite-time stretching computations.  The name
 ``"saddle"`` is only an alias in field JSON and on the command line.
 The RK4 code lives here too: the step settings (``IntegratorConfig`` and
 the step budget) and the generator of every field's step, tangent step and
-pullback march (:func:`_rk4_factory`), with the saddle's bound written into
-the source.  So the pullback's float march runs without
-:mod:`ilekoop.flowmap` and numpy.
+pullback march (:func:`_rk4_factory`), all three from one list of chained
+statements (:func:`_rk4_lines`, which ``ilekoop._native`` also emits as C),
+with the saddle's bound written into the source.  So the pullback's float
+march runs without :mod:`ilekoop.flowmap` and numpy.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class VectorField2D:
             _check_domain(y)
         return tuple(d.evaluate(x, y) for d in self._jac)
 
-    # Kept only for bench/layers.py, which patches these names; ROADMAP item 5
+    # Kept only for bench/layers.py, which patches these names; ROADMAP item 6
     # deletes them with those patches.
     evaluate_arrays, jacobian_arrays = evaluate, jacobian
 
@@ -127,50 +128,35 @@ _STEP_SIZES = ["hh = 0.5 * h", "h6 = h / 6.0"]
 _BOUND = repr(SADDLE_Y_BOUND)
 
 
-def _rk4_lines(shapes, guard: str | None, inplace: bool = False) -> list[str]:
+def _rk4_lines(shapes, guard: str | None) -> list[str]:
     """Source of one classical RK4 step of the field whose components (P, Q)
     have the term structures ``shapes``, from ``(x, y)`` into ``(xn, yn)``
     with ``hh = 0.5*h`` and ``h6 = h/6.0`` bound: k1 = F(x, y),
     k2 = F(x + hh*k1), k3 = F(x + hh*k2), k4 = F(x + h*k3), then
     x + h6*(k1 + 2*k2 + 2*k3 + k4).  ``guard``, if given, is a line with a
     ``{y}`` slot that runs on each stage's y before F is evaluated there.
-    ``inplace`` also accumulates the stage points and the result in place.
     Four more shapes, those of J = (P_x, P_y, Q_x, Q_y), also step the
     flow-map gradient entries ``f11, f12, f21, f22`` into ``f11n`` ...
     ``f22n``: stage k takes G_k = J(stage k)*(F + c*h*G_(k-1)), entry by
     entry ``g{r}{j}_k = J_r1*F_1j + J_r2*F_2j`` with no product for a zero
-    entry of J, and the result is F + h6*(G1 + 2*G2 + 2*G3 + G4)."""
+    entry of J, and the result is F + h6*(G1 + 2*G2 + 2*G3 + G4).  Those
+    lines only add to the step's: the step's own statements run unchanged
+    and in order.  Every statement is chained (``a = b + c * d``), so it
+    never writes into an input, and is also a C statement."""
     jac = list(zip(["px", "py", "qx", "qy"], shapes[2:]))  # J_11, J_12, J_21, J_22
     entries = [(r, j) for r in (1, 2) for j in (1, 2)] if jac else []
     pairs = [("x", "u"), ("y", "v")] + [(f"f{r}{j}", f"g{r}{j}_") for r, j in entries]
     lines = []
     for k, scale in enumerate((None, "hh", "hh", "h"), 1):
-        if scale:
-            for z, u in pairs:
-                lines += ([f"{z}s = {scale} * {u}{k - 1}", f"{z}s += {z}"] if inplace
-                          else [f"{z}s = {z} + {scale} * {u}{k - 1}"])
+        lines += [f"{z}s = {z} + {scale} * {u}{k - 1}" for z, u in pairs] if scale else []
         xv, yv = ("xs", "ys") if scale else ("x", "y")
         lines += [guard.format(y=yv)] if guard else []
-        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"] + [f"{d}{k}" for d, _ in jac], xv, yv,
-                             inplace)
-        for r, j in entries:
-            prods = [f"{d}{k} * f{i}{j}{'s' * bool(scale)}"
-                     for i, (d, shape) in enumerate(jac[2 * r - 2:2 * r], 1) if shape]
-            lines += [f"g{r}{j}_{k} = {prods[0] if prods else '0.0'}"] + [
-                f"g{r}{j}_{k} += {prod}" for prod in prods[1:]]
-    if inplace:
-        return lines + [line for z, u in pairs for line in (
-            f"{z}n = 2.0 * {u}2", f"{z}n += {u}1", f"{u}3 *= 2.0", f"{z}n += {u}3",
-            f"{z}n += {u}4", f"{z}n *= h6", f"{z}n += {z}")]
+        lines += _eval_lines(shapes, [f"u{k}", f"v{k}"] + [f"{d}{k}" for d, _ in jac], xv, yv)
+        lines += [f"g{r}{j}_{k} = " + (" + ".join(
+            f"{d}{k} * f{i}{j}{'s' * bool(scale)}"
+            for i, (d, shape) in enumerate(jac[2 * r - 2:2 * r], 1) if shape) or "0.0")
+            for r, j in entries]
     return lines + [f"{z}n = {z} + h6 * ({u}1 + 2.0 * {u}2 + 2.0 * {u}3 + {u}4)" for z, u in pairs]
-
-
-def _step_lines(shapes, guard: str | None) -> list[str]:
-    """The statements of the ``"tangent"`` function (see
-    :func:`_rk4_factory`): :data:`_STEP_SIZES`, then :func:`_rk4_lines`
-    accumulated in place, which on arrays makes fewer temporaries than the
-    chained form.  ``ilekoop._native`` emits the same list as C."""
-    return _STEP_SIZES + _rk4_lines(shapes, guard, True)
 
 
 @functools.lru_cache(maxsize=256)
@@ -179,15 +165,16 @@ def _rk4_factory(shapes: tuple, mode: str, saddle: bool):
     the generated RK4 function ``mode`` of the field whose components have
     the term structures ``shapes``:
 
-    - ``"step"``: (P, Q) give one RK4 step ``step(x, y, h) -> (x, y)`` (see
-      :func:`_rk4_lines`), chained as the march chains it.  Every operation
-      is elementwise, so floats and float arrays run the same source and
-      agree bit for bit.
+    - ``"step"``: (P, Q) give one RK4 step ``step(x, y, h) -> (x, y)``:
+      :data:`_STEP_SIZES` and :func:`_rk4_lines`.  Every operation is
+      elementwise, so floats and float arrays run the same source and agree
+      bit for bit.
     - ``"tangent"``: (P, Q, P_x, P_y, Q_x, Q_y) give ``"step"`` with its
       derivative, ``tangent(x, y, f11, f12, f21, f22, h) -> (x, y, f11,
       f12, f21, f22)``: six floats, or six arrays of x's shape, with the
-      flow-map gradient F as its four entries.  It accumulates in place
-      (:func:`_step_lines`), so its arrays run with fewer temporaries.
+      flow-map gradient F as its four entries.  Its statements are the
+      step's with the gradient's between them, and ``ilekoop._native``
+      emits the same list as C.
     - ``"march"``: the same steps in a loop over floats,
       ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
       returns None if its state is not finite (x - x == 0.0 fails only for
@@ -210,13 +197,11 @@ def _rk4_factory(shapes: tuple, mode: str, saddle: bool):
         return _compile(shapes, "march(x, y, h, n, d_prev, ux, uy, bx, by)",
                         _STEP_SIZES + ["for k in range(1, n + 1):"]
                         + [f"    {line}" for line in loop] + ["return None"])
-    guard = "_check_domain({y})" if saddle else None
-    if mode == "step":
-        head, body = "step(x, y, h)", _STEP_SIZES + _rk4_lines(shapes, guard) + ["return xn, yn"]
-    else:
-        head = "tangent(x, y, f11, f12, f21, f22, h)"
-        body = _step_lines(shapes, guard) + ["return xn, yn, f11n, f12n, f21n, f22n"]
-    return _compile(shapes, head, body, _check_domain=_check_domain)
+    state = ["x", "y"] + (["f11", "f12", "f21", "f22"] if mode == "tangent" else [])
+    body = _STEP_SIZES + _rk4_lines(shapes, "_check_domain({y})" if saddle else None)
+    return _compile(shapes, f"{mode}({', '.join(state)}, h)",
+                    body + ["return " + ", ".join(f"{v}n" for v in state)],
+                    _check_domain=_check_domain)
 
 
 def _field_terms(polys: tuple) -> tuple[tuple, list[float]]:

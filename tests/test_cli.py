@@ -810,6 +810,29 @@ def test_series_n_range_ends(capsys, target):
         assert len(json.loads(out)["partial_sums"]) == int(n)
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1", "--samples"], "--samples"),
+    (["oned", "--f", "x - x^3", "--xmin", "-1", "--xmax", "1", "--n"], "--n"),
+])
+def test_sample_counts_are_capped(capsys, monkeypatch, argv, flag):
+    """At the cap the command samples that many points (the sampled report
+    only counts them here, to stay cheap); one more is a usage error."""
+    from ilekoop import families, koopman
+    seen = []
+    monkeypatch.setattr(koopman, "residual_report",
+                        lambda f, cand, pts: seen.append(len(pts)) or {"samples": len(pts)})
+    monkeypatch.setattr(families, "one_d_residual",
+                        lambda fpoly, lam, xs: seen.append(len(xs)) or (0.0, 0.0))
+    cap = cli._MAX_SAMPLES
+    code, out, err = run([*argv, str(cap)], capsys)
+    assert (code, err) == (0, "") and json.loads(out) and set(seen) == {cap}
+    seen.clear()
+    code, out, err = run([*argv, str(cap + 1)], capsys)
+    assert (code, out, seen) == (1, "", [])
+    assert err.startswith(f"error: {flag} must be ") and str(cap + 1) in err
+    assert err.count("\n") == 1
+
+
 def _old_series_sums(target, n_max, y):
     """The per-N loop the series command used to run, with the old formulas."""
     if target == "y":

@@ -31,7 +31,7 @@ from ilekoop.flowmap import (
     saddle_ftle,
 )
 from ilekoop.strain import Grid2D, strain_rates
-from ilekoop.vectorfield import VectorField2D, analytic_saddle_flow
+from ilekoop.vectorfield import VectorField2D, _field_terms, _rk4_factory, analytic_saddle_flow
 
 CFG = IntegratorConfig(step=1e-3)
 
@@ -578,11 +578,23 @@ def test_generated_saddle_step_matches_old_formula(x, y, h, sign):
 @example(p={(1, 0): 1.0, (0, 1): 1.0}, q={(0, 1): 1.0, (1, 1): 2.0}, h=0.25, pts=[(0.5, -0.5)])
 @example(p={(0, 0): 1.0}, q={}, h=1e-3, pts=[(1.0, 1.0), (-0.0, 0.0)])
 def test_generated_step_leaves_its_inputs_alone(p, q, h, pts):
-    """The step accumulates in place into its own arrays only: floats,
-    equal-shape arrays and one float with one array keep their bits, and a
-    mixed call carries the float step's bits at every element."""
-    step = VectorField2D(Poly2(p), Poly2(q))._rk4()
+    """The step and the tangent step are chained, so they write into no
+    input: floats, equal-shape arrays and one float with one array keep
+    their bits, and a mixed call carries the float step's bits at every
+    element.  The generated tangent step also keeps the one array of ones
+    and the one of zeros that ``cauchy_green`` passes as the gradient's four
+    entries (``tests/test_native.py`` checks the compiled one, which only
+    reads its inputs)."""
+    f = VectorField2D(Poly2(p), Poly2(q))
+    shapes, coeffs = _field_terms((f.p, f.q, *f._jac))
+    step, tangent = f._rk4(), _rk4_factory(shapes, "tangent", False)(*coeffs)
     xs, ys = (np.array(c) for c in zip(*pts))
+    one, zero = np.ones(xs.shape), np.zeros(xs.shape)
+    for state in ((*pts[0], 1.0, 0.0, 0.0, 1.0), (xs, ys, one, zero, zero, one),
+                  (xs, ys, np.ones(xs.shape), zero, np.zeros(xs.shape), one)):
+        before = [np.array(v).tobytes() for v in state]
+        tangent(*state, h)
+        assert [np.array(v).tobytes() for v in state] == before
     x0, y0 = pts[0]
     for x, y in ((x0, y0), (xs, ys), (x0, ys), (xs, y0)):
         before = [np.array(v).tobytes() for v in (x, y)]

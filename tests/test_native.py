@@ -9,13 +9,14 @@ import shutil
 import sys
 import time
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilekoop import _native, flowmap, strain
+from ilekoop import _native, flowmap, strain, vectorfield
 from ilekoop.errors import DomainError, NumericalError
 from ilekoop.expr import Poly2, format_float, parse_polynomial
 from ilekoop.families import (
@@ -27,7 +28,14 @@ from ilekoop.families import (
 )
 from ilekoop.flowmap import IntegratorConfig, ftle, ftle_field
 from ilekoop.strain import Grid2D, ScalarField
-from ilekoop.vectorfield import SADDLE_Y_BOUND, VectorField2D, _field_terms, _rk4_factory
+from ilekoop.vectorfield import (
+    SADDLE_Y_BOUND,
+    VectorField2D,
+    _STEP_SIZES,
+    _field_terms,
+    _rk4_factory,
+    _rk4_lines,
+)
 
 CFG = IntegratorConfig(step=1e-3)
 HAVE_CC = shutil.which("cc") is not None
@@ -123,6 +131,48 @@ def test_compiled_tangent_equals_the_python_tangent(p, q, shape, t, data, shared
             assert all(map(_same, want, got)), h
     if HAVE_CC:
         assert _native._KERNELS[_field_terms(_polys(f))[0], False] is not None
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_compiled_tangent_leaves_its_inputs_alone(k):
+    """The state as ``cauchy_green`` passes it, one array of ones as F11 and
+    F22 and one of zeros as F12 and F21, keeps its bits through a step."""
+    f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
+    x, y = np.meshgrid(np.linspace(x0, x1, 5), np.linspace(y0, y1, 3))
+    state = (x, y, np.ones(x.shape), np.zeros(x.shape))
+    before = [v.tobytes() for v in state]
+    f._rk4("tangent")(x, y, state[2], state[3], state[3], state[2], -0.01)
+    assert [v.tobytes() for v in state] == before
+    if HAVE_CC:
+        assert _native._KERNELS[_field_terms(_polys(f))[0], f.is_saddle] is not None
+
+
+def _in_order(part: list, whole: list) -> bool:
+    """Whether ``part`` is a subsequence of ``whole``."""
+    rest = iter(whole)
+    return all(line in rest for line in part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_COMPONENT, q=_COMPONENT, saddle=st.booleans())
+@example(p={}, q={}, saddle=False)
+def test_tangent_runs_the_step_statements(p, q, saddle):
+    """One statement form: the generated tangent's statements contain every
+    statement of the plain step, in order, so the gradient's lines only add
+    to the step's; and its C source runs the same list."""
+    f = VectorField2D.saddle() if saddle else VectorField2D(Poly2(p), Poly2(q))
+    shapes = _field_terms(_polys(f))[0]
+    bodies = {}
+    with mock.patch.object(vectorfield, "_compile",
+                           lambda shapes, head, body, **names: bodies.setdefault(head, body)):
+        for mode, count in (("step", 2), ("tangent", 6)):
+            _rk4_factory.__wrapped__(shapes[:count], mode, saddle)
+    step, tangent = (bodies[head][:-1] for head in sorted(bodies))
+    assert tangent == _STEP_SIZES + _rk4_lines(shapes, "_check_domain({y})" if saddle else None)
+    assert _in_order(step, tangent)
+    guard = f"if (!(fabs({{y}}) < {SADDLE_Y_BOUND!r})) return 1" if saddle else None
+    c_lines = [line.strip()[:-1] for line in _native._c_tangent(shapes, saddle).splitlines()]
+    assert _in_order(_STEP_SIZES + _rk4_lines(shapes, guard), c_lines)
 
 
 @pytest.mark.parametrize("k", range(5))
