@@ -5,14 +5,19 @@ function over every node of an array.  A node's state is six doubles (x, y
 and the four entries of the flow-map gradient), and every generated
 statement is chained (``a = b + c * d``), so each Python statement is one C
 statement, unchanged.  The saddle's bound is written into the source,
-as it is into the Python step.  ``_C_CSV`` is the fixed source of the CSV
+as it is into the Python step.  The node loop has no exit, so gcc runs it in
+SIMD lanes, and on x86-64 the function is cloned for x86-64-v4, x86-64-v3
+and the baseline, of which the loader picks the widest the CPU runs: a
+cubic field's kernel builds in about 0.3 s (gcc 12, 2 vCPUs), once per
+checkout.  ``_C_CSV`` is the fixed source of the CSV
 formatter: it writes rows ``x,y,value`` of a grid with each value in the
 bytes of ``format_float`` (``f"{v:.17g}"``), exactly, from 128-bit integer
 arithmetic for about 1e-6 <= |v| < 1e38 and through ``snprintf`` (which
 glibc rounds exactly) outside that range.
 
-Both go through one path: build once per source with the system compiler
-(no contraction, no reassociation: the numpy step's bits), cache the library
+Both go through one path: build once per source with the system compiler,
+``cc -O3 -fPIC -shared -ffp-contract=off`` (no contraction, no
+reassociation: the numpy step's bits in every lane), cache the library
 in ``ilekoop/__pycache__/`` (at most ``_CACHE_LIBRARIES``, the least
 recently loaded pruned first; a private temporary directory where the cache
 cannot be written), load it with ctypes and probe it against the Python
@@ -42,17 +47,21 @@ from .expr import format_float
 from .vectorfield import _BOUND, _STEP_SIZES, _rk4_factory, _rk4_lines
 
 #: The build command; the source arrives on stdin.
-_COMPILE = ("cc", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-")
+_COMPILE = ("cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-")
+
+#: The tangent kernel's clones on x86-64, where the compiler has the attribute.
+_CLONES = '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))'
 
 #: A build that takes longer is abandoned (the Python step runs instead).
 _BUILD_TIMEOUT_S = 60.0
 
 #: Longer sources are not built.  The build time grows faster than the
-#: source (gcc 12, 2 vCPUs, dense fields, best of 2-3: 0.20 s at 9.5 KB,
-#: degree 4; 1.3 s at 40 KB, degree 10; 3.2 s at 65 KB, degree 13, the
-#: densest under the cap; 13 s at 152 KB, degree 20), and the fields of the
-#: families and the saddle stay under 7 KB.
-_MAX_SOURCE_BYTES = 65536
+#: source, and the cap keeps it within a quarter of _BUILD_TIMEOUT_S (gcc
+#: 12, 2 vCPUs, three clones at -O3, dense fields, best of 2: 0.81 s at
+#: 9.9 KB, degree 4; 7.5 s at 40 KB, degree 10; 12.1 s at 55 KB, degree 12,
+#: the densest under the cap; 16.4 s at 64 KB, degree 13).  The fields of
+#: the families and the saddle stay under 8 KB.
+_MAX_SOURCE_BYTES = 57344
 
 _CACHE = Path(__file__).resolve().parent / "__pycache__"
 
@@ -114,33 +123,46 @@ def _c_tangent(shapes: tuple, saddle: bool) -> str:
     F11, F12, F21, F22, out)``.  ``c`` holds the coefficients in the
     factory's argument order, the six state arrays hold n nodes each and
     ``out`` is (6, n): xn, yn, f11n, f12n, f21n, f22n.  Only ``out`` is
-    written, so state arrays may share memory (``flowmap.cauchy_green``
-    passes one array of ones as F11 and F22 and one of zeros as F12 and F21).
+    written, and it is ``restrict``: ``_run`` allocates it, so it never
+    shares memory with an input, while the state arrays may share memory
+    with one another (``flowmap.cauchy_green`` passes one array of ones as
+    F11 and F22 and one of zeros as F12 and F21).
 
     Each node runs the Python tangent's own list, ``vectorfield._STEP_SIZES``
     and ``vectorfield._rk4_lines``: every statement of it is already a C
     statement (``a = b + c * d``) of the same operations in the same order.
     Built without contraction or reassociation, every exactly-rounded
-    operation of a node so gives the bits of the numpy step.  On the
-    ``saddle`` a stage whose y fails ``fabs(y) < SADDLE_Y_BOUND`` (NaN too)
-    ends the call with 1 where the Python step raises; otherwise it returns
-    0."""
-    guard = f"if (!(fabs({{y}}) < {_BOUND})) return 1" if saddle else None
+    operation of a node so gives the bits of the numpy step, in a SIMD lane
+    as in a scalar register.  The node loop has no exit, and ``#pragma GCC
+    ivdep`` states what ``restrict`` promises, that no node reads what
+    another writes: without it gcc 12 leaves the loop scalar.  On x86-64
+    the function is cloned for ``_CLONES``, and the loader picks the widest
+    clone the CPU runs.  On the ``saddle`` a stage whose y fails
+    ``fabs(y) < SADDLE_Y_BOUND`` (NaN too) sets a flag, and the call returns
+    1 where the Python step raises; otherwise it returns 0."""
+    guard = f"bad |= !(fabs({{y}}) < {_BOUND})" if saddle else None
     lines = _STEP_SIZES + _rk4_lines(shapes, guard)
-    names = [a for a in dict.fromkeys(line.partition(" ")[0] for line in lines) if a != "if"]
+    names = [a for a in dict.fromkeys(line.partition(" ")[0] for line in lines) if a != "bad"]
     args = [f"c{m}_{k}" for m, shape in enumerate(shapes) for k in range(len(shape))]
     const = "".join(f"    const double {a} = c[{k}];\n" for k, a in enumerate(args))
     state = ("x", "y", "f11", "f12", "f21", "f22")
     load = f"const double {', '.join(f'{v} = {v.upper()}[i]' for v in state)};"
     store = " ".join(f"out[{k} * n + i] = {v}n;" for k, v in enumerate(state))
     return ("#include <math.h>\n\n"
-            "int ilekoop_tangent(long n, double h, const double *c, const double *X,\n"
-            "                    const double *Y, const double *F11, const double *F12,\n"
-            "                    const double *F21, const double *F22, double *out)\n{\n" + const
+            "#if defined(__x86_64__) && defined(__has_attribute)\n"
+            "#if __has_attribute(target_clones)\n"
+            f"#define CLONES {_CLONES}\n"
+            "#endif\n#endif\n#ifndef CLONES\n#define CLONES\n#endif\n\n"
+            "CLONES int ilekoop_tangent(long n, double h, const double *c, const double *X,\n"
+            "                           const double *Y, const double *F11, const double *F12,\n"
+            "                           const double *F21, const double *F22,\n"
+            "                           double *restrict out)\n{\n" + const
+            + "    int bad = 0;\n"
+            + "#pragma GCC ivdep\n"
             + "    for (long i = 0; i < n; i++) {\n"
             + "".join(f"        {s}\n" for s in (load, f"double {', '.join(names)};",
                                                  *(f"{line};" for line in lines), store))
-            + "    }\n    return 0;\n}\n")
+            + "    }\n    return bad;\n}\n")
 
 
 def _address(a: np.ndarray) -> int:
@@ -238,17 +260,20 @@ def _prune(kept: Path) -> None:
             lib.unlink()
 
 
-# The probe: four nodes (a negative zero among them), from the identity
-# gradient, two full steps and a partial one each way.
-_PROBE_X = (0.25, -0.375, -0.0, 0.4375)
-_PROBE_Y = (-0.125, 0.5, 0.0625, -0.0)
-_PROBE_STEPS = ((0.01, 0.01, 0.0037), (-0.01, -0.01, -0.0041))
+# The probe: 40 nodes from the identity gradient, more than a vector of any
+# clone holds: four special ones (a negative zero among them), then a 6 x 6
+# spread over [-0.8, 0.8] x [-0.75, 0.75]; eight full steps and a partial
+# one each way.
+_PROBE_X = (0.25, -0.375, -0.0, 0.4375, *np.repeat(np.linspace(-0.8, 0.8, 6), 6).tolist())
+_PROBE_Y = (-0.125, 0.5, 0.0625, -0.0, *np.tile(np.linspace(-0.75, 0.75, 6), 6).tolist())
+_PROBE_STEPS = ((0.01,) * 8 + (0.0037,), (-0.01,) * 8 + (-0.0041,))
 
 
 def _probe(kernel, shapes: tuple, saddle: bool) -> bool:
     """Whether ``kernel`` reproduces the generated Python tangent of
     ``shapes`` bit for bit on the probe, with fixed coefficients of either
-    sign, and (on the ``saddle``) refuses a node at y = 2."""
+    sign, and (on the ``saddle``) refuses a call whose middle node is at
+    y = 2."""
     count = sum(map(len, shapes))
     coeffs = [0.625 - 0.25 * (k % 5) for k in range(count)]
     python = _rk4_factory(shapes, "tangent", saddle)(*coeffs)
@@ -262,7 +287,8 @@ def _probe(kernel, shapes: tuple, saddle: bool) -> bool:
             code, got = _run(kernel, c, *got, h)
             if code or [v.tobytes() for v in want] != [v.tobytes() for v in got]:
                 return False
-    y_out = np.array([0.0, 2.0, 0.0, 0.0])
+    y_out = np.zeros(x0.shape)
+    y_out[y_out.size // 2] = 2.0
     return not saddle or _run(kernel, c, x0, y_out, one, zero, zero, one, 0.01)[0] == 1
 
 

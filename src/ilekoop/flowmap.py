@@ -36,13 +36,15 @@ from .vectorfield import IntegratorConfig, VectorField2D, _check_domain, _check_
 _FINITE_CHECK_STEPS = 64
 
 # ftle_field's fewest nodes per thread and serial block (strain._sample_grid).
-# The compiled tangent step releases the interpreter lock, so two threads pay
-# off from about 8,000 nodes.  Cubic, t = -0.05, 2 vCPUs, best of 11
-# interleaved, threads 1 / 2 in ms, with 4,096 against 12,288 here: 91x91
-# 33.3 / 21.0 against 34.1 / 32.8, 101x101 42.4 / 24.4 against 43.0 / 42.3,
-# 121x121 61.1 / 39.2 against 61.6 / 60.2; serial blocks of either size
-# take the same time from 61x61 to 201x201.
-_FTLE_CHUNK_NODES = 4096
+# The compiled tangent step releases the interpreter lock, but since it runs
+# its node loop in SIMD lanes a second thread no longer pays off at 8,000
+# nodes, and each further serial block costs its own step calls.  Cubic,
+# t = -0.05, 2 vCPUs, best of 11 interleaved, threads 1 / 2 in ms, with
+# 12,288 against 4,096 here: 91x91 6.2 / 6.0 against 6.6 / 7.3, 101x101
+# 7.3 / 7.2 against 7.8 / 8.3, 121x121 10.5 / 10.3 against 11.6 / 11.0;
+# two threads still pay off at 201x201 (27.4 / 22.4, best of 7) and 301x301
+# (62.0 / 34.8).
+_FTLE_CHUNK_NODES = 12288
 
 
 class Trajectory(_Record):

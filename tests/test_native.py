@@ -5,6 +5,7 @@ back to Python."""
 import io
 import math
 import os
+import platform
 import shutil
 import sys
 import time
@@ -40,6 +41,8 @@ from ilekoop.vectorfield import (
 CFG = IntegratorConfig(step=1e-3)
 HAVE_CC = shutil.which("cc") is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
+needs_x86_64_cc = pytest.mark.skipif(not HAVE_CC or platform.machine() not in ("x86_64", "AMD64"),
+                                     reason="the tangent kernel is cloned on x86-64 only")
 
 
 def _cubic():
@@ -170,7 +173,7 @@ def test_tangent_runs_the_step_statements(p, q, saddle):
     step, tangent = (bodies[head][:-1] for head in sorted(bodies))
     assert tangent == _STEP_SIZES + _rk4_lines(shapes, "_check_domain({y})" if saddle else None)
     assert _in_order(step, tangent)
-    guard = f"if (!(fabs({{y}}) < {SADDLE_Y_BOUND!r})) return 1" if saddle else None
+    guard = f"bad |= !(fabs({{y}}) < {SADDLE_Y_BOUND!r})" if saddle else None
     c_lines = [line.strip()[:-1] for line in _native._c_tangent(shapes, saddle).splitlines()]
     assert _in_order(_STEP_SIZES + _rk4_lines(shapes, guard), c_lines)
 
@@ -215,6 +218,92 @@ def test_saddle_kernel_refuses_what_the_guard_refuses():
         got = _native._run(kernel, c, np.zeros(2), np.array([0.0, y]), one, zero, zero, one,
                            0.0)
         assert got[0] == code, y
+
+
+@pytest.mark.parametrize("bad", [1.0, np.nan])
+@pytest.mark.parametrize("at", [0, 18, 36])
+def test_saddle_refuses_from_any_node(monkeypatch, at, bad):
+    """One y outside the strip, or NaN, at the first, a middle or the last
+    of 37 nodes, more than a vector holds: the kernel returns 1, and the
+    FTLE of those nodes (one block of ``ftle_field``) raises the guard's
+    text on both paths, as does ``ftle_field`` on grids whose first row is
+    outside or whose last row leaves the strip at a stage."""
+    f = VectorField2D.saddle()
+    xs, ys = np.linspace(-0.5, 0.5, 37), np.linspace(-0.6, 0.6, 37)
+    ys[at] = bad
+    if HAVE_CC:
+        shapes, coeffs = _field_terms(_polys(f))
+        state = (xs, ys, *_identity(xs.shape))
+        got = _native._run(_native._kernel(shapes, True), np.array(coeffs + [0.0]), *state, -0.01)
+        assert got[0] == 1
+    grids = [Grid2D(-0.5, 0.5, 37, -1.0, 0.5, 3),
+             Grid2D(-0.5, 0.5, 37, -0.5, np.nextafter(SADDLE_Y_BOUND, 0.0), 3)]
+    for python_only in (False, True):
+        if python_only:
+            _python_only(monkeypatch)
+        for run in [lambda: ftle(f, (xs, ys), -0.05, CFG)] + [
+                lambda g=g: ftle_field(f, g, -0.05, None, CFG) for g in grids]:
+            with pytest.raises(DomainError, match=r"^saddle field is only defined for \|y\| < 1$"):
+                run()
+
+
+def _cpu_features() -> dict:
+    """numpy's table of the CPU features this machine runs."""
+    from numpy._core import _multiarray_umath
+
+    return _multiarray_umath.__cpu_features__
+
+
+def _with_flags(monkeypatch, cache, *flags) -> None:
+    """Build with ``flags`` added after ``-ffp-contract=off``, into the
+    ``cache`` directory, with no kernel loaded yet."""
+    k = _native._COMPILE.index("-ffp-contract=off") + 1
+    monkeypatch.setattr(_native, "_COMPILE", (*_native._COMPILE[:k], *flags,
+                                              *_native._COMPILE[k:]))
+    monkeypatch.setattr(_native, "_CACHE", cache)
+    monkeypatch.setattr(_native, "_KERNELS", {})
+
+
+@needs_x86_64_cc
+def test_probe_refuses_contracted_kernels(monkeypatch, tmp_path):
+    """A build that fuses multiply-adds gives other bits in its vector
+    lanes, and the probe refuses it on the cubic, the quadratic and the
+    saddle.  (A ``-ffast-math`` library is not loaded here: loading one
+    sets flush-to-zero for the whole process.)"""
+    if not _cpu_features().get("FMA3"):
+        pytest.skip("no clone this CPU runs has fused multiply-adds")
+    _with_flags(monkeypatch, tmp_path, "-ffp-contract=fast")
+    for f, _ in _fields_and_boxes()[:2] + _fields_and_boxes()[3:4]:
+        assert _native._kernel(_field_terms(_polys(f))[0], f.is_saddle) is None
+
+
+@needs_x86_64_cc
+@pytest.mark.parametrize("march", ["x86-64-v4", "x86-64-v3", "default"])
+def test_each_clone_gives_the_python_bits(monkeypatch, tmp_path, march):
+    """The tangent source without its clones attribute, built for one
+    clone's target (one the CPU runs, by numpy's table), gives the Python
+    tangent's bits on every field at node counts that run vector bodies and
+    remainders, on 1-D and 2-D arrays with non-finite entries."""
+    level = {"x86-64-v4": "X86_V4", "x86-64-v3": "X86_V3"}.get(march)
+    if level and not _cpu_features().get(level):
+        pytest.skip(f"this CPU does not run {march}")
+    _with_flags(monkeypatch, tmp_path, *([f"-march={march}"] if level else []))
+    rng = np.random.default_rng(22)
+    for f, _ in _fields_and_boxes():
+        shapes, coeffs = _field_terms(_polys(f))
+        source = _native._c_tangent(shapes, f.is_saddle).replace(_native._CLONES, "")
+        kernel = _native._load("tangent", source, _native._TANGENT_TYPES, lambda kernel: True)
+        python, c = _python_tangent(f), np.array(coeffs + [0.0])
+        for shape in [(1,), (7,), (9,), (17,), (37,), (1, 7), (3, 3), (17, 1), (1, 37)]:
+            state = [rng.uniform(-0.9, 0.9, shape) for _ in range(6)]
+            for k, v in enumerate(state):  # the saddle's y stays inside its strip
+                if not (f.is_saddle and k == 1):
+                    v.flat[5 * k % v.size] = (np.inf, -np.inf, np.nan)[k % 3]
+            for h in (0.01, -0.0041):
+                code, got = _native._run(kernel, c, *state, h)
+                with np.errstate(all="ignore"):
+                    want = python(*state, h)
+                assert code == 0 and all(map(_same, want, got)), (shape, h)
 
 
 def test_blow_up_stops_stepping_soon_on_the_python_step(monkeypatch):
