@@ -2,17 +2,17 @@
 
 Integration is classical fixed-step RK4 (deterministic, bit-reproducible);
 the final partial step is shortened to land exactly on the requested time.
-Every driver (``integrate``, ``flow_endpoint`` and the pullback bisection
-in :mod:`ilekoop.koopman`) runs the field's one generated step
-``VectorField2D._rk4()``: P, Q and all four stages as chained
-straight-line code, the same source for floats and arrays.  The pullback's
-fixed-step march runs the same stages in one generated loop
-(``VectorField2D._rk4("march")``), and ``cauchy_green`` runs the same
+Every driver (``integrate`` and ``flow_endpoint``) runs the field's one
+generated step ``VectorField2D._rk4()``: P, Q and all four stages as
+chained straight-line code, the same source for floats and arrays.  The
+pullback's fixed-step march and its bisection run the same stages in one
+generated function (``VectorField2D._rk4("march")``, compiled where a
+kernel loads), and ``cauchy_green`` runs the same
 statements with their exact derivative between them
 (``VectorField2D._rk4("tangent")``), which carries the four entries of the
 flow-map gradient beside each trajectory:
 floats for a point, arrays of its shape for arrays of points, where the
-step runs compiled with the same bits (see ``ilekoop._native``).
+step runs compiled with the same bits (see ``ilekoop._native_arrays``).
 ``cauchy_green`` and ``ftle`` take a point or equal-shape arrays of points,
 and ``ftle_field`` is ``ftle`` at every grid node, so a point's FTLE equals
 its node bit for bit.  For the built-in saddle the

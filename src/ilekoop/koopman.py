@@ -232,34 +232,20 @@ def pullback_eigenfunction(
 
 
 def _first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
-    """March along F_{time_sign * tau} in fixed steps (the field's generated
-    march) and bisect the first sign change of the signed distance.  Returns
-    (tau, state) or None; leaving the field's domain (or blowing up) ends
-    the search window."""
-    found = f._rk4("march")(float(x[0]), float(x[1]), time_sign * cfg.step,
-                           int(math.ceil(t_max / cfg.step)), d_prev, *surf.direction, *surf.base)
+    """The first crossing of the line along F_{time_sign * tau}, as (tau,
+    state), or None.  The field's generated march (compiled where a kernel
+    loads) runs the whole search: fixed steps to the first sign change of
+    the signed distance, then the bisection of that step.  Leaving the
+    field's domain (or blowing up) in the march ends the search window; a
+    bisection stage outside it raises DomainError."""
+    found = f._rk4("march")(float(x[0]), float(x[1]), cfg.step, time_sign,
+                            int(math.ceil(t_max / cfg.step)), d_prev, *surf.direction, *surf.base)
     if found is None:
         return None
-    k, x0, y0, x1, y1, d_prev, d = found
-    if d == 0.0:
-        tau, state = k * cfg.step, (x1, y1)
-    else:
-        rk4 = f._rk4()
-        lo, hi = 0.0, cfg.step
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            dm = surf.signed_distance(*rk4(x0, y0, time_sign * mid))
-            if dm == 0.0:
-                lo = hi = mid
-            elif dm * d_prev < 0.0:
-                hi = mid
-            else:
-                lo = mid
-        mid = 0.5 * (lo + hi)
-        tau = (k - 1) * cfg.step + mid
-        state = rk4(x0, y0, time_sign * mid)
+    whole, mid, sx, sy = found
+    tau = whole * cfg.step + mid
     # The last whole step may end past t_max; a crossing there is none.
-    return (tau, state) if tau <= t_max else None
+    return (tau, (sx, sy)) if tau <= t_max else None
 
 
 def _warn_if_tangential(f, surf, state):

@@ -254,11 +254,11 @@ def write_csv(f: ScalarField, stream) -> None:
     """Rows are emitted row-major: the y index varies slowest.  Every number
     is its ``format_float`` text; the values come in blocks of bounded size
     from the compiled formatter, or from one ``%`` per row where none loads."""
-    from . import _native  # loads ctypes, so only commands that write a grid pay for it
+    from . import _native_arrays  # loads ctypes, so only commands that write a grid pay for it
 
     xt, yt = axis_text(f.grid)
     stream.write("x,y,value\n")
-    blocks = _native.csv_blocks(f.values, xt, yt)
+    blocks = _native_arrays.csv_blocks(f.values, xt, yt)
     if blocks is None:
         # one template per row: "%.17g" is format_float's format; the axis texts hold no "%"
         row_text = "".join([x + ",\0,%.17g\n" for x in xt])

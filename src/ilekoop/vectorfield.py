@@ -7,10 +7,12 @@ numerical integrator and the finite-time stretching computations.  The name
 ``"saddle"`` is only an alias in field JSON and on the command line.
 The RK4 code lives here too: the step settings (``IntegratorConfig`` and
 the step budget) and the generator of every field's step, tangent step and
-pullback march (:func:`_rk4_factory`), all three from one list of chained
-statements (:func:`_rk4_lines`, which ``ilekoop._native`` also emits as C),
-with the saddle's bound written into the source.  So the pullback's float
-march runs without :mod:`ilekoop.flowmap` and numpy.
+pullback march with its bisection (:func:`_rk4_factory`), all three from one
+list of chained statements (:func:`_rk4_lines`), with the saddle's bound
+written into the source.  ``ilekoop._native`` emits the same list as C: the
+march whole, and the tangent step over array nodes.  Nothing here imports
+numpy, so the pullback runs without :mod:`ilekoop.flowmap` and numpy,
+compiled through ctypes where a kernel loads.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ class VectorField2D:
         """The field's generated ``"step"``, ``"tangent"`` or ``"march"``
         (see :func:`_rk4_factory`), built on first use and kept.  The tangent
         runs floats in the generated Python step at float cost; its first
-        array call loads the same step compiled (``ilekoop._native``), which
-        gives the same bits, and every array call after it goes there."""
+        array call loads the same step compiled (``ilekoop._native_arrays``),
+        which gives the same bits, and every array call after it goes there.
+        The march is compiled on first use (``ilekoop._native``), with the
+        same bits; either runs the generated Python where no kernel loads."""
         rk4 = self._rk4s.get(mode)
         if rk4 is None:
             polys = (self.p, self.q, *self._jac) if mode == "tangent" else (self.p, self.q)
@@ -99,10 +103,13 @@ class VectorField2D:
                     if type(x) is float:
                         return python(x, y, f11, f12, f21, f22, h)
                     if not compiled:
-                        from ._native import array_tangent
+                        from ._native_arrays import array_tangent
                         compiled.append(array_tangent(shapes, coeffs, saddle, python))
                     return compiled[0](x, y, f11, f12, f21, f22, h)
 
+            elif mode == "march":
+                from ._native import compiled_march
+                rk4 = compiled_march(shapes, coeffs, saddle, python)
             self._rk4s[mode] = rk4
         return rk4
 
@@ -159,6 +166,16 @@ def _rk4_lines(shapes, guard: str | None) -> list[str]:
     return lines + [f"{z}n = {z} + h6 * ({u}1 + 2.0 * {u}2 + 2.0 * {u}3 + {u}4)" for z, u in pairs]
 
 
+#: The march's statements before its loop, and those at the head of each
+#: bisection step; each step then runs :func:`_rk4_lines` and takes the signed
+#: distance of its state, ``_DISTANCE``.  The generated Python march and its
+#: C form (``ilekoop._native``) run these lists, each with its own guards
+#: and control lines.
+_MARCH_START = ["h = sign * step", *_STEP_SIZES]
+_BISECT_START = ["mid = 0.5 * (lo + hi)", "h = sign * mid", *_STEP_SIZES]
+_DISTANCE = "d = -uy * (xn - bx) + ux * (yn - by)"
+
+
 @functools.lru_cache(maxsize=256)
 def _rk4_factory(shapes: tuple, mode: str, saddle: bool):
     """The factory, over the coefficients in :func:`_field_terms` order, of
@@ -175,28 +192,47 @@ def _rk4_factory(shapes: tuple, mode: str, saddle: bool):
       flow-map gradient F as its four entries.  Its statements are the
       step's with the gradient's between them, and ``ilekoop._native``
       emits the same list as C.
-    - ``"march"``: the same steps in a loop over floats,
-      ``march(x, y, h, n, d_prev, ux, uy, bx, by)``.  Step k = 1..n
-      returns None if its state is not finite (x - x == 0.0 fails only for
-      inf and NaN), and otherwise takes the signed distance
-      d = -uy*(xn - bx) + ux*(yn - by) to the line through (bx, by) along
-      (ux, uy).  The first step with d == 0.0 or d*d_prev < 0.0 returns
-      ``(k, x, y, xn, yn, d_prev, d)``; no such step gives None.
+    - ``"march"``: a field's whole crossing search on floats,
+      ``march(x, y, step, sign, n, d_prev, ux, uy, bx, by)``.  Steps
+      k = 1..n of ``h = sign * step`` return None if the state is not finite
+      (x - x == 0.0 fails only for inf and NaN), and otherwise take the
+      signed distance d = -uy*(xn - bx) + ux*(yn - by) to the line through
+      (bx, by) along (ux, uy).  The first step with d == 0.0 returns
+      ``(k, 0.0, xn, yn)``; the first with d*d_prev < 0.0 is bisected from
+      its start, ``mid = 0.5 * (lo + hi)`` on [0, step] while
+      ``hi - lo > 1e-10``, each midpoint one step of ``sign * mid``, and the
+      last midpoint's step returns ``(k - 1, mid, x, y)``.  So the crossing
+      lies ``whole * step + mid`` from the start, ``(whole, mid, x, y)``
+      being the result; no such step gives None.  ``ilekoop._native`` emits
+      the same search as C.
 
-    ``saddle`` guards each stage's y before F is evaluated there: the step
-    and the tangent call :func:`_check_domain`, and the march returns None
-    unless ``-SADDLE_Y_BOUND < y < SADDLE_Y_BOUND``, the bound written into
-    the source."""
+    ``saddle`` guards each stage's y before F is evaluated there: the step,
+    the tangent and the march's bisection call :func:`_check_domain`, and
+    the march's steps return None unless ``-SADDLE_Y_BOUND < y <
+    SADDLE_Y_BOUND``, the bound written into the source."""
     if mode == "march":
-        loop = _rk4_lines(shapes, f"if not -{_BOUND} < {{y}} < {_BOUND}: return None"
-                          if saddle else None)
-        loop += ["if not (xn - xn == 0.0 and yn - yn == 0.0): return None",
-                 "d = -uy * (xn - bx) + ux * (yn - by)",
-                 "if d == 0.0 or d * d_prev < 0.0: return k, x, y, xn, yn, d_prev, d",
-                 "x, y, d_prev = xn, yn, d"]
-        return _compile(shapes, "march(x, y, h, n, d_prev, ux, uy, bx, by)",
-                        _STEP_SIZES + ["for k in range(1, n + 1):"]
-                        + [f"    {line}" for line in loop] + ["return None"])
+        march = _rk4_lines(shapes, f"if not -{_BOUND} < {{y}} < {_BOUND}: return None"
+                           if saddle else None)
+        bisect = _BISECT_START + _rk4_lines(shapes, "_check_domain({y})" if saddle else None)
+        return _compile(shapes, "march(x, y, step, sign, n, d_prev, ux, uy, bx, by)", [
+            *_MARCH_START, "for k in range(1, n + 1):",
+            *(f"    {line}" for line in march),
+            "    if not (xn - xn == 0.0 and yn - yn == 0.0): return None",
+            f"    {_DISTANCE}",
+            "    if d == 0.0: return k, 0.0, xn, yn",
+            "    if d * d_prev < 0.0: break",
+            "    x, y, d_prev = xn, yn, d",
+            "else:",
+            "    return None",
+            "lo, hi = 0.0, step",
+            "while True:",
+            *(f"    {line}" for line in bisect),
+            "    if not hi - lo > 1e-10: return k - 1, mid, xn, yn",
+            f"    {_DISTANCE}",
+            "    if d == 0.0: lo = hi = mid",
+            "    elif d * d_prev < 0.0: hi = mid",
+            "    else: lo = mid",
+        ], _check_domain=_check_domain)
     state = ["x", "y"] + (["f11", "f12", "f21", "f22"] if mode == "tangent" else [])
     body = _STEP_SIZES + _rk4_lines(shapes, "_check_domain({y})" if saddle else None)
     return _compile(shapes, f"{mode}({', '.join(state)}, h)",

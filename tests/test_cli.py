@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilekoop import cli, flowmap, series, strain
+from ilekoop import _native, cli, flowmap, series, strain
 from ilekoop.cli import run_command
 from ilekoop.errors import NumericalError
 from ilekoop.expr import Poly2, parse_polynomial
@@ -990,6 +990,27 @@ def test_saddle_pullback_outside_the_strip_exit_code(capsys, tmp_path, point):
     assert (code, out) == (2, "")
     y = point.split(",")[1]
     assert err == f"error: saddle field is only defined for |y| < 1 (got y={y})\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_saddle_pullback_bisection_outside_the_strip_exit_code(capsys, tmp_path, monkeypatch,
+                                                               compiled):
+    # Backward steps of 4 from (0.5, 0.25) bracket y = 0.5 in the first
+    # step, and a bisection stage leaves the strip: the step's own error,
+    # whether the march runs compiled or as generated Python.
+    if not compiled:
+        monkeypatch.setattr(_native, "_march_kernel", lambda shapes, saddle: None)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0.25\n")
+    out_file = tmp_path / "phi.csv"
+    code, out, err = run(
+        ["pullback", "--field", "saddle", "--line", "0,0.5,1,0", "--h", "1", "--lambda", "1",
+         "--step", "4", "--tmax", "16", "--points", str(pts), "--out", str(out_file)],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: saddle field is only defined for |y| < 1 (got y=1.0131179226782798)\n"
     assert not out_file.exists()
 
 

@@ -613,9 +613,12 @@ def test_generated_step_leaves_its_inputs_alone(p, q, h, pts):
 @example(p={}, q={}, h=0.25, pts=[(0.5, -0.5)])
 def test_tangent_step_moves_the_point_as_the_step_does(p, q, h, pts):
     """The tangent step's (x, y) carries the bits of the RK4 step, on floats
-    and on arrays, and each array element's gradient those of the float one."""
+    and on arrays, and each array element's gradient those of the float one.
+    Arrays run the generated Python tangent here, so no kernel is built per
+    field; ``tests/test_native.py`` holds the compiled one to its bits."""
     f = VectorField2D(Poly2(p), Poly2(q))
-    step, tangent = f._rk4(), f._rk4("tangent")
+    shapes, coeffs = _field_terms((f.p, f.q, *f._jac))
+    step, tangent = f._rk4(), _rk4_factory(shapes, "tangent", False)(*coeffs)
     xs, ys = (np.array(c) for c in zip(*pts))
     one, zero = np.ones(xs.shape), np.zeros(xs.shape)
     whole = [np.asarray(v, dtype=float) for v in tangent(xs, ys, one, zero, zero, one, h)]

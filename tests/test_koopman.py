@@ -2,11 +2,13 @@
 
 import math
 import random
+import shutil
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ilekoop import _native
 from ilekoop.errors import DomainError, NoCrossingError
 from ilekoop.expr import Poly2, parse_polynomial
 from ilekoop.families import (
@@ -36,11 +38,12 @@ from ilekoop.koopman import (
     rms,
 )
 from ilekoop.series import SaddleEigenfunction, saddle_eigenfunction
-from ilekoop.vectorfield import SADDLE_Y_BOUND, VectorField2D
+from ilekoop.vectorfield import SADDLE_Y_BOUND, VectorField2D, _field_terms, _rk4_factory
 
 from test_vectorfield import cubic_example_field
 
 CFG = IntegratorConfig(step=1e-3)
+HAVE_CC = shutil.which("cc") is not None
 
 
 def _sample_points(rng, n, ybound=0.75):
@@ -521,15 +524,42 @@ def _old_first_crossing(f, surf, x, d_prev, cfg, t_max, time_sign):
 
 
 def _crossing_outcome(search, f, surf, x, cfg, t_max, time_sign):
-    """``search``'s result with floats as hex, or the exception it raised."""
+    """``search``'s result with floats as hex, or the exception it raised
+    (with its text)."""
     try:
         found = search(f, surf, x, surf.signed_distance(*x), cfg, t_max, time_sign)
     except Exception as exc:  # noqa: BLE001 - compared, not hidden
-        return type(exc).__name__
+        return type(exc).__name__, str(exc)
     if found is None:
         return None
     tau, (sx, sy) = found
     return tau.hex(), sx.hex(), sy.hex()
+
+
+#: The march's two paths: compiled (where a kernel loads) and the generated Python.
+PATHS = ("compiled", "python")
+
+
+def _on_path(f, path):
+    """A new field equal to ``f`` whose march runs on ``path``.  Where a C
+    compiler is on PATH, the compiled path must have loaded its kernel."""
+    g = VectorField2D(f.p, f.q)
+    g.is_saddle = f.is_saddle
+    shapes, coeffs = _field_terms((f.p, f.q))
+    if path == "python":
+        g._rk4s["march"] = _rk4_factory(shapes, "march", f.is_saddle)(*coeffs)
+    elif HAVE_CC:
+        g._rk4("march")
+        assert _native._KERNELS["march", shapes, f.is_saddle] is not None
+    return g
+
+
+def _searches_on_both_paths(f, surf, x, cfg, t_max, time_sign):
+    """``_first_crossing``'s outcome, the same on both paths."""
+    compiled, python = (_crossing_outcome(_first_crossing, _on_path(f, path), surf, x, cfg,
+                                          t_max, time_sign) for path in PATHS)
+    assert compiled == python
+    return python
 
 
 def _normal_form_field():
@@ -556,12 +586,14 @@ def test_march_equals_old_loop(k, base, angle, offset, step, t_max, time_sign):
     surf = DataSurface(base, (math.cos(angle), math.sin(angle)), lambda s: s)
     x = (base[0] + offset[0], max(-0.95, min(0.95, base[1] + offset[1])))
     cfg = IntegratorConfig(step=step)
-    assert (_crossing_outcome(_first_crossing, f, surf, x, cfg, t_max, time_sign)
+    assert (_searches_on_both_paths(f, surf, x, cfg, t_max, time_sign)
             == _crossing_outcome(_old_first_crossing, f, surf, x, cfg, t_max, time_sign))
 
 
 def _both_searches(f, surf, x, cfg, t_max, time_sign):
-    new = _crossing_outcome(_first_crossing, f, surf, x, cfg, t_max, time_sign)
+    """The outcome of ``_first_crossing`` on both march paths, which equals
+    the old loop's."""
+    new = _searches_on_both_paths(f, surf, x, cfg, t_max, time_sign)
     assert new == _crossing_outcome(_old_first_crossing, f, surf, x, cfg, t_max, time_sign)
     return new
 
@@ -591,6 +623,24 @@ def test_march_saddle_domain_exit_mid_stage_ends_window():
     beyond = DataSurface((0.0, 1.0 - 5e-13), (1.0, 0.0), lambda s: 1.0)
     for step in (0.01, 0.1):
         assert _both_searches(f, beyond, x, IntegratorConfig(step=step), 30.0, -1.0) is None
+
+
+def test_march_saddle_bisection_leaving_the_strip_raises():
+    # The first backward step of 4 from (0.5, 0.25) has every stage inside
+    # the strip and ends at y = 1.25, past the line y = 0.5; a stage of a
+    # bisection step then leaves the strip.  The search raises the step's
+    # own DomainError, as the old loop did, on both paths, and so does the
+    # pullback.
+    f = VectorField2D.saddle()
+    surf = DataSurface((0.0, 0.5), (1.0, 0.0), lambda s: 1.0)
+    cfg, x = IntegratorConfig(step=4.0), (0.5, 0.25)
+    message = "saddle field is only defined for |y| < 1 (got y=1.0131179226782798)"
+    assert f._rk4()(*x, -4.0) == (2.5, 1.2538518697217234)
+    assert _both_searches(f, surf, x, cfg, 16.0, -1.0) == ("DomainError", message)
+    for path in PATHS:
+        with pytest.raises(DomainError) as exc:
+            pullback_eigenfunction(_on_path(f, path), surf, 1.0, x, cfg, t_max=16.0)
+        assert str(exc.value) == message
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, SADDLE_Y_BOUND,

@@ -1,7 +1,9 @@
-"""The compiled tangent step against the generated Python one: the same bits
-on every array call, the same errors, and the same bytes wherever it falls
-back to Python."""
+"""The compiled tangent step and pullback march against the generated Python
+ones: the same bits on every call, the same errors, and the same bytes
+wherever they fall back to Python."""
 
+import contextlib
+import ctypes
 import io
 import math
 import os
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilekoop import _native, flowmap, strain, vectorfield
+from ilekoop import _native, _native_arrays, flowmap, strain, vectorfield
 from ilekoop.errors import DomainError, NumericalError
 from ilekoop.expr import Poly2, format_float, parse_polynomial
 from ilekoop.families import (
@@ -28,6 +30,7 @@ from ilekoop.families import (
     make_transformed_family,
 )
 from ilekoop.flowmap import IntegratorConfig, ftle, ftle_field
+from ilekoop.koopman import DataSurface, pullback_eigenfunction
 from ilekoop.strain import Grid2D, ScalarField
 from ilekoop.vectorfield import (
     SADDLE_Y_BOUND,
@@ -78,7 +81,7 @@ def _identity(shape) -> tuple:
 
 def _python_only(monkeypatch):
     """Make every field built from now on run the generated Python tangent."""
-    monkeypatch.setattr(_native, "_kernel", lambda shapes, saddle: None)
+    monkeypatch.setattr(_native_arrays, "_kernel", lambda shapes, saddle: None)
 
 
 def _same(a, b) -> bool:
@@ -174,7 +177,7 @@ def test_tangent_runs_the_step_statements(p, q, saddle):
     assert tangent == _STEP_SIZES + _rk4_lines(shapes, "_check_domain({y})" if saddle else None)
     assert _in_order(step, tangent)
     guard = f"bad |= !(fabs({{y}}) < {SADDLE_Y_BOUND!r})" if saddle else None
-    c_lines = [line.strip()[:-1] for line in _native._c_tangent(shapes, saddle).splitlines()]
+    c_lines = [line.strip()[:-1] for line in _native_arrays._c_tangent(shapes, saddle).splitlines()]
     assert _in_order(_STEP_SIZES + _rk4_lines(shapes, guard), c_lines)
 
 
@@ -211,11 +214,11 @@ def test_saddle_guard_exit_has_one_text_on_both_paths(monkeypatch):
 @needs_cc
 def test_saddle_kernel_refuses_what_the_guard_refuses():
     shapes, coeffs = _field_terms(_polys(VectorField2D.saddle()))
-    kernel = _native._kernel(shapes, True)
+    kernel = _native_arrays._kernel(shapes, True)
     c, one, zero = np.array(coeffs + [0.0]), np.ones(2), np.zeros(2)
     for y, code in ((1.0, 1), (-1.0, 1), (np.nan, 1), (SADDLE_Y_BOUND, 1), (-np.inf, 1),
                     (np.nextafter(SADDLE_Y_BOUND, 0.0), 0), (0.5, 0)):
-        got = _native._run(kernel, c, np.zeros(2), np.array([0.0, y]), one, zero, zero, one,
+        got = _native_arrays._run(kernel, c, np.zeros(2), np.array([0.0, y]), one, zero, zero, one,
                            0.0)
         assert got[0] == code, y
 
@@ -234,7 +237,8 @@ def test_saddle_refuses_from_any_node(monkeypatch, at, bad):
     if HAVE_CC:
         shapes, coeffs = _field_terms(_polys(f))
         state = (xs, ys, *_identity(xs.shape))
-        got = _native._run(_native._kernel(shapes, True), np.array(coeffs + [0.0]), *state, -0.01)
+        got = _native_arrays._run(_native_arrays._kernel(shapes, True), np.array(coeffs + [0.0]),
+                                  *state, -0.01)
         assert got[0] == 1
     grids = [Grid2D(-0.5, 0.5, 37, -1.0, 0.5, 3),
              Grid2D(-0.5, 0.5, 37, -0.5, np.nextafter(SADDLE_Y_BOUND, 0.0), 3)]
@@ -274,7 +278,7 @@ def test_probe_refuses_contracted_kernels(monkeypatch, tmp_path):
         pytest.skip("no clone this CPU runs has fused multiply-adds")
     _with_flags(monkeypatch, tmp_path, "-ffp-contract=fast")
     for f, _ in _fields_and_boxes()[:2] + _fields_and_boxes()[3:4]:
-        assert _native._kernel(_field_terms(_polys(f))[0], f.is_saddle) is None
+        assert _native_arrays._kernel(_field_terms(_polys(f))[0], f.is_saddle) is None
 
 
 @needs_x86_64_cc
@@ -291,8 +295,9 @@ def test_each_clone_gives_the_python_bits(monkeypatch, tmp_path, march):
     rng = np.random.default_rng(22)
     for f, _ in _fields_and_boxes():
         shapes, coeffs = _field_terms(_polys(f))
-        source = _native._c_tangent(shapes, f.is_saddle).replace(_native._CLONES, "")
-        kernel = _native._load("tangent", source, _native._TANGENT_TYPES, lambda kernel: True)
+        source = _native_arrays._c_tangent(shapes, f.is_saddle).replace(_native_arrays._CLONES, "")
+        kernel = _native._load("tangent", source, _native_arrays._TANGENT_TYPES,
+                               lambda kernel: True)
         python, c = _python_tangent(f), np.array(coeffs + [0.0])
         for shape in [(1,), (7,), (9,), (17,), (37,), (1, 7), (3, 3), (17, 1), (1, 37)]:
             state = [rng.uniform(-0.9, 0.9, shape) for _ in range(6)]
@@ -300,7 +305,7 @@ def test_each_clone_gives_the_python_bits(monkeypatch, tmp_path, march):
                 if not (f.is_saddle and k == 1):
                     v.flat[5 * k % v.size] = (np.inf, -np.inf, np.nan)[k % 3]
             for h in (0.01, -0.0041):
-                code, got = _native._run(kernel, c, *state, h)
+                code, got = _native_arrays._run(kernel, c, *state, h)
                 with np.errstate(all="ignore"):
                     want = python(*state, h)
                 assert code == 0 and all(map(_same, want, got)), (shape, h)
@@ -351,17 +356,18 @@ def test_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
     want = ftle_field(_cubic(), _GRID, -0.05, None, CFG).values.tobytes()
     monkeypatch.setattr(_native, "_KERNELS", {})
     monkeypatch.setattr(_native, "_CACHE", tmp_path)
-    c_tangent, probe, probed = _native._c_tangent, _native._probe, []
+    c_tangent, probe, probed = _native_arrays._c_tangent, _native_arrays._probe, []
     if fault == "too long":
         monkeypatch.setattr(_native, "_MAX_SOURCE_BYTES", 100)
     elif fault == "no compiler":
         monkeypatch.setattr(_native, "_COMPILE", ("ilekoop-no-such-cc", *_native._COMPILE[1:]))
     elif fault == "build fails":
-        monkeypatch.setattr(_native, "_c_tangent", lambda shapes, saddle: "not C\n")
+        monkeypatch.setattr(_native_arrays, "_c_tangent", lambda shapes, saddle: "not C\n")
     else:  # a kernel that builds but divides by 6 a little wrongly
-        monkeypatch.setattr(_native, "_c_tangent", lambda shapes, saddle: c_tangent(
+        monkeypatch.setattr(_native_arrays, "_c_tangent", lambda shapes, saddle: c_tangent(
             shapes, saddle).replace("h / 6.0", "h / 6.000000001"))
-    monkeypatch.setattr(_native, "_probe", lambda *args: probed.append(probe(*args)) or probed[-1])
+    monkeypatch.setattr(_native_arrays, "_probe",
+                        lambda *args: probed.append(probe(*args)) or probed[-1])
     assert ftle_field(_cubic(), _GRID, -0.05, None, CFG).values.tobytes() == want
     assert list(_native._KERNELS.values()) == [None]
     assert probed == ([False] if fault == "probe mismatch" and HAVE_CC else [])
@@ -376,14 +382,14 @@ def test_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path, bytecode)
     monkeypatch.setattr(sys, "dont_write_bytecode", bytecode == "dont_write_bytecode")
     monkeypatch.setattr(_native, "_CACHE", tmp_path / "cache")
     monkeypatch.setattr(_native, "_KERNELS", {})
-    assert _native._kernel(shapes, False) is not None
+    assert _native_arrays._kernel(shapes, False) is not None
     cached = list((tmp_path / "cache").iterdir())
     assert len(cached) == 1 and cached[0].name.startswith("tangent-") and cached[0].suffix == ".so"
     os.utime(cached[0], ns=(0, 0))
     monkeypatch.setattr(_native, "_KERNELS", {})
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     monkeypatch.setattr(_native, "_build", lambda *args: pytest.fail("built again"))
-    assert _native._kernel(shapes, False) is not None
+    assert _native_arrays._kernel(shapes, False) is not None
     assert cached[0].stat().st_mtime_ns > 0
 
 
@@ -399,7 +405,7 @@ def test_private_builds_leave_nothing_behind(monkeypatch, tmp_path):
     target = tmp_path / "a-file" / "cache"
     monkeypatch.setattr(_native, "_CACHE", target)
     monkeypatch.setattr(_native, "_KERNELS", {})
-    assert _native._kernel(shapes, False) is not None
+    assert _native_arrays._kernel(shapes, False) is not None
     assert not target.exists()
     assert list((tmp_path / "tmp").iterdir()) == []
 
@@ -408,7 +414,7 @@ def test_private_builds_leave_nothing_behind(monkeypatch, tmp_path):
 def test_ftle_field_runs_the_compiled_step(monkeypatch):
     """With a compiler on PATH, no array call of ``ftle_field`` may reach the
     generated Python tangent: a broken build must not quietly cost the gain."""
-    array_tangent = _native.array_tangent
+    array_tangent = _native_arrays.array_tangent
 
     def python_refused(shapes, coeffs, saddle, python):
         def refused(*call):
@@ -416,7 +422,7 @@ def test_ftle_field_runs_the_compiled_step(monkeypatch):
 
         return array_tangent(shapes, coeffs, saddle, refused)
 
-    monkeypatch.setattr(_native, "array_tangent", python_refused)
+    monkeypatch.setattr(_native_arrays, "array_tangent", python_refused)
     for f, (x0, x1, y0, y1) in _fields_and_boxes():
         ftle_field(f, Grid2D(x0, x1, 21, y0, y1, 21), -0.05, None, CFG)
 
@@ -446,12 +452,139 @@ def test_publishing_keeps_the_most_recently_loaded_libraries(tmp_path, others):
     assert len(list(cache.glob("*.so"))) == cap
 
 
+# -- the pullback march -----------------------------------------------------------------
+
+def _normal_form():
+    """The benchmark's normal-form pullback field."""
+    return VectorField2D(Poly2({(1, 0): -0.5}),
+                         Poly2({(1, 0): 1.0, (0, 1): -0.5, (3, 0): -0.5}))
+
+
+#: The march test's term structures, each field with its own coefficients:
+#: the benchmark's two pullback fields, the two families, a field of mixed
+#: degrees and one that blows up (x' = x^2).  Only these few kernels build.
+_MARCH_FIELDS = [_normal_form(), VectorField2D.saddle(), _cubic(),
+                 make_quadratic_family(QuadraticParams(1.0, 1.0)), _fields_and_boxes()[4][0],
+                 VectorField2D(parse_polynomial("x^2"), Poly2())]
+
+_NEAR_BOUND = st.sampled_from([math.nextafter(SADDLE_Y_BOUND, 0.0), SADDLE_Y_BOUND - 1e-9,
+                               0.999, 1.0 - 2e-12]).flatmap(lambda y: st.sampled_from([y, -y]))
+
+
+def _march_outcome(march, call) -> str:
+    """The march's result as text (floats round-trip exactly), or the text
+    of the DomainError it raised."""
+    try:
+        return repr(march(*call))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@needs_cc
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, len(_MARCH_FIELDS) - 1), data=st.data(),
+       x=st.floats(-1.5, 1.5) | st.sampled_from([-0.0, 1e200, -1e300]),
+       y=st.floats(-0.95, 0.95) | _NEAR_BOUND, offset=st.tuples(st.floats(-0.3, 0.3),
+                                                                 st.floats(-0.3, 0.3)),
+       angle=st.floats(0.0, 2.0 * math.pi), sign=st.sampled_from([-1.0, 1.0]),
+       step=st.sampled_from([1e-3, 5e-3, 0.05, 0.6, 4.0]), n=st.integers(1, 400),
+       line=st.sampled_from(["near", "landing", "crossed"]))
+# the benchmark's lines, a bisection that leaves the strip and a start one ulp inside it
+@example(k=0, data=None, x=0.75, y=0.3, offset=(0.25, -0.3), angle=math.pi / 2, sign=-1.0,
+         step=5e-3, n=500, line="near")
+@example(k=1, data=None, x=0.5, y=0.25, offset=(-0.5, 0.25), angle=0.0, sign=-1.0, step=4.0,
+         n=4, line="near")
+@example(k=1, data=None, x=0.3, y=math.nextafter(SADDLE_Y_BOUND, 0.0), offset=(-0.3, -0.5),
+         angle=0.0, sign=-1.0, step=5e-3, n=500, line="near")
+def test_compiled_march_equals_the_python_march(k, data, x, y, offset, angle, sign, step, n,
+                                                line):
+    """The compiled march gives the generated Python march's crossing bit
+    for bit, or None, or -1 where the Python march raises, over random
+    coefficients (or the field's own), starts, steps, both time signs and
+    lines near the start, through the state after one step (d == 0.0) or
+    between the states after one and two steps; the saddle's starts include
+    points near its bound.  Its wrapper gives the Python march's result or
+    error text."""
+    f = _MARCH_FIELDS[k]
+    shapes, coeffs = _field_terms((f.p, f.q))
+    if data is not None and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(_COEFFS, min_size=len(coeffs), max_size=len(coeffs)))
+    python = _rk4_factory(shapes, "march", f.is_saddle)(*coeffs)
+    kernel = _native._march_kernel(shapes, f.is_saddle)
+    assert kernel is not None
+    ux, uy, bx, by = math.cos(angle), math.sin(angle), x + offset[0], y + offset[1]
+    with contextlib.suppress(DomainError):  # the saddle's steps may leave its strip
+        rk4 = _rk4_factory(shapes, "step", f.is_saddle)(*coeffs)
+        if line == "landing":
+            bx, by = rk4(x, y, sign * step)
+        elif line == "crossed":
+            x1, y1 = rk4(x, y, sign * step)
+            x2, y2 = rk4(x1, y1, sign * step)
+            ux, uy, bx, by = y1 - y2, x2 - x1, 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+    call = (x, y, step, sign, n, -uy * (x - bx) + ux * (y - by), ux, uy, bx, by)
+    want = _march_outcome(python, call)
+    got = _native._marched(kernel, (ctypes.c_double * len(coeffs))(*coeffs), call)
+    assert repr(got) == ("-1" if want.startswith("DomainError") else want)
+    assert _march_outcome(_native.compiled_march(shapes, coeffs, f.is_saddle, python), call) == want
+
+
+@needs_x86_64_cc
+def test_march_probe_refuses_contracted_kernels(monkeypatch, tmp_path):
+    """A march built for fused multiply-adds (``-ffp-contract=fast`` with
+    ``-mfma``; the x86-64 baseline has none) gives other bits in some
+    bisections, and the probe refuses it on the benchmark's two pullback
+    fields, though both build."""
+    if not _cpu_features().get("FMA3"):
+        pytest.skip("this CPU has no fused multiply-adds")
+    _with_flags(monkeypatch, tmp_path, "-ffp-contract=fast", "-mfma")
+    for f in (_normal_form(), VectorField2D.saddle()):
+        assert _native._march_kernel(_field_terms((f.p, f.q))[0], f.is_saddle) is None
+    assert len(list(tmp_path.glob("march-*.so"))) == 2
+
+
+def _pullbacks() -> list:
+    """Pullback values on the benchmark's two fields and lines, on new
+    fields (each builds its march on first use)."""
+    steps = IntegratorConfig(step=5e-3)
+    cases = [(_normal_form(), DataSurface((1.0, 0.0), (0.0, 1.0), lambda s: 1.0), -1.0,
+              [(0.75, 0.3), (1.3, -0.6)]),
+             (VectorField2D.saddle(), DataSurface((0.0, 0.5), (1.0, 0.0), lambda s: 1.0), -2.0,
+              [(0.4, 0.3), (-1.2, 0.7)])]
+    return [pullback_eigenfunction(f, surf, lam, x, steps, t_max=2.5)
+            for f, surf, lam, points in cases for x in points]
+
+
+@pytest.mark.parametrize("fault", ["too long", "no compiler", "build fails", "probe mismatch"])
+def test_march_fallback_gives_the_same_values(monkeypatch, tmp_path, fault):
+    """No kernel (a source over the cap, no compiler, a failed build or a
+    probe that refuses a kernel that divides by 6 a little wrongly): the
+    generated Python march gives the same values."""
+    want = _pullbacks()
+    monkeypatch.setattr(_native, "_KERNELS", {})
+    monkeypatch.setattr(_native, "_CACHE", tmp_path)
+    c_march, probe, probed = _native._c_march, _native._probe_march, []
+    if fault == "too long":
+        monkeypatch.setattr(_native, "_MAX_SOURCE_BYTES", 100)
+    elif fault == "no compiler":
+        monkeypatch.setattr(_native, "_COMPILE", ("ilekoop-no-such-cc", *_native._COMPILE[1:]))
+    elif fault == "build fails":
+        monkeypatch.setattr(_native, "_c_march", lambda shapes, saddle: "not C\n")
+    else:
+        monkeypatch.setattr(_native, "_c_march", lambda shapes, saddle: c_march(
+            shapes, saddle).replace("h / 6.0", "h / 6.000000001"))
+    monkeypatch.setattr(_native, "_probe_march",
+                        lambda *args: probed.append(probe(*args)) or probed[-1])
+    assert list(map(repr, _pullbacks())) == list(map(repr, want))
+    assert list(_native._KERNELS.values()) == [None, None]
+    assert probed == ([False, False] if fault == "probe mismatch" and HAVE_CC else [])
+
+
 # -- the CSV formatter ------------------------------------------------------------------
 
 def _formatted(values) -> list:
     """The compiled formatter's text of each value, through a one-row grid."""
     values = np.array(values, dtype=np.float64).reshape(1, -1)
-    blocks = _native.csv_blocks(values, ["x"] * values.size, ["y"])
+    blocks = _native_arrays.csv_blocks(values, ["x"] * values.size, ["y"])
     return [line.removeprefix("x,y,") for line in "".join(blocks).splitlines()]
 
 
@@ -492,7 +625,7 @@ def test_formatter_on_many_doubles():
 def _template_csv(f) -> str:
     """``write_csv`` with no formatter: the one-``%``-per-row writer."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "csv_blocks", lambda *args: None)
+        mp.setattr(_native_arrays, "csv_blocks", lambda *args: None)
         return _csv(f)
 
 
@@ -519,9 +652,9 @@ def test_compiled_csv_equals_the_template_writer(nx, ny, data, box):
     f = ScalarField(Grid2D(box[0], box[1], nx, box[2], box[3], ny),
                     np.array(values).reshape(ny, nx))
     want = _template_csv(f)
-    for budget in (1, 150 * nx, _native._CSV_BLOCK_BYTES):
+    for budget in (1, 150 * nx, _native_arrays._CSV_BLOCK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_native, "_CSV_BLOCK_BYTES", budget)
+            mp.setattr(_native_arrays, "_CSV_BLOCK_BYTES", budget)
             assert _csv(f) == want
     assert _native._KERNELS["csv"] is not None
 
@@ -535,10 +668,10 @@ def test_csv_blocks_straddle_rows(monkeypatch, ny):
     values = np.linspace(-1.0, 1.0, 2 * ny).reshape(ny, 2)
     want = [f"{x},{y},{format_float(v)}\n" for y, row in zip(yt, values.tolist())
             for x, v in zip(xt, row)]
-    row = 600 + 2 + 2 * (301 + _native._VALUE_BYTES + 1)
+    row = 600 + 2 + 2 * (301 + _native_arrays._VALUE_BYTES + 1)
     for budget, rows in ((3 * row, 3), (100, 1)):
-        monkeypatch.setattr(_native, "_CSV_BLOCK_BYTES", budget)
-        blocks = list(_native.csv_blocks(values, xt, yt))
+        monkeypatch.setattr(_native_arrays, "_CSV_BLOCK_BYTES", budget)
+        blocks = list(_native_arrays.csv_blocks(values, xt, yt))
         assert "".join(blocks) == "".join(want)
         assert [b.count("\n") for b in blocks] == [2 * min(rows, ny - r) for r in range(0, ny, rows)]
 
@@ -549,7 +682,7 @@ def test_csv_blocks_refuse_values_that_do_not_match_the_texts():
     never reaches it."""
     for values in (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(4)):
         with pytest.raises(ValueError, match="^values do not match the axis texts$"):
-            list(_native.csv_blocks(values, ["a", "b"], ["c", "d"]))
+            list(_native_arrays.csv_blocks(values, ["a", "b"], ["c", "d"]))
 
 
 @pytest.mark.parametrize("fault", ["no compiler", "probe fails"])
@@ -561,13 +694,13 @@ def test_csv_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
     want = _template_csv(f)
     monkeypatch.setattr(_native, "_KERNELS", {})
     monkeypatch.setattr(_native, "_CACHE", tmp_path)
-    probe, probed = _native._probe_csv, []
+    probe, probed = _native_arrays._probe_csv, []
     if fault == "no compiler":
         monkeypatch.setattr(_native, "_COMPILE", ("ilekoop-no-such-cc", *_native._COMPILE[1:]))
     else:
-        assert _native._C_CSV.count("(q & 1)") == 1
-        monkeypatch.setattr(_native, "_C_CSV", _native._C_CSV.replace("(q & 1)", "1"))
-    monkeypatch.setattr(_native, "_probe_csv", lambda kernel: probed.append(probe(kernel))
+        assert _native_arrays._C_CSV.count("(q & 1)") == 1
+        monkeypatch.setattr(_native_arrays, "_C_CSV", _native_arrays._C_CSV.replace("(q & 1)", "1"))
+    monkeypatch.setattr(_native_arrays, "_probe_csv", lambda kernel: probed.append(probe(kernel))
                         or probed[-1])
     assert _csv(f) == want
     assert _native._KERNELS == {"csv": None}
