@@ -34,7 +34,10 @@ def main() -> None:
 
 def run_command(argv) -> int:
     try:
-        args = _parser().parse_args(list(argv))
+        argv = list(argv)
+        args = _read(argv)
+        if args is None:
+            args = _parser().parse_args(argv)
         args.handler(args)
         return 0
     except (UsageError, ParseError, ValueError, OSError) as exc:
@@ -449,6 +452,121 @@ def _add_field(p) -> None:
         required=True,
         help="'saddle', 'expr:P;Q', a field JSON path, or '-' for stdin",
     )
+
+
+# ---------------------------------------------------------------------------
+# The quick reader: well-formed command lines without argparse's generic walk
+# ---------------------------------------------------------------------------
+
+def _read(argv: list):
+    """The Namespace ``_parser().parse_args(argv)`` returns, read straight
+    from the parser's own actions, or None: then argparse parses ``argv``
+    itself, and it alone gives usage errors, ``--help`` and abbreviations.
+
+    After the subcommand names, the reader takes exact option strings and
+    ``--opt=value``, each action's own ``type`` and ``choices``, flags,
+    repeated options (the last wins), and a value that starts with '-' only
+    where the parser's negative-number test matches it.  Anything else,
+    a missing required option included, returns None."""
+    if {type(arg) for arg in argv} != {str}:
+        return None
+    plan, values, i, n = _plan(), {}, 0, len(argv)
+    while True:  # down the subcommand names to the parser of the options
+        if plan is None:
+            return None
+        defaults, dest, commands, options, required, negative = plan
+        values.update(defaults)
+        if commands is None:
+            break
+        if i == n:
+            return None
+        values[dest] = argv[i]
+        plan = commands.get(argv[i])
+        i += 1
+    seen = set()
+    while i < n:
+        token = argv[i]
+        i += 1
+        entry = options.get(token)
+        text = None
+        if entry is None:
+            name, eq, text = token.partition("=")
+            entry = options.get(name) if eq else None
+            if entry is None:
+                return None
+        action, convert = entry
+        if convert is None:  # store_true takes no value
+            if text is not None:
+                return None
+            value = action.const
+        else:
+            if text is None:
+                if i == n:
+                    return None
+                text = argv[i]
+                i += 1
+                if text[:1] == "-" and not negative(text):
+                    return None
+            if text == "--":
+                return None
+            try:  # the errors parse_args turns into usage errors
+                value = convert(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
+@functools.cache
+def _plan():
+    return _plan_of(_parser())
+
+
+def _plan_of(parser):
+    """What ``_read`` needs of ``parser``: ``(defaults, dest, commands,
+    options, required, negative)``.  ``defaults`` is what ``parse_args``
+    puts in the namespace for every action it does not see.  A parser with
+    a subparsers action has that action's ``dest`` and ``commands`` (name ->
+    plan).  ``options`` maps the option strings of store and store_true
+    actions to ``(action, convert)``, convert None for store_true;
+    ``required`` holds the actions ``parse_args`` requires, and ``negative``
+    is the parser's negative-number test.  None for a parser with options
+    that look like negative numbers, or with required actions besides its
+    subcommands: ``_read`` leaves those to argparse."""
+    if parser._has_negative_number_optionals:
+        return None
+    defaults, options, required, dest, commands = {}, {}, set(), None, None
+    # parse_args puts each dest's first default in the namespace, then the
+    # parser's own defaults, and converts a string default it did not replace.
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults.setdefault(action.dest, action.default)
+    for name, value in parser._defaults.items():
+        defaults.setdefault(name, value)
+    for action in parser._actions:
+        if isinstance(action.default, str) and defaults.get(action.dest) is action.default:
+            defaults[action.dest] = parser._get_value(action, action.default)
+        if isinstance(action, argparse._SubParsersAction):
+            dest, commands = action.dest, {n: _plan_of(p) for n, p in action.choices.items()}
+            continue
+        if action.required:
+            required.add(action)
+        if type(action) is argparse._StoreTrueAction:
+            convert = None
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            convert = parser._registry_get("type", action.type, action.type)
+        else:
+            continue
+        for option in action.option_strings:
+            options[option] = action, convert
+    if commands is not None and required:
+        return None
+    return defaults, dest, commands, options, required, parser._negative_number_matcher.match
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -40,6 +42,23 @@ def test_family_summary_shows_which_family_moved():
         assert (ile["change_wins"], ile["ties"], ile["median_change_ratio"]) == (0, 5, 1.0)
     assert families["ftle_grid"]["wall_s"]["parent"]["median"] == 4.2
     assert families["ftle_grid"]["wall_s"]["change"]["median"] == 3.2
+
+
+def test_peak_memory_is_fitted_against_the_pass_count():
+    def side(passes, rss):
+        return {"passes": passes, "peak_rss_mb": rss}
+
+    parent_passes, change_passes = [100, 120, 130, 150], [180, 200, 230, 260]
+    pairs = [{"parent": side(p, 38.0 + 0.045 * p), "change": side(c, 37.0 + 0.04 * c)}
+             for p, c in zip(parent_passes, change_passes)]
+    fit = bench_pairs.rss_fit(pairs)
+    assert fit["parent"]["mb_per_pass"] == pytest.approx(0.045)
+    assert fit["parent"]["mb_at_zero_passes"] == pytest.approx(38.0)
+    assert fit["change"]["mb_per_pass"] == pytest.approx(0.04)
+    assert fit["change"]["mb_at_zero_passes"] == pytest.approx(37.0)
+    # one pass count on a side leaves its line undefined
+    pairs[1]["change"] = pairs[2]["change"] = pairs[3]["change"] = pairs[0]["change"]
+    assert bench_pairs.rss_fit(pairs)["change"] is None
 
 
 def test_seed_ranges():

@@ -1,6 +1,8 @@
 """End-to-end command-line tests: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -8,14 +10,15 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilekoop import _native, cli, flowmap, series, strain
 from ilekoop.cli import run_command
-from ilekoop.errors import NumericalError
+from ilekoop.errors import NumericalError, UsageError
 from ilekoop.expr import Poly2, parse_polynomial
 from ilekoop.series import decompose_monomial
 
@@ -1034,3 +1037,192 @@ def test_overflowing_box_exit_code(capsys, box):
                           f"--box={box}"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: --box width or height overflows a double\n"
+
+
+# -- the quick reader and argparse ---------------------------------------------------------
+
+_ILE = ["ile", "--field", "saddle", "--grid", "-1:1:5,-0.5:0.5:5"]
+_PULLBACK = ["pullback", "--field", "saddle", "--line", "0,0.5,1,0", "--lambda", "1",
+             "--points", "p.csv", "--out", "phi.csv"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["family", "cubic", "--lambda", "2"],
+     "the following arguments are required: --c, --k, --a00"),
+    (_ILE + ["--out", "s.csv", "--rate", "s3"],
+     "argument --rate: invalid choice: 's3' (choose from 's1', 's2')"),
+    (_ILE + ["--out", "s.csv", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (_ILE + ["--out", "s.csv", "--threads", "0"],
+     "argument --threads: must be at least 1, got '0'"),
+    (_ILE + ["--out", "--pgm", "s.pgm"], "argument --out: expected one argument"),
+    (["ile", "--field", "saddle", "--out", "s.csv", "--grid"],
+     "argument --grid: expected one argument"),
+])
+def test_argparse_gives_every_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli._read(argv) is None
+    assert run(argv, capsys) == (1, "", f"error: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,spelled_out", [
+    (_ILE + ["--out", "s.csv", "--thr", "1"], _ILE + ["--out", "s.csv", "--threads", "1"]),
+    (_PULLBACK + ["--h=1"], _PULLBACK + ["--h", "1"]),
+])
+def test_abbreviations_and_inline_values_still_parse(capsys, tmp_path, monkeypatch, argv,
+                                                     spelled_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text("0.3,0.2\n")
+    outputs = []
+    for line in (argv, spelled_out):
+        assert run(line, capsys) == (0, "", "")
+        outputs.append({path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())})
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 2
+
+
+def _argparse(argv):
+    """``_parser().parse_args(argv)``, or None where it fails or exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._parser().parse_args(argv)
+        except (UsageError, SystemExit):
+            return None
+
+
+def _subcommands(names=(), parser=None) -> list:
+    """(names, parser) of every subcommand the CLI's parser reaches."""
+    parser = parser or cli._parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(list(names), parser)]
+    return [leaf for name, p in subs[0].choices.items()
+            for leaf in _subcommands((*names, name), p)]
+
+
+_SUBCOMMANDS = _subcommands()
+_INTS = st.integers(-2, 50).map(str)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | _INTS
+_TEXTS = st.sampled_from(["saddle", "expr:x;y", "1,0,0,1", "-1:1:5,-0.5:0.5:5", "x - x^3",
+                          "out.csv"])
+#: Texts no option type reads, texts that start with '-' with and without a
+#: digit after it, and texts that argparse reads as options or as '--'.
+_ODD = st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e999", "s3", "0", "-0", "-1", "-.5",
+                        "-1:1:3,0:1:3", "-1,0", "-x", "-", "--", "-h", "--help", "--bogus",
+                        "-1 2", "- 1", "1_000", "0x10", " 7"])
+
+
+def _value(action):
+    """Text a flag could be given: mostly what its type reads, else odd texts."""
+    if action.choices:
+        good = st.sampled_from(list(action.choices))
+    else:
+        good = {float: _FLOATS, cli._finite: _FLOATS, int: _INTS,
+                cli._positive_int: _INTS}.get(action.type, _TEXTS)
+    return st.integers(0, 9).flatmap(lambda k: good if k else _ODD)
+
+
+@st.composite
+def _argv(draw):
+    """A command line for one subcommand: some or all of its required
+    options with values, then options given exactly, as ``--opt=value``, more
+    than once or abbreviated, ``-h``/``--help`` or stray texts, in any order."""
+    names, parser = draw(st.sampled_from(_SUBCOMMANDS))
+    actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    pieces = [[a.option_strings[0], draw(_value(a))] for a in actions
+              if a.required and draw(st.integers(0, 9)) > 0]
+    for _ in range(draw(st.integers(0, 5))):
+        action = draw(st.sampled_from(actions))
+        flag = action.option_strings[0]
+        value = draw(_value(action))
+        form = draw(st.sampled_from(["exact"] * 3 + ["inline"] * 2 + ["abbreviated", "help",
+                                                                      "stray"]))
+        if form == "abbreviated":
+            flag = flag[:draw(st.integers(3, len(flag) - 1))] if len(flag) > 3 else flag
+        if form == "inline":
+            pieces.append([f"{flag}={value}"])
+        elif form == "help":
+            pieces.append([draw(st.sampled_from(["-h", "--help"]))])
+        elif form == "stray":
+            pieces.append([value])
+        elif isinstance(action, argparse._StoreTrueAction):
+            pieces.append([flag])
+        else:
+            pieces.append([flag, value])
+    pieces = draw(st.permutations(pieces))
+    return names + [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_argv())
+@example(argv=["ile", "--field", "saddle", "--grid", "-1:1:3,0:1:3", "--out=--", "--rate=s2",
+               "--rate", "s1", "--extract", "ridge", "--threads=2"])
+@example(argv=["keig-check", "--field", "saddle", "--g", "x", "--lambda", "-.5", "--exact",
+               "--exact", "--box=-1:0,-1:0"])
+@example(argv=["family", "transformed", "--lambda", "-1", "--coeffs", "-0.5", "--lambda", "-x"])
+@example(argv=["pullback", "--field", "-", "--line", "-1,0,0,1", "--h", "-s", "--lambda", "1",
+               "--points", "p.csv", "--out", "o.csv"])
+@example(argv=["family"])
+@example(argv=["oned", "--f", "x", "--xmin", "-1", "--xmax", "1", "--n", "5", "--exact"])
+def test_the_reader_parses_as_argparse_or_not_at_all(argv):
+    """Where the reader gives a Namespace it is the one argparse gives;
+    where argparse fails or exits, the reader gives None."""
+    got = cli._read(argv)
+    assert got is None or got == _argparse(argv)
+
+
+def test_every_bench_request_takes_the_reader():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for seed in (1, 2, 3):
+                for request in workloads.generate(name, seed).requests:
+                    argv = list(request.argv)
+                    got = cli._read(argv)
+                    assert got is not None and got == cli._parser().parse_args(argv), argv
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("argv", [
+    _ILE + ["--out", "s.csv", "--pgm", "s.pgm", "--extract", "trench", "--grad-tol=1e-3"],
+    ["ftle", "--field", "saddle", "--time", "-0.05", "--grid", "-1:1:5,-0.5:0.5:5",
+     "--out", "f.csv", "--threads", "2"],
+    ["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1", "--samples", "9"],
+    ["keig-check", "--field", "saddle", "--g", "x*y", "--lambda", "1", "--exact"],
+    _PULLBACK + ["--h", "1", "--step", "5e-3"],
+    ["family", "quadratic", "--lambda", "1", "--a20", "1"],
+    ["family", "cubic", "--lambda", "2", "--c", "0.5", "--k", "-0.25", "--a00", "-2"],
+    ["family", "transformed", "--lambda", "-1", "--coeffs", "-0.5,0.25"],
+    ["carleman", "--lambda", "-1", "--c", "-1", "--x0", "1,0", "--time", "1"],
+    ["series", "--target", "y", "--N", "6", "--y", "0.25"],
+    ["oned", "--f", "x - x^3", "--xmin", "-1", "--xmax", "1", "--n", "21"],
+    ["series", "--target", "y", "--N", "6", "--y", "0.9"],
+    ["ile", "--field", "saddle", "--grid", "bogus", "--out", "x.csv"],
+    ["family", "cubic", "--lambda", "2"],
+    _ILE + ["--out", "s.csv", "--thr", "1"],
+    ["--help"],
+    ["family", "-h"],
+    ["no-such-command"],
+    [],
+])
+def test_run_command_without_the_reader_gives_the_same_output(capsys, tmp_path, monkeypatch,
+                                                              argv):
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for reader in (cli._read, lambda argv: None):
+        monkeypatch.setattr(cli, "_read", reader)
+        (tmp_path / "p.csv").write_text("0.3,0.2\n0.6,-0.1\n")
+        try:
+            code = run_command(argv)
+        except SystemExit as exc:  # --help
+            code = f"exit {exc.code}"
+        streams = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in sorted(tmp_path.iterdir())}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        results.append((code, streams.out, streams.err, files))
+    assert results[0] == results[1]

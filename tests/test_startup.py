@@ -5,7 +5,8 @@ it.  Only the grid commands and the pullback load the compiled kernels
 (``ilekoop._native``, which brings ``ctypes`` but not numpy).  No command
 loads ``dataclasses``, those without numpy never load ``inspect``, and those
 without numpy or kernels never load ``ctypes``.  The commands are those
-``tools/startup.py`` times."""
+``tools/startup.py`` times.  The fresh processes run a copy of the package,
+so the kernels they build never land in the package's ``__pycache__``."""
 
 import ast
 import hashlib
@@ -43,9 +44,30 @@ atexit.register(lambda: sys.stderr.write("\\nloaded " + " ".join(sorted(
 _PROBE = _LOADED + "from ilekoop.cli import main\nmain()\n"
 
 
-def fresh(argv, cwd, code: str = _PROBE):
+def _package_kernels() -> set:
+    """The compiled kernels cached in the package's own ``__pycache__``."""
+    return {path.name for path in (SRC / "ilekoop" / "__pycache__").glob("*.so")}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def package_kernels() -> set:
+    """The package's cached kernels before this module's first test."""
+    return _package_kernels()
+
+
+@pytest.fixture(scope="module")
+def tree(tmp_path_factory) -> Path:
+    """A source tree holding a copy of the package without its
+    ``__pycache__``, which every fresh process imports."""
+    root = tmp_path_factory.mktemp("tree")
+    shutil.copytree(SRC / "ilekoop", root / "src" / "ilekoop",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def fresh(argv, cwd, tree: Path, code: str = _PROBE):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
@@ -57,13 +79,14 @@ def loaded(proc) -> set:
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def inputs(tmp_path_factory, tree):
     """The tool's scratch directory: field.json, nf.json and pts.csv."""
-    return startup.Tree(SRC.parent, tmp_path_factory.mktemp("startup") / "work").work
+    return startup.Tree(tree, tmp_path_factory.mktemp("startup") / "work").work
 
 
-def test_importing_the_cli_loads_errors_and_expr_only(tmp_path):
-    proc = fresh([], tmp_path, "import sys, ilekoop.cli\nprint(' '.join(sorted(sys.modules)))")
+def test_importing_the_cli_loads_errors_and_expr_only(tmp_path, tree):
+    proc = fresh([], tmp_path, tree,
+                 "import sys, ilekoop.cli\nprint(' '.join(sorted(sys.modules)))")
     modules = set(proc.stdout.split())
     assert {m for m in modules if m.startswith("ilekoop")} == {
         "ilekoop", "ilekoop.cli", "ilekoop.errors", "ilekoop.expr"}
@@ -71,7 +94,7 @@ def test_importing_the_cli_loads_errors_and_expr_only(tmp_path):
     assert not modules.intersection(SLOW_STDLIB)
 
 
-def test_a_float_point_ftle_loads_no_compiled_step(tmp_path):
+def test_a_float_point_ftle_loads_no_compiled_step(tmp_path, tree):
     """A float-only caller never pays for a C build: one point's FTLE loads
     neither ``ilekoop._native`` nor any module that its imports did not
     already load (numpy itself brings ``ctypes``, so only the call is held
@@ -82,7 +105,7 @@ def test_a_float_point_ftle_loads_no_compiled_step(tmp_path):
             "print(ftle(VectorField2D.saddle(), (0.3, 0.2), -0.5, IntegratorConfig()))\n"
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
             "print('ilekoop._native' in sys.modules)")
-    proc = fresh([], tmp_path, code)
+    proc = fresh([], tmp_path, tree, code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[1:] == ["", "False", ""]
 
@@ -118,13 +141,13 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", startup.COMMANDS)
-def test_tool_commands_load_numpy_only_for_arrays(inputs, name):
+def test_tool_commands_load_numpy_only_for_arrays(inputs, tree, name):
     argv, outputs = startup.COMMANDS[name]
     if argv is None:  # the import probe, which prints its time
-        proc = fresh([], inputs, _LOADED + startup.IMPORT_PROBE)
+        proc = fresh([], inputs, tree, _LOADED + startup.IMPORT_PROBE)
         assert float(proc.stdout) > 0.0
     else:
-        proc = fresh(argv, inputs)
+        proc = fresh(argv, inputs, tree)
     assert proc.returncode == (1 if name == "usage-error" else 0), proc.stderr
     modules = loaded(proc)
     assert ("numpy" in modules) == (name in NUMPY)
@@ -146,16 +169,16 @@ def test_tool_commands_load_numpy_only_for_arrays(inputs, name):
     (["series", "--target", "y", "--N", "8", "--y", "0.25"], 0),
     (["series", "--target", "y", "--N", "8", "--y", "0.9"], 2),
 ])
-def test_more_exact_commands_never_load_numpy(inputs, argv, code):
-    proc = fresh(argv, inputs)
+def test_more_exact_commands_never_load_numpy(inputs, tree, argv, code):
+    proc = fresh(argv, inputs, tree)
     assert proc.returncode == code, proc.stderr
     assert not loaded(proc).intersection(("numpy", "ilekoop._native", "ctypes") + SLOW_STDLIB)
 
 
-def test_startup_tool_smoke():
+def test_startup_tool_smoke(tree):
     # one repeat of two commands, this tree against itself
-    proc = subprocess.run([sys.executable, str(TOOLS / "startup.py"), "--parent", str(SRC.parent),
-                           "--change", str(SRC.parent), "--repeats", "1",
+    proc = subprocess.run([sys.executable, str(TOOLS / "startup.py"), "--parent", str(tree),
+                           "--change", str(tree), "--repeats", "1",
                            "--only", "family-cubic,oned,cli-import"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -164,7 +187,7 @@ def test_startup_tool_smoke():
     assert "MISMATCH" not in proc.stdout
 
 
-def test_startup_tool_reports_changed_bytes(tmp_path):
+def test_startup_tool_reports_changed_bytes(tmp_path, tree):
     # a tree whose numbers print with 16 digits differs from this one
     changed = tmp_path / "changed"
     shutil.copytree(SRC / "ilekoop", changed / "src" / "ilekoop",
@@ -173,7 +196,7 @@ def test_startup_tool_reports_changed_bytes(tmp_path):
     text = expr.read_text()
     assert text.count('f"{v:.17g}"') == 1
     expr.write_text(text.replace('f"{v:.17g}"', 'f"{v:.16g}"'))
-    proc = subprocess.run([sys.executable, str(TOOLS / "startup.py"), "--parent", str(SRC.parent),
+    proc = subprocess.run([sys.executable, str(TOOLS / "startup.py"), "--parent", str(tree),
                            "--change", str(changed), "--repeats", "1", "--only", "oned"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1
@@ -223,8 +246,8 @@ def test_exported_names_are_the_defining_modules_objects():
             assert value is getattr(sys.modules[value.__module__], name), name
 
 
-def test_submodule_resolves_on_first_access(tmp_path):
-    proc = fresh([], tmp_path, "import sys, ilekoop\n"
+def test_submodule_resolves_on_first_access(tmp_path, tree):
+    proc = fresh([], tmp_path, tree, "import sys, ilekoop\n"
                  "print('ilekoop.flowmap' in sys.modules, ilekoop.flowmap.__name__,\n"
                  "      ilekoop.saddle_ftle is sys.modules['ilekoop.flowmap'].saddle_ftle)")
     assert proc.stdout.split() == ["False", "ilekoop.flowmap", "True"], proc.stderr
@@ -234,3 +257,7 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         ilekoop.no_such_name
     assert not hasattr(ilekoop, "_no_such_private")
+
+
+def test_fresh_processes_leave_the_package_kernels_alone(package_kernels):
+    assert _package_kernels() == package_kernels

@@ -19,7 +19,10 @@ figures; per metric the median and inclusive quartiles of each side, the
 pairs the change wins, and whether the gap between the medians exceeds the
 parent's interquartile range; the same summary of each request family's
 ``wall_s``, ``req_p50_ms`` and ``req_p90_ms``, which shows the family that
-carried a change; and the count of pairs whose output digests are equal.  Nothing in either tree is changed except
+carried a change; per side, the least-squares line of ``peak_rss_mb``
+against the pass count (the bench keeps every request's latency, so its peak
+memory grows with the passes a run fits in, and a faster side reads more);
+and the count of pairs whose output digests are equal.  Nothing in either tree is changed except
 ``bench/results/``, which the bench itself writes.  The file is rewritten
 after every pair, so a run cut short keeps the pairs it finished.
 """
@@ -96,6 +99,22 @@ def summarise_families(pairs: list[dict]) -> dict:
             for fam in pairs[0]["parent"]["families"]}
 
 
+def rss_fit(pairs: list[dict]) -> dict:
+    """Per side, the least-squares line of ``peak_rss_mb`` against
+    ``passes``: its slope in MB per pass and its value at zero passes, or
+    None where every run made the same number of passes."""
+    fit = {}
+    for side in ("parent", "change"):
+        passes = [p[side]["passes"] for p in pairs]
+        rss = [p[side]["peak_rss_mb"] for p in pairs]
+        if len(set(passes)) < 2:
+            fit[side] = None
+            continue
+        slope, intercept = statistics.linear_regression(passes, rss)
+        fit[side] = {"mb_per_pass": slope, "mb_at_zero_passes": intercept}
+    return fit
+
+
 def _seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -149,7 +168,7 @@ def main(argv=None) -> int:
             save(args.out, out)
         out["workloads"][workload].update(
             summary=summarise(pairs, better), family_summary=summarise_families(pairs),
-            same_output_sha256_pairs=sum(p["same_output_sha256"] for p in pairs))
+            peak_rss_fit=rss_fit(pairs), same_output_sha256_pairs=sum(p["same_output_sha256"] for p in pairs))
         for side in ("parent", "change"):
             record = run_bench(trees[side], workload, 1, seconds, 1)
             out["traced_seed1"].setdefault(workload, {})[side] = {
