@@ -14,13 +14,13 @@ with the same bytes.
 :func:`_c_function` writes a field's generated RK4 statements
 (``vectorfield._STEP_SIZES`` and ``vectorfield._rk4_lines``) into C: every
 statement is chained (``a = b + c * d``), so each Python statement is one C
-statement, unchanged.  It serves the array tangent step
-(``ilekoop._native_arrays``, which with the CSV formatter is the only part
+statement, unchanged.  It serves the FTLE tangent plan
+(``ilekoop._native_arrays``, which with the text library is the only part
 that needs numpy) and :func:`compiled_march`, the pullback's whole crossing
 search on floats: the fixed-step march, its first sign change and the
 bisection, called through ctypes with plain doubles.  This module loads no
 numpy, so ``pullback`` runs compiled without it; a field's first march
-imports this module, and its first array tangent call or ``write_csv``
+imports this module, and its first array ``cauchy_green`` or a grid's text
 imports ``ilekoop._native_arrays``.
 """
 
@@ -47,21 +47,21 @@ _COMPILE = ("cc", "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-x", "c", "-"
 _BUILD_TIMEOUT_S = 60.0
 
 #: Longer sources are not built.  The build time grows faster than the
-#: source, and the cap keeps it within a quarter of _BUILD_TIMEOUT_S (gcc
-#: 12, 2 vCPUs, a tangent kernel's three clones at -O3, dense fields, best
-#: of 2: 0.81 s at 9.9 KB, degree 4; 7.5 s at 40 KB, degree 10; 12.1 s at
-#: 55 KB, degree 12, the densest under the cap; 16.4 s at 64 KB, degree 13).
-#: The fields of the families and the saddle stay under 8 KB.
-_MAX_SOURCE_BYTES = 57344
+#: source, and the cap keeps it within about a quarter of _BUILD_TIMEOUT_S
+#: (gcc 12, 2 vCPUs, a tangent plan kernel's three clones at -O3, best of 2:
+#: 0.94 s at 8.8 KB, the cubic family; 15.4 s at 42.7 KB, a dense field of
+#: degree 10, the densest under the cap; 19.8 s at 50.7 KB, degree 11).
+#: The fields of the families and the saddle stay under 10 KB.
+_MAX_SOURCE_BYTES = 45056
 
 _CACHE = Path(__file__).resolve().parent / "__pycache__"
 
 #: The most libraries the cache keeps; publishing one more deletes the least
-#: recently loaded.  A tangent kernel takes about 16 KB.
+#: recently loaded.  A tangent plan kernel takes about 16 KB.
 _CACHE_LIBRARIES = 64
 
-# key -> the probed kernel, None where none could be had: (shapes, saddle) for
-# a tangent step, ("march", shapes, saddle) for a march, "csv" for the formatter.
+# key -> the probed kernels, None where none could be had: (shapes, saddle) for
+# a tangent plan, ("march", shapes, saddle) for a march, "text" for the text library.
 _KERNELS: dict = {}
 _LOCK = threading.Lock()
 
@@ -101,10 +101,11 @@ def _cached(key, load):
         return _KERNELS[key]
 
 
-def _load(name: str, source: str, types: tuple, probe):
-    """The C function ``ilekoop_<name>`` of ``source``, typed ``types``
-    (restype, then argtypes), from the cache, else freshly built; None if it
-    cannot be built or ``probe(function)`` refuses it."""
+def _load(name: str, source: str, types: dict, probe):
+    """The C functions ``ilekoop_<f>`` of the library ``name`` built from
+    ``source``, one for each ``f`` of ``types`` (f -> restype, then
+    argtypes), as a tuple in that order: from the cache, else freshly built;
+    None if it cannot be built or ``probe(*functions)`` refuses them."""
     if len(source) > _MAX_SOURCE_BYTES:
         return None
     key = "\0".join((source, " ".join(_COMPILE), sysconfig.get_platform()))
@@ -118,9 +119,11 @@ def _load(name: str, source: str, types: tuple, probe):
             os.utime(path)  # the least recently loaded library is pruned first
     if lib is None:
         return None
-    function = getattr(lib, f"ilekoop_{name}")
-    function.restype, function.argtypes = types[0], types[1:]
-    return function if probe(function) else None
+    functions = []
+    for f, (restype, *argtypes) in types.items():
+        functions.append(getattr(lib, f"ilekoop_{f}"))
+        functions[-1].restype, functions[-1].argtypes = restype, argtypes
+    return tuple(functions) if probe(*functions) else None
 
 
 def _build(source: str, path: Path):
@@ -176,8 +179,8 @@ def _prune(kept: Path) -> None:
 # -- the pullback march ------------------------------------------------------------------
 
 # restype, then argtypes: x, y, step, sign, n, d_prev, ux, uy, bx, by, c, out
-_MARCH_TYPES = ((ctypes.c_long,) + (ctypes.c_double,) * 4 + (ctypes.c_long,)
-                + (ctypes.c_double,) * 5 + (ctypes.POINTER(ctypes.c_double),) * 2)
+_MARCH_TYPES = {"march": ((ctypes.c_long,) + (ctypes.c_double,) * 4 + (ctypes.c_long,)
+                          + (ctypes.c_double,) * 5 + (ctypes.POINTER(ctypes.c_double),) * 2)}
 
 
 def compiled_march(shapes: tuple, coeffs: list, saddle: bool, python):
@@ -211,9 +214,10 @@ def _marched(kernel, c, call: tuple):
 
 def _march_kernel(shapes: tuple, saddle: bool):
     """The probed march kernel of ``shapes``, or None."""
-    return _cached(("march", shapes, saddle), lambda: _load(
+    kernels = _cached(("march", shapes, saddle), lambda: _load(
         "march", _c_march(shapes, saddle), _MARCH_TYPES,
         lambda kernel: _probe_march(kernel, shapes, saddle)))
+    return kernels and kernels[0]
 
 
 def _c_march(shapes: tuple, saddle: bool) -> str:

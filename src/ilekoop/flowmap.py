@@ -7,16 +7,18 @@ generated step ``VectorField2D._rk4()``: P, Q and all four stages as
 chained straight-line code, the same source for floats and arrays.  The
 pullback's fixed-step march and its bisection run the same stages in one
 generated function (``VectorField2D._rk4("march")``, compiled where a
-kernel loads), and ``cauchy_green`` runs the same
-statements with their exact derivative between them
-(``VectorField2D._rk4("tangent")``), which carries the four entries of the
-flow-map gradient beside each trajectory:
-floats for a point, arrays of its shape for arrays of points, where the
-step runs compiled with the same bits (see ``ilekoop._native_arrays``).
-``cauchy_green`` and ``ftle`` take a point or equal-shape arrays of points,
-and ``ftle_field`` is ``ftle`` at every grid node, so a point's FTLE equals
-its node bit for bit.  For the built-in saddle the
-analytic Cauchy-Green tensor and FTLE are provided as oracles.
+kernel loads), and ``cauchy_green`` runs the same statements with their
+exact derivative between them (``VectorField2D._rk4("tangent")``), which
+carries the four entries of the flow-map gradient beside each trajectory:
+floats for a point, stepped by ``_advance``; for arrays of points, the
+whole step plan runs in one compiled call with the same bits
+(``VectorField2D._rk4("plan")``, see ``ilekoop._native_arrays``), and
+``_advance`` steps them only where no kernel loads or the kernel stops at
+an error, which ``_advance`` then raises.  ``cauchy_green`` and ``ftle``
+take a point or equal-shape arrays of points, and ``ftle_field`` is
+``ftle`` at every grid node, so a point's FTLE equals its node bit for bit.
+For the built-in saddle the analytic Cauchy-Green tensor and FTLE are
+provided as oracles.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ from .vectorfield import IntegratorConfig, VectorField2D, _check_domain, _check_
 _FINITE_CHECK_STEPS = 64
 
 # ftle_field's fewest nodes per thread and serial block (strain._sample_grid).
-# The compiled tangent step releases the interpreter lock, but since it runs
-# its node loop in SIMD lanes a second thread no longer pays off at 8,000
-# nodes, and each further serial block costs its own step calls.  Cubic,
-# t = -0.05, 2 vCPUs, best of 11 interleaved, threads 1 / 2 in ms, with
-# 12,288 against 4,096 here: 91x91 6.2 / 6.0 against 6.6 / 7.3, 101x101
-# 7.3 / 7.2 against 7.8 / 8.3, 121x121 10.5 / 10.3 against 11.6 / 11.0;
-# two threads still pay off at 201x201 (27.4 / 22.4, best of 7) and 301x301
-# (62.0 / 34.8).
+# Each block is one compiled plan call, which releases the interpreter lock
+# for the whole plan; yet on 2 vCPUs two threads took about as long as one
+# below about 40,000 nodes.  Cubic, t = -0.05, medians of 21 interleaved,
+# threads 1 / 2 in ms, with 12,288 against 4,096 here: 101x101 6.4 / 6.5
+# against 6.5 / 7.1, 121x121 8.9 / 8.8 against 9.7 / 10.1, 161x161
+# 15.1 / 15.9 against 15.5 / 16.0; two threads pay off at 201x201
+# (24.1 / 14.9) and 251x251 (37.6 / 23.8).
 _FTLE_CHUNK_NODES = 12288
 
 
@@ -66,12 +67,18 @@ def _step_plan(t: float, step: float) -> tuple[int, float]:
     return n, r
 
 
-def _steps(t: float, step: float):
-    """The RK4 plan from time 0 to t as (time reached, signed step) pairs."""
+def _signed_plan(t: float, step: float) -> tuple[int, float, float]:
+    """``_step_plan`` toward t: n full steps of h = +-step, then one of r
+    (0.0: none); refuses the times ``_check_step_budget`` refuses."""
     _check_step_budget(t, step)
     n, r = _step_plan(t, step)
-    h = math.copysign(step, t)
-    last = [(t, math.copysign(r, t))] if r > 0.0 else []
+    return n, math.copysign(step, t), math.copysign(r, t) if r > 0.0 else 0.0
+
+
+def _steps(t: float, step: float):
+    """The RK4 plan from time 0 to t as (time reached, signed step) pairs."""
+    n, h, r = _signed_plan(t, step)
+    last = [(t, r)] if r else []
     return itertools.chain(((i * h, h) for i in range(1, n + 1)), last)
 
 
@@ -119,10 +126,17 @@ def cauchy_green(f: VectorField2D, x0: tuple, t: float, cfg: IntegratorConfig) -
     """Right Cauchy-Green tensor C = F^T F, where F, from the identity
     through the field's tangent step, is the exact gradient of the discrete
     RK4 flow map.  ``x0`` is a pair of floats (float entries) or of
-    equal-shape arrays (elementwise entries)."""
+    equal-shape arrays (elementwise entries).  Arrays run the whole plan in
+    one compiled call (``VectorField2D._rk4("plan")``); floats, and every
+    call the kernel does not take or stops in, run ``_advance``, which
+    raises the errors."""
     x, y = x0
-    one, zero = (np.ones(x.shape), np.zeros(x.shape)) if isinstance(x, np.ndarray) else (1.0, 0.0)
-    _, _, f11, f12, f21, f22 = _advance(f._rk4("tangent"), t, cfg.step, x, y, one, zero, zero, one)
+    arrays = isinstance(x, np.ndarray)
+    grad = f._rk4("plan")(x, y, *_signed_plan(t, cfg.step)) if arrays else None
+    if grad is None:
+        one, zero = (np.ones(x.shape), np.zeros(x.shape)) if arrays else (1.0, 0.0)
+        grad = _advance(f._rk4("tangent"), t, cfg.step, x, y, one, zero, zero, one)[2:]
+    f11, f12, f21, f22 = grad
     return SymTensor2(f11 * f11 + f21 * f21, f11 * f12 + f21 * f22, f12 * f12 + f22 * f22)
 
 
@@ -149,9 +163,10 @@ def ftle_field(
     cfg: IntegratorConfig,
     threads: int = 1,
 ) -> ScalarField:
-    """``ftle`` at every grid node, one array call per row chunk.  ``ftle``
-    is elementwise, so output bytes are identical for every thread count.
-    ``delta`` is ignored, kept only for callers that still pass it."""
+    """``ftle`` at every grid node, one array call per row chunk, each of
+    which runs its whole RK4 plan in one compiled call where a kernel loads.
+    ``ftle`` is elementwise, so output bytes are identical for every thread
+    count.  ``delta`` is ignored, kept only for callers that still pass it."""
     vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, cfg), threads,
                         _FTLE_CHUNK_NODES)
     return _finite_field(grid, vals, "FTLE")

@@ -245,22 +245,26 @@ def extract_extremal_set(
 # -- file formats ---------------------------------------------------------------
 
 def axis_text(grid: Grid2D) -> tuple[list[str], list[str]]:
-    """``format_float`` of every x and every y node coordinate."""
-    return ([format_float(v) for v in grid.xs().tolist()],
-            [format_float(v) for v in grid.ys().tolist()])
+    """``format_float`` of every x and every y node coordinate: from the
+    compiled text library, or one f-string each where none loads."""
+    from . import _native_arrays  # loads ctypes, so only commands that write a grid pay for it
+
+    return tuple(_native_arrays.axis_texts(v) or [format_float(c) for c in v.tolist()]
+                 for v in (grid.xs(), grid.ys()))
 
 
 def write_csv(f: ScalarField, stream) -> None:
     """Rows are emitted row-major: the y index varies slowest.  Every number
-    is its ``format_float`` text; the values come in blocks of bounded size
-    from the compiled formatter, or from one ``%`` per row where none loads."""
-    from . import _native_arrays  # loads ctypes, so only commands that write a grid pay for it
+    is its ``format_float`` text; the rows come in blocks of bounded size
+    from the compiled text library, or from one ``%`` per row where none
+    loads."""
+    from . import _native_arrays
 
-    xt, yt = axis_text(f.grid)
     stream.write("x,y,value\n")
-    blocks = _native_arrays.csv_blocks(f.values, xt, yt)
+    blocks = _native_arrays.csv_blocks(f.values, f.grid.xs(), f.grid.ys())
     if blocks is None:
         # one template per row: "%.17g" is format_float's format; the axis texts hold no "%"
+        xt, yt = axis_text(f.grid)
         row_text = "".join([x + ",\0,%.17g\n" for x in xt])
         blocks = (row_text.replace("\0", y) % tuple(row) for y, row in zip(yt, f.values.tolist()))
     for text in blocks:
@@ -273,7 +277,11 @@ _PIXEL_TEXT = tuple(map(str, range(256)))
 
 def write_pgm(f: ScalarField, stream) -> None:
     """Plain (P2) PGM; values mapped affinely min -> 0, max -> 255, top row
-    at ymax so the image is in conventional orientation."""
+    at ymax so the image is in conventional orientation.  The pixel rows
+    come in one call of the compiled text library, or one join per row
+    where none loads."""
+    from . import _native_arrays
+
     lo, hi, values = f.min(), f.max(), f.values
     if math.isinf(hi - lo):
         # The span overflows; halving every value keeps it finite.
@@ -284,6 +292,10 @@ def write_pgm(f: ScalarField, stream) -> None:
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     pixels = ((values - lo) * scale).round().astype(int)
     stream.write(f"P2\n{f.grid.nx} {f.grid.ny}\n255\n")
+    rows = _native_arrays.pgm_rows(pixels)
+    if rows is not None:
+        stream.write(rows)
+        return
     text = _PIXEL_TEXT
     for row in pixels[::-1].tolist():
         stream.write(" ".join([text[p] for p in row]) + "\n")

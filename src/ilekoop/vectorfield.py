@@ -10,9 +10,9 @@ the step budget) and the generator of every field's step, tangent step and
 pullback march with its bisection (:func:`_rk4_factory`), all three from one
 list of chained statements (:func:`_rk4_lines`), with the saddle's bound
 written into the source.  ``ilekoop._native`` emits the same list as C: the
-march whole, and the tangent step over array nodes.  Nothing here imports
-numpy, so the pullback runs without :mod:`ilekoop.flowmap` and numpy,
-compiled through ctypes where a kernel loads.
+march whole, and the tangent's whole step plan over array nodes.  Nothing
+here imports numpy, so the pullback runs without :mod:`ilekoop.flowmap` and
+numpy, compiled through ctypes where a kernel loads.
 """
 
 from __future__ import annotations
@@ -84,32 +84,23 @@ class VectorField2D:
 
     def _rk4(self, mode: str = "step"):
         """The field's generated ``"step"``, ``"tangent"`` or ``"march"``
-        (see :func:`_rk4_factory`), built on first use and kept.  The tangent
-        runs floats in the generated Python step at float cost; its first
-        array call loads the same step compiled (``ilekoop._native_arrays``),
-        which gives the same bits, and every array call after it goes there.
-        The march is compiled on first use (``ilekoop._native``), with the
-        same bits; either runs the generated Python where no kernel loads."""
+        (see :func:`_rk4_factory`), or its ``"plan"``, the tangent's whole
+        step plan over array nodes compiled (``ilekoop._native_arrays``),
+        built on first use and kept.  The march is compiled on first use
+        (``ilekoop._native``), with the same bits, and runs the generated
+        Python where no kernel loads."""
         rk4 = self._rk4s.get(mode)
         if rk4 is None:
-            polys = (self.p, self.q, *self._jac) if mode == "tangent" else (self.p, self.q)
-            shapes, coeffs = _field_terms(polys)
-            saddle = self.is_saddle
-            rk4 = python = _rk4_factory(shapes, mode, saddle)(*coeffs)
-            if mode == "tangent":
-                compiled = []
-
-                def rk4(x, y, f11, f12, f21, f22, h):
-                    if type(x) is float:
-                        return python(x, y, f11, f12, f21, f22, h)
-                    if not compiled:
-                        from ._native_arrays import array_tangent
-                        compiled.append(array_tangent(shapes, coeffs, saddle, python))
-                    return compiled[0](x, y, f11, f12, f21, f22, h)
-
-            elif mode == "march":
-                from ._native import compiled_march
-                rk4 = compiled_march(shapes, coeffs, saddle, python)
+            jac = () if mode in ("step", "march") else self._jac
+            shapes, coeffs = _field_terms((self.p, self.q, *jac))
+            if mode == "plan":
+                from ._native_arrays import tangent_plan
+                rk4 = tangent_plan(shapes, coeffs, self.is_saddle)
+            else:
+                rk4 = _rk4_factory(shapes, mode, self.is_saddle)(*coeffs)
+                if mode == "march":
+                    from ._native import compiled_march
+                    rk4 = compiled_march(shapes, coeffs, self.is_saddle, rk4)
             self._rk4s[mode] = rk4
         return rk4
 
@@ -190,8 +181,8 @@ def _rk4_factory(shapes: tuple, mode: str, saddle: bool):
       derivative, ``tangent(x, y, f11, f12, f21, f22, h) -> (x, y, f11,
       f12, f21, f22)``: six floats, or six arrays of x's shape, with the
       flow-map gradient F as its four entries.  Its statements are the
-      step's with the gradient's between them, and ``ilekoop._native``
-      emits the same list as C.
+      step's with the gradient's between them, and ``ilekoop._native_arrays``
+      emits the same list as C, run over a whole step plan.
     - ``"march"``: a field's whole crossing search on floats,
       ``march(x, y, step, sign, n, d_prev, ux, uy, bx, by)``.  Steps
       k = 1..n of ``h = sign * step`` return None if the state is not finite

@@ -61,6 +61,21 @@ def test_peak_memory_is_fitted_against_the_pass_count():
     assert bench_pairs.rss_fit(pairs)["change"] is None
 
 
+def test_busy_layers_become_shares_of_the_traced_pass():
+    def record(scale):
+        metrics = {"flowmap.ftle_field.busy_ms": 180.0 * scale,
+                   "strain.write_csv.busy_ms": 120.0 * scale,
+                   "flowmap.ftle_field.nodes": 301150.0, "trace.overhead_ratio": 1.02}
+        return {"traced_pass_walls_s": [0.62 * scale, 0.6 * scale, 0.9 * scale],
+                "result": {"metrics": {name: {"value": v, "unit": "ms"} for name, v in metrics.items()}}}
+
+    shares = bench_pairs.busy_shares(record(1.0))
+    assert shares == {"flowmap.ftle_field.busy_ms": 180.0 / 620.0,
+                      "strain.write_csv.busy_ms": 120.0 / 620.0}
+    # drift that slows every layer and pass alike leaves the shares as they were
+    assert bench_pairs.busy_shares(record(1.3)) == pytest.approx(shares)
+
+
 def test_seed_ranges():
     assert bench_pairs._seeds("1-10") == list(range(1, 11))
     assert bench_pairs._seeds("6") == [6]

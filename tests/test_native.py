@@ -1,6 +1,6 @@
-"""The compiled tangent step and pullback march against the generated Python
-ones: the same bits on every call, the same errors, and the same bytes
-wherever they fall back to Python."""
+"""The compiled tangent plan, pullback march and text library against the
+generated Python code and the Python writers: the same bits on every call,
+the same errors, and the same bytes wherever they fall back to Python."""
 
 import contextlib
 import ctypes
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ilekoop import _native, _native_arrays, flowmap, strain, vectorfield
+from ilekoop import _native, _native_arrays, cli, flowmap, strain, vectorfield
 from ilekoop.errors import DomainError, NumericalError
 from ilekoop.expr import Poly2, format_float, parse_polynomial
 from ilekoop.families import (
@@ -29,7 +29,7 @@ from ilekoop.families import (
     make_quadratic_family,
     make_transformed_family,
 )
-from ilekoop.flowmap import IntegratorConfig, ftle, ftle_field
+from ilekoop.flowmap import IntegratorConfig, cauchy_green, ftle, ftle_field
 from ilekoop.koopman import DataSurface, pullback_eigenfunction
 from ilekoop.strain import Grid2D, ScalarField
 from ilekoop.vectorfield import (
@@ -80,7 +80,8 @@ def _identity(shape) -> tuple:
 
 
 def _python_only(monkeypatch):
-    """Make every field built from now on run the generated Python tangent."""
+    """Make every field built from now on run the generated Python tangent
+    through ``flowmap._advance``."""
     monkeypatch.setattr(_native_arrays, "_kernel", lambda shapes, saddle: None)
 
 
@@ -119,22 +120,40 @@ _TANGENT_FIELDS = [
 ]
 
 
+def _python_plan(python, x, y, t, step) -> tuple:
+    """The state after ``flowmap._steps(t, step)`` from (x, y) and the
+    identity under the generated Python tangent ``python``."""
+    state = (x, y, *_identity(x.shape))
+    with np.errstate(all="ignore"):
+        for _, h in flowmap._steps(t, step):
+            state = python(*state, h)
+    return state
+
+
+def _plan(kernel, coeffs, x, y, t, step) -> tuple:
+    """One call of the plan ``kernel``: its code and the final state."""
+    with np.errstate(all="ignore"):
+        return _native_arrays._run(kernel, np.array(coeffs + [0.0]), x, y,
+                                   *flowmap._signed_plan(t, step))
+
+
+@needs_cc
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(0, len(_TANGENT_FIELDS) - 1),
-       shape=st.sampled_from([(1,), (5,), (1, 3), (2, 3)]),
-       t=st.floats(0.0005, 0.05) | st.floats(-0.05, -0.0005), data=st.data(),
-       shared=st.booleans())
+       shape=st.sampled_from([(1,), (5,), (1, 3), (2, 3), (3, 200)]),
+       t=st.floats(0.0005, 0.05) | st.floats(-0.05, -0.0005), data=st.data())
 # zero field, unit constant Jacobian, and a plan whose last step is partial
-@example(k=0, shape=(2, 3), t=-0.0237, data=None, shared=False)
-@example(k=1, shape=(5,), t=0.0213, data=None, shared=False)
-@example(k=2, shape=(1, 3), t=-0.035, data=None, shared=False)
-# the identity as cauchy_green passes it: F11 and F22 one array, F12 and F21 another
-@example(k=3, shape=(2, 3), t=-0.0237, data=None, shared=True)
-def test_compiled_tangent_equals_the_python_tangent(k, shape, t, data, shared):
-    """Each step of a plan (step 0.01) gives the bits of the generated Python
-    tangent on 1-D and 2-D arrays, non-finite entries included, whether or
-    not the gradient's entries start as shared arrays, over random
-    coefficients (or the field's own) on a fixed set of term structures."""
+@example(k=0, shape=(2, 3), t=-0.0237, data=None)
+@example(k=1, shape=(5,), t=0.0213, data=None)
+@example(k=2, shape=(1, 3), t=-0.035, data=None)
+# three blocks, the last one short
+@example(k=4, shape=(3, 200), t=0.0437, data=None)
+def test_compiled_tangent_equals_the_python_tangent(k, shape, t, data):
+    """A whole plan (step 0.01) gives the bits of the generated Python
+    tangent, stepped through ``flowmap._steps``, on 1-D and 2-D arrays of
+    one block or several, over random coefficients (or the field's own) on a
+    fixed set of term structures; where the Python state ends non-finite,
+    the plan stops after its last step instead."""
     f = VectorField2D(*map(Poly2, _TANGENT_FIELDS[k]))
     shapes, coeffs = _field_terms(_polys(f))
     if data is not None and data.draw(st.booleans()):
@@ -142,32 +161,29 @@ def test_compiled_tangent_equals_the_python_tangent(k, shape, t, data, shared):
     size = int(np.prod(shape))
     if data is None:
         coords = np.linspace(-1.0, 1.0, 2 * size)
-    else:
-        coords = np.array(data.draw(st.lists(_COORDS, min_size=2 * size, max_size=2 * size)))
+    else:  # a few drawn coordinates, repeated over large shapes
+        count = min(2 * size, 24)
+        coords = np.resize(data.draw(st.lists(_COORDS, min_size=count, max_size=count)), 2 * size)
     x, y = coords[:size].reshape(shape), coords[size:].reshape(shape)
-    one, zero = np.ones(shape), np.zeros(shape)
-    python = _rk4_factory(shapes, "tangent", False)(*coeffs)
-    compiled = _native_arrays.array_tangent(shapes, coeffs, False, python)
-    want = got = (x, y, *((one, zero, zero, one) if shared else _identity(shape)))
-    with np.errstate(all="ignore"):
-        for _, h in flowmap._steps(t, 0.01):
-            want, got = python(*want, h), compiled(*got, h)
-            assert all(map(_same, want, got)), h
-    if HAVE_CC:
-        assert _native._KERNELS[shapes, False] is not None
+    want = _python_plan(_rk4_factory(shapes, "tangent", False)(*coeffs), x, y, t, 0.01)
+    code, got = _plan(_native_arrays._kernel(shapes, False), coeffs, x, y, t, 0.01)
+    if all(np.isfinite(v).all() for v in want):
+        assert code == 0 and all(map(_same, want, got))
+    else:
+        assert code == 1 + len(list(flowmap._steps(t, 0.01)))
 
 
 @pytest.mark.parametrize("k", range(5))
 def test_compiled_tangent_leaves_its_inputs_alone(k):
-    """The state as ``cauchy_green`` passes it, one array of ones as F11 and
-    F22 and one of zeros as F12 and F21, keeps its bits through a step."""
+    """The nodes as ``cauchy_green`` passes them keep their bits through a
+    plan."""
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     x, y = np.meshgrid(np.linspace(x0, x1, 5), np.linspace(y0, y1, 3))
-    state = (x, y, np.ones(x.shape), np.zeros(x.shape))
-    before = [v.tobytes() for v in state]
-    f._rk4("tangent")(x, y, state[2], state[3], state[3], state[2], -0.01)
-    assert [v.tobytes() for v in state] == before
+    before = [x.tobytes(), y.tobytes()]
+    grad = f._rk4("plan")(x, y, 4, -0.01, -0.0037)
+    assert [x.tobytes(), y.tobytes()] == before
     if HAVE_CC:
+        assert grad is not None
         assert _native._KERNELS[_field_terms(_polys(f))[0], f.is_saddle] is not None
 
 
@@ -195,7 +211,7 @@ def test_tangent_runs_the_step_statements(p, q, saddle):
     assert tangent == _STEP_SIZES + _rk4_lines(shapes, "_check_domain({y})" if saddle else None)
     assert _in_order(step, tangent)
     guard = f"bad |= !(fabs({{y}}) < {SADDLE_Y_BOUND!r})" if saddle else None
-    c_lines = [line.strip()[:-1] for line in _native_arrays._c_tangent(shapes, saddle).splitlines()]
+    c_lines = [line.strip()[:-1] for line in _native_arrays._c_plan(shapes, saddle).splitlines()]
     assert _in_order(_STEP_SIZES + _rk4_lines(shapes, guard), c_lines)
 
 
@@ -212,6 +228,94 @@ def test_ftle_field_bytes_equal_on_both_paths(monkeypatch, k):
               for t in (-0.05, 0.0437) for threads in (1, 2)]
     assert compiled == python
     assert compiled[0] == compiled[1] and compiled[2] == compiled[3]
+
+
+#: The four fields of the plan bits test on their boxes: cubic, quadratic,
+#: transformed and saddle.
+_PLAN_FIELDS = _fields_and_boxes()[:4]
+
+
+def _ftle_bytes(k, side, t, threads, step=1e-3) -> bytes:
+    f, (x0, x1, y0, y1) = _PLAN_FIELDS[k]
+    grid = Grid2D(x0, x1, side, y0, y1, side)
+    return ftle_field(f, grid, t, None, IntegratorConfig(step=step), threads).values.tobytes()
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_plan_bytes_equal_the_python_path_on_the_grids(monkeypatch, k):
+    """Each field's 41 x 41 and 101 x 101 grids at t = -0.05 and 0.0437 and
+    threads 1 and 2 (eight of the 32 cases), then plans with no full step
+    (|t| < step) and with no partial step (r == 0) in each time direction:
+    the compiled plan gives the bytes of the generated Python tangent."""
+    cases = [(side, t, threads, 1e-3) for side in (41, 101) for t in (-0.05, 0.0437)
+             for threads in (1, 2)]
+    cases += [(21, t, 1, 0.01) for t in (0.0041, -0.0063, 0.05, -0.05)]
+    assert [flowmap._step_plan(t, step) for *_, t, _, step in [(0, *c) for c in cases[-4:]]] == [
+        (0, 0.0041), (0, 0.0063), (5, 0.0), (5, 0.0)]
+    compiled = [_ftle_bytes(k, *case) for case in cases]
+    _python_only(monkeypatch)
+    assert compiled == [_ftle_bytes(k, *case) for case in cases]
+
+
+def _cli_outcome(argv, tmp_path, capsys) -> tuple:
+    """``run_command``'s exit code, stderr and output files."""
+    out = tmp_path / "out.csv"
+    with np.errstate(over="ignore", invalid="ignore"):  # the command line ignores these warnings
+        code = cli.run_command([*argv, "--out", str(out)])
+    return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["--field", "expr:x^3;y^3", "--grid", "0.5:1.5:21,0.5:1.5:21", "--time", "5"],
+     "error: trajectory became non-finite\n"),
+    (["--field", "saddle", "--grid", "-1:1:21,-0.9:0.9:21", "--time", "-25", "--step", "0.05"],
+     "error: saddle field is only defined for |y| < 1\n"),
+])
+def test_ftle_errors_exit_2_on_both_paths(monkeypatch, tmp_path, capsys, argv, text):
+    """A grid that blows up, and a saddle grid that leaves the strip: exit 2
+    with the Python path's text, whether the plan ran compiled or not."""
+    compiled = _cli_outcome(["ftle", *argv], tmp_path, capsys)
+    _python_only(monkeypatch)
+    assert _cli_outcome(["ftle", *argv], tmp_path, capsys) == compiled == (2, text, None)
+
+
+def test_blow_up_in_the_first_block_and_the_strip_left_in_a_later_one(monkeypatch):
+    """A saddle grid whose first rows (the first block) overflow in x after
+    about 55 steps and whose last rows start outside the strip: the kernel
+    stops at its first check, in the first block, and the Python plan, which
+    steps every node together, raises the guard's error at the first step,
+    on both paths."""
+    f = VectorField2D.saddle()
+    grid = Grid2D(1e308, 1.7e308, 41, 0.0, 1.5, 41)
+    if HAVE_CC:
+        shapes, coeffs = _field_terms(_polys(f))
+        y, x = np.meshgrid(grid.ys(), grid.xs(), indexing="ij")
+        assert np.count_nonzero(y < 1.0) > _native_arrays._PLAN_BLOCK_NODES and y.max() >= 1.0
+        code = _plan(_native_arrays._kernel(shapes, True), coeffs, x, y, 0.1, CFG.step)[0]
+        assert code == 1 + flowmap._FINITE_CHECK_STEPS
+    texts = []
+    for python_only in (False, True):
+        if python_only:
+            _python_only(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError) as exc:
+            ftle_field(f, grid, 0.1, None, CFG)
+        texts.append(str(exc.value))
+    assert texts == ["saddle field is only defined for |y| < 1"] * 2
+
+
+@needs_cc
+def test_loaded_libraries_keep_subnormal_arithmetic():
+    """A library linked to flush subnormals to zero would turn that on for
+    the whole process: after the march, plan and text libraries load,
+    subnormal arithmetic still works."""
+    f = _cubic()
+    assert f._rk4("march") is not _rk4_factory(_field_terms((f.p, f.q))[0], "march", False)
+    assert _native._march_kernel(_field_terms((f.p, f.q))[0], False) is not None
+    assert _native_arrays._kernel(_field_terms(_polys(f))[0], False) is not None
+    assert _native_arrays._library() is not None
+    assert np.float64(5e-324) * 1.0 != 0.0
+    assert math.ulp(0.0) * 2.0 == 1e-323
+    assert np.array([5e-324]) * 3.0 == np.array([1.5e-323])
 
 
 def test_saddle_guard_exit_has_one_text_on_both_paths(monkeypatch):
@@ -231,13 +335,14 @@ def test_saddle_guard_exit_has_one_text_on_both_paths(monkeypatch):
 
 @needs_cc
 def test_saddle_kernel_refuses_what_the_guard_refuses():
+    """One step of length 0: the kernel stops after it (code 2) exactly where
+    a stage's y fails the guard."""
     shapes, coeffs = _field_terms(_polys(VectorField2D.saddle()))
     kernel = _native_arrays._kernel(shapes, True)
-    c, one, zero = np.array(coeffs + [0.0]), np.ones(2), np.zeros(2)
-    for y, code in ((1.0, 1), (-1.0, 1), (np.nan, 1), (SADDLE_Y_BOUND, 1), (-np.inf, 1),
+    c = np.array(coeffs + [0.0])
+    for y, code in ((1.0, 2), (-1.0, 2), (np.nan, 2), (SADDLE_Y_BOUND, 2), (-np.inf, 2),
                     (np.nextafter(SADDLE_Y_BOUND, 0.0), 0), (0.5, 0)):
-        got = _native_arrays._run(kernel, c, np.zeros(2), np.array([0.0, y]), one, zero, zero, one,
-                           0.0)
+        got = _native_arrays._run(kernel, c, np.zeros(2), np.array([0.0, y]), 1, 0.0, 0.0)
         assert got[0] == code, y
 
 
@@ -245,8 +350,8 @@ def test_saddle_kernel_refuses_what_the_guard_refuses():
 @pytest.mark.parametrize("at", [0, 18, 36])
 def test_saddle_refuses_from_any_node(monkeypatch, at, bad):
     """One y outside the strip, or NaN, at the first, a middle or the last
-    of 37 nodes, more than a vector holds: the kernel returns 1, and the
-    FTLE of those nodes (one block of ``ftle_field``) raises the guard's
+    of 37 nodes, more than a vector holds: the kernel stops after the first
+    step, and the FTLE of those nodes (one block of ``ftle_field``) raises the guard's
     text on both paths, as does ``ftle_field`` on grids whose first row is
     outside or whose last row leaves the strip at a stage."""
     f = VectorField2D.saddle()
@@ -254,10 +359,9 @@ def test_saddle_refuses_from_any_node(monkeypatch, at, bad):
     ys[at] = bad
     if HAVE_CC:
         shapes, coeffs = _field_terms(_polys(f))
-        state = (xs, ys, *_identity(xs.shape))
         got = _native_arrays._run(_native_arrays._kernel(shapes, True), np.array(coeffs + [0.0]),
-                                  *state, -0.01)
-        assert got[0] == 1
+                                  xs, ys, 5, -0.01, 0.0)
+        assert got[0] == 2
     grids = [Grid2D(-0.5, 0.5, 37, -1.0, 0.5, 3),
              Grid2D(-0.5, 0.5, 37, -0.5, np.nextafter(SADDLE_Y_BOUND, 0.0), 3)]
     for python_only in (False, True):
@@ -302,10 +406,11 @@ def test_probe_refuses_contracted_kernels(monkeypatch, tmp_path):
 @needs_x86_64_cc
 @pytest.mark.parametrize("march", ["x86-64-v4", "x86-64-v3", "default"])
 def test_each_clone_gives_the_python_bits(monkeypatch, tmp_path, march):
-    """The tangent source without its clones attribute, built for one
-    clone's target (one the CPU runs, by numpy's table), gives the Python
-    tangent's bits on every field at node counts that run vector bodies and
-    remainders, on 1-D and 2-D arrays with non-finite entries."""
+    """The plan source without its clones attribute, built for one clone's
+    target (one the CPU runs, by numpy's table), gives the Python tangent's
+    bits on every field at node counts that run vector bodies and
+    remainders, in one block or several, on 1-D and 2-D arrays, in both
+    time directions, and stops where a node's x is not finite."""
     level = {"x86-64-v4": "X86_V4", "x86-64-v3": "X86_V3"}.get(march)
     if level and not _cpu_features().get(level):
         pytest.skip(f"this CPU does not run {march}")
@@ -313,26 +418,28 @@ def test_each_clone_gives_the_python_bits(monkeypatch, tmp_path, march):
     rng = np.random.default_rng(22)
     for f, _ in _fields_and_boxes():
         shapes, coeffs = _field_terms(_polys(f))
-        source = _native_arrays._c_tangent(shapes, f.is_saddle).replace(_native_arrays._CLONES, "")
-        kernel = _native._load("tangent", source, _native_arrays._TANGENT_TYPES,
-                               lambda kernel: True)
-        python, c = _python_tangent(f), np.array(coeffs + [0.0])
-        for shape in [(1,), (7,), (9,), (17,), (37,), (1, 7), (3, 3), (17, 1), (1, 37)]:
-            state = [rng.uniform(-0.9, 0.9, shape) for _ in range(6)]
-            for k, v in enumerate(state):  # the saddle's y stays inside its strip
-                if not (f.is_saddle and k == 1):
-                    v.flat[5 * k % v.size] = (np.inf, -np.inf, np.nan)[k % 3]
-            for h in (0.01, -0.0041):
-                code, got = _native_arrays._run(kernel, c, *state, h)
-                with np.errstate(all="ignore"):
-                    want = python(*state, h)
-                assert code == 0 and all(map(_same, want, got)), (shape, h)
+        source = _native_arrays._c_plan(shapes, f.is_saddle).replace(_native_arrays._CLONES, "")
+        kernel, = _native._load("plan", source, _native_arrays._PLAN_TYPES, lambda kernel: True)
+        python = _python_tangent(f)
+        for shape in [(1,), (7,), (9,), (17,), (37,), (1, 7), (3, 3), (17, 1), (1, 37), (2, 300)]:
+            x, y = rng.uniform(-0.9, 0.9, shape), rng.uniform(-0.9, 0.9, shape)
+            for t in (0.0341, -0.0259):
+                code, got = _plan(kernel, coeffs, x, y, t, 0.01)
+                assert code == 0 and all(map(_same, _python_plan(python, x, y, t, 0.01), got))
+            for bad in (np.inf, np.nan):
+                x_bad = x.copy()
+                x_bad.flat[x.size // 2] = bad
+                assert _plan(kernel, coeffs, x_bad, y, 0.0341, 0.01)[0] == 1 + 4, (shape, bad)
 
 
 def test_blow_up_stops_stepping_soon_on_the_python_step(monkeypatch):
-    """``test_blow_up_stops_stepping_soon``'s grid, with the compiled step off."""
-    _python_only(monkeypatch)
+    """``test_blow_up_stops_stepping_soon``'s grid, with the compiled plan
+    off; and the compiled plan stops within ``_FINITE_CHECK_STEPS`` steps
+    of the first non-finite state too."""
     f = VectorField2D(parse_polynomial("x^2"), Poly2())
+    shapes, coeffs = _field_terms(_polys(f))
+    kernel = _native_arrays._kernel(shapes, False)
+    _python_only(monkeypatch)
     finite, tangent = [], f._rk4("tangent")
 
     def counted(*args):
@@ -344,24 +451,33 @@ def test_blow_up_stops_stepping_soon_on_the_python_step(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="^trajectory became non-finite$"):
         ftle_field(f, Grid2D(0.0, 10.0, 3, -1.0, 1.0, 3), 10.0, None, CFG)
-    assert 0 < finite.index(False) < len(finite) <= finite.index(False) + 64
+    first = finite.index(False)  # steps 1 .. first ran finite
+    assert 0 < first < len(finite) <= first + flowmap._FINITE_CHECK_STEPS
+    if HAVE_CC:
+        y, x = np.meshgrid(np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 10.0, 3), indexing="ij")
+        ran = _plan(kernel, coeffs, x, y, 10.0, CFG.step)[0] - 1
+        assert first < ran <= first + flowmap._FINITE_CHECK_STEPS
+        assert ran == len(finite)
 
 
-def test_calls_the_kernel_cannot_take_run_python():
-    """Floats, float32, non-contiguous and read-only arrays, empty arrays,
-    mismatched shapes and a numpy step all give the Python tangent's bits."""
-    f = _cubic()
-    python, tangent = _python_tangent(f), f._rk4("tangent")
+def test_calls_the_kernel_cannot_take_run_python(monkeypatch):
+    """Float32, non-contiguous and read-only arrays, empty arrays and
+    mismatched shapes are not plans the kernel takes, and ``cauchy_green``
+    gives the Python tangent's bits on them, as on floats."""
     x, y = np.linspace(0.1, 0.9, 6).reshape(2, 3), np.linspace(0.2, 0.7, 6).reshape(2, 3)
-    grad = _identity(x.shape)
     frozen = x.copy()
     frozen.flags.writeable = False
-    calls = [(0.5, 0.25, 1.0, 0.0, 0.0, 1.0, 0.01), (x, y, *grad, np.float64(0.01)),
-             (x.astype(np.float32), y, *grad, 0.01), (x.T, y.T, *_identity(x.T.shape), 0.01),
-             (frozen, y, *grad, 0.01), (x[:, :0], y[:, :0], *(v[:, :0] for v in grad), 0.01),
-             (x, y, *(v[0] for v in grad), 0.01), (x, y, *grad, 0.01)]
-    for call in calls:
-        assert all(map(_same, python(*call), tangent(*call)))
+    refused = [(x.astype(np.float32), y), (x.T, y.T), (frozen, y), (x[:, :0], y[:, :0]),
+               (x, y[0]), (list(x), y)]
+    plan = _cubic()._rk4("plan")
+    assert all(plan(*call, 23, -1e-3, -7e-4) is None for call in refused)
+    assert (plan(x, y, 23, -1e-3, -7e-4) is None) is not HAVE_CC
+    calls = [(0.5, 0.25), *refused[:-1]]
+    compiled = [cauchy_green(_cubic(), call, -0.0237, CFG) for call in calls]
+    _python_only(monkeypatch)
+    for call, got in zip(calls, compiled):
+        want = cauchy_green(_cubic(), call, -0.0237, CFG)
+        assert all(map(_same, want._fields(), got._fields()))
 
 
 # -- fallbacks and the cache ------------------------------------------------------------
@@ -374,15 +490,15 @@ def test_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
     want = ftle_field(_cubic(), _GRID, -0.05, None, CFG).values.tobytes()
     monkeypatch.setattr(_native, "_KERNELS", {})
     monkeypatch.setattr(_native, "_CACHE", tmp_path)
-    c_tangent, probe, probed = _native_arrays._c_tangent, _native_arrays._probe, []
+    c_plan, probe, probed = _native_arrays._c_plan, _native_arrays._probe, []
     if fault == "too long":
         monkeypatch.setattr(_native, "_MAX_SOURCE_BYTES", 100)
     elif fault == "no compiler":
         monkeypatch.setattr(_native, "_COMPILE", ("ilekoop-no-such-cc", *_native._COMPILE[1:]))
     elif fault == "build fails":
-        monkeypatch.setattr(_native_arrays, "_c_tangent", lambda shapes, saddle: "not C\n")
+        monkeypatch.setattr(_native_arrays, "_c_plan", lambda shapes, saddle: "not C\n")
     else:  # a kernel that builds but divides by 6 a little wrongly
-        monkeypatch.setattr(_native_arrays, "_c_tangent", lambda shapes, saddle: c_tangent(
+        monkeypatch.setattr(_native_arrays, "_c_plan", lambda shapes, saddle: c_plan(
             shapes, saddle).replace("h / 6.0", "h / 6.000000001"))
     monkeypatch.setattr(_native_arrays, "_probe",
                         lambda *args: probed.append(probe(*args)) or probed[-1])
@@ -402,7 +518,7 @@ def test_cached_kernel_loads_without_a_compiler(monkeypatch, tmp_path, bytecode)
     monkeypatch.setattr(_native, "_KERNELS", {})
     assert _native_arrays._kernel(shapes, False) is not None
     cached = list((tmp_path / "cache").iterdir())
-    assert len(cached) == 1 and cached[0].name.startswith("tangent-") and cached[0].suffix == ".so"
+    assert len(cached) == 1 and cached[0].name.startswith("plan-") and cached[0].suffix == ".so"
     os.utime(cached[0], ns=(0, 0))
     monkeypatch.setattr(_native, "_KERNELS", {})
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
@@ -430,17 +546,16 @@ def test_private_builds_leave_nothing_behind(monkeypatch, tmp_path):
 
 @needs_cc
 def test_ftle_field_runs_the_compiled_step(monkeypatch):
-    """With a compiler on PATH, no array call of ``ftle_field`` may reach the
-    generated Python tangent: a broken build must not quietly cost the gain."""
-    array_tangent = _native_arrays.array_tangent
+    """With a compiler on PATH, no array call of ``ftle_field`` may reach
+    ``flowmap._advance``: a broken build must not quietly cost the gain."""
+    advance = flowmap._advance
 
-    def python_refused(shapes, coeffs, saddle, python):
-        def refused(*call):
+    def python_refused(rk4, t, step, x, *state):
+        if isinstance(x, np.ndarray):
             pytest.fail("an array call ran the Python tangent")
+        return advance(rk4, t, step, x, *state)
 
-        return array_tangent(shapes, coeffs, saddle, refused)
-
-    monkeypatch.setattr(_native_arrays, "array_tangent", python_refused)
+    monkeypatch.setattr(flowmap, "_advance", python_refused)
     for f, (x0, x1, y0, y1) in _fields_and_boxes():
         ftle_field(f, Grid2D(x0, x1, 21, y0, y1, 21), -0.05, None, CFG)
 
@@ -597,13 +712,16 @@ def test_march_fallback_gives_the_same_values(monkeypatch, tmp_path, fault):
     assert probed == ([False, False] if fault == "probe mismatch" and HAVE_CC else [])
 
 
-# -- the CSV formatter ------------------------------------------------------------------
+# -- the text library ------------------------------------------------------------------
 
 def _formatted(values) -> list:
-    """The compiled formatter's text of each value, through a one-row grid."""
+    """The text library's text of each value, through a one-row grid on axes
+    of zeros, which its axis texts of the same values must equal."""
     values = np.array(values, dtype=np.float64).reshape(1, -1)
-    blocks = _native_arrays.csv_blocks(values, ["x"] * values.size, ["y"])
-    return [line.removeprefix("x,y,") for line in "".join(blocks).splitlines()]
+    blocks = _native_arrays.csv_blocks(values, np.zeros(values.size), np.zeros(1))
+    texts = [line.removeprefix("0,0,") for line in "".join(blocks).splitlines()]
+    assert _native_arrays.axis_texts(values.ravel()) == texts
+    return texts
 
 
 @needs_cc
@@ -640,56 +758,93 @@ def test_formatter_on_many_doubles():
     assert _formatted([np.inf, -np.inf, np.nan, -np.nan]) == ["inf", "-inf", "nan", "nan"]
 
 
-def _template_csv(f) -> str:
-    """``write_csv`` with no formatter: the one-``%``-per-row writer."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native_arrays, "csv_blocks", lambda *args: None)
-        return _csv(f)
-
-
-def _csv(f) -> str:
+def _written(writer, f) -> str:
     out = io.StringIO()
-    strain.write_csv(f, out)
+    writer(f, out)
     return out.getvalue()
+
+
+def _writers(f) -> tuple:
+    """``axis_text``, ``write_csv`` and ``write_pgm`` of the field ``f``."""
+    return strain.axis_text(f.grid), _written(strain.write_csv, f), _written(strain.write_pgm, f)
+
+
+def _python_writers(f) -> tuple:
+    """:func:`_writers` with no text library: the Python writers."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native_arrays, "_library", lambda: None)
+        return _writers(f)
 
 
 _ANY_DOUBLE = st.floats(allow_nan=False, allow_infinity=False)
 _SLOW_PATH = st.sampled_from([5e-324, -2.5e-310, 1e-300, -3e-7, 1e39, -1.7976931348623157e308])
 
 
+#: Value strategies of the writer test: any doubles (those of the snprintf
+#: path among them), a constant field (PGM scale 0), values below 1e-289
+#: (scaled by 2^600 for the PGM) and fields whose span overflows (halved).
+_FIELD_VALUES = {
+    "any": lambda n: st.lists(_ANY_DOUBLE | _SLOW_PATH, min_size=n, max_size=n),
+    "constant": lambda n: _ANY_DOUBLE.map(lambda v: [v] * n),
+    "tiny": lambda n: st.lists(st.floats(-1e-295, 1e-295), min_size=n, max_size=n),
+    "overflow": lambda n: st.lists(_ANY_DOUBLE, min_size=n - 2, max_size=n - 2).map(
+        lambda v: [-1.7976931348623157e308, *v, 1.5e308]),
+}
+
+
 @needs_cc
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(2, 9), ny=st.integers(2, 9), data=st.data(),
+       kind=st.sampled_from(sorted(_FIELD_VALUES)),
        box=st.sampled_from([(0.1, 0.9, -0.5, 0.5), (-1.2345678901234567e-300, -1.1e-300,
                                                      1.0000000000000002e300, 1.5e300)]))
-def test_compiled_csv_equals_the_template_writer(nx, ny, data, box):
-    """Random fields, values of the snprintf path (subnormal, below 1e-6,
-    above 1e38) among them, on grids with 24-character axis texts, with
-    blocks of one row, a few rows, or the whole grid."""
-    values = data.draw(st.lists(_ANY_DOUBLE | _SLOW_PATH, min_size=nx * ny, max_size=nx * ny))
+def test_compiled_csv_equals_the_template_writer(nx, ny, data, kind, box):
+    """Random fields on grids with 24-character axis texts: ``axis_text``,
+    ``write_csv`` (with blocks of one row, a few rows, or the whole grid)
+    and ``write_pgm`` give the Python writers' bytes."""
+    values = data.draw(_FIELD_VALUES[kind](nx * ny))
     f = ScalarField(Grid2D(box[0], box[1], nx, box[2], box[3], ny),
                     np.array(values).reshape(ny, nx))
-    want = _template_csv(f)
+    want = _python_writers(f)
     for budget in (1, 150 * nx, _native_arrays._CSV_BLOCK_BYTES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_native_arrays, "_CSV_BLOCK_BYTES", budget)
-            assert _csv(f) == want
-    assert _native._KERNELS["csv"] is not None
+            assert _writers(f) == want
+    assert _native._KERNELS["text"] is not None
+
+
+@needs_cc
+@pytest.mark.parametrize("values", [
+    np.arange(256.0).reshape(16, 16),  # every level once
+    np.arange(256.0).reshape(8, 32)[::-1] * -1e-3,  # every level, the rows reversed
+    np.array([[0.0, 1.0], [2.0, 3.0]]),
+    np.full((3, 4), -2.5),  # scale 0
+    np.array([[1e-300, -2e-300], [3e-301, 0.0]]),  # 255 / span overflows: scaled by 2^600
+    np.array([[-1.7976931348623157e308, 0.0], [1.0, 1.7976931348623157e308]]),  # halved
+])
+def test_text_library_writes_the_python_bytes(values):
+    """``axis_text``, ``write_csv`` and ``write_pgm`` on fixed fields: the
+    Python writers' bytes."""
+    ny, nx = values.shape
+    f = ScalarField(Grid2D(-1.0, 2.0 / 3.0, nx, 0.1, 0.7, ny), values)
+    assert _writers(f) == _python_writers(f)
+    if nx == 16:
+        assert set(_written(strain.write_pgm, f).split()[4:]) == set(map(str, range(256)))
 
 
 @needs_cc
 @pytest.mark.parametrize("ny", [1, 6, 7, 8])
 def test_csv_blocks_straddle_rows(monkeypatch, ny):
-    """Three rows of 300-character axis texts per block: the last block is
-    full, short or one row; a row longer than the budget is one block."""
-    xt, yt = ["1" * 300, "-2" * 150], [f"{k}" * 300 for k in range(ny)]
+    """Three rows per block: the last block is full, short or one row; a row
+    longer than the budget is one block."""
+    xs, ys = np.array([0.5, -0.25]), np.arange(ny) + 0.125
     values = np.linspace(-1.0, 1.0, 2 * ny).reshape(ny, 2)
-    want = [f"{x},{y},{format_float(v)}\n" for y, row in zip(yt, values.tolist())
-            for x, v in zip(xt, row)]
-    row = 600 + 2 + 2 * (301 + _native_arrays._VALUE_BYTES + 1)
-    for budget, rows in ((3 * row, 3), (100, 1)):
+    want = [f"{format_float(x)},{format_float(y)},{format_float(v)}\n"
+            for y, row in zip(ys.tolist(), values.tolist()) for x, v in zip(xs.tolist(), row)]
+    row = len("0.5,-0.25,") + 2 * (len("0.125,") + _native_arrays._VALUE_BYTES + 1)
+    for budget, rows in ((3 * row, 3), (row - 1, 1)):
         monkeypatch.setattr(_native_arrays, "_CSV_BLOCK_BYTES", budget)
-        blocks = list(_native_arrays.csv_blocks(values, xt, yt))
+        blocks = list(_native_arrays.csv_blocks(values, xs, ys))
         assert "".join(blocks) == "".join(want)
         assert [b.count("\n") for b in blocks] == [2 * min(rows, ny - r) for r in range(0, ny, rows)]
 
@@ -700,26 +855,26 @@ def test_csv_blocks_refuse_values_that_do_not_match_the_texts():
     never reaches it."""
     for values in (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(4)):
         with pytest.raises(ValueError, match="^values do not match the axis texts$"):
-            list(_native_arrays.csv_blocks(values, ["a", "b"], ["c", "d"]))
+            list(_native_arrays.csv_blocks(values, np.zeros(2), np.zeros(2)))
 
 
 @pytest.mark.parametrize("fault", ["no compiler", "probe fails"])
 def test_csv_fallback_gives_the_same_bytes(monkeypatch, tmp_path, fault):
-    """No compiler, or a formatter that rounds ties up: the template writer's
-    bytes, and no library loaded."""
+    """No compiler, or a formatter that rounds ties up: the Python writers'
+    axis texts, CSV and PGM bytes, and no library loaded."""
     f = ScalarField(Grid2D(0.1, 0.9, 9, -0.5, 0.5, 7),
                     np.linspace(-2.0, 3.0, 63).reshape(7, 9) ** 3 * 1e-3)
-    want = _template_csv(f)
+    want = _python_writers(f)
     monkeypatch.setattr(_native, "_KERNELS", {})
     monkeypatch.setattr(_native, "_CACHE", tmp_path)
-    probe, probed = _native_arrays._probe_csv, []
+    probe, probed = _native_arrays._probe_text, []
     if fault == "no compiler":
         monkeypatch.setattr(_native, "_COMPILE", ("ilekoop-no-such-cc", *_native._COMPILE[1:]))
     else:
-        assert _native_arrays._C_CSV.count("(q & 1)") == 1
-        monkeypatch.setattr(_native_arrays, "_C_CSV", _native_arrays._C_CSV.replace("(q & 1)", "1"))
-    monkeypatch.setattr(_native_arrays, "_probe_csv", lambda kernel: probed.append(probe(kernel))
+        assert _native_arrays._C_TEXT.count("(q & 1)") == 1
+        monkeypatch.setattr(_native_arrays, "_C_TEXT", _native_arrays._C_TEXT.replace("(q & 1)", "1"))
+    monkeypatch.setattr(_native_arrays, "_probe_text", lambda *lib: probed.append(probe(*lib))
                         or probed[-1])
-    assert _csv(f) == want
-    assert _native._KERNELS == {"csv": None}
+    assert _writers(f) == want
+    assert _native._KERNELS == {"text": None}
     assert probed == ([False] if fault == "probe fails" and HAVE_CC else [])

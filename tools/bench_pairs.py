@@ -22,7 +22,11 @@ parent's interquartile range; the same summary of each request family's
 carried a change; per side, the least-squares line of ``peak_rss_mb``
 against the pass count (the bench keeps every request's latency, so its peak
 memory grows with the passes a run fits in, and a faster side reads more);
-and the count of pairs whose output digests are equal.  Nothing in either tree is changed except
+and the count of pairs whose output digests are equal.  Each traced run's
+record adds ``busy_share``: every ``*.busy_ms`` layer as a share of that
+run's median traced pass wall time, so host drift that slows every layer
+together leaves the shares unchanged while a layer the change moved shifts
+its own.  Nothing in either tree is changed except
 ``bench/results/``, which the bench itself writes.  The file is rewritten
 after every pair, so a run cut short keeps the pairs it finished.
 """
@@ -115,6 +119,14 @@ def rss_fit(pairs: list[dict]) -> dict:
     return fit
 
 
+def busy_shares(record: dict) -> dict:
+    """Each ``*.busy_ms`` layer metric of a traced run's ``record`` divided
+    by the median of its ``traced_pass_walls_s`` (both per pass)."""
+    pass_ms = 1e3 * statistics.median(record["traced_pass_walls_s"])
+    return {name: m["value"] / pass_ms for name, m in record["result"]["metrics"].items()
+            if name.endswith(".busy_ms")}
+
+
 def _seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -173,7 +185,8 @@ def main(argv=None) -> int:
             record = run_bench(trees[side], workload, 1, seconds, 1)
             out["traced_seed1"].setdefault(workload, {})[side] = {
                 "correct": record["result"]["correct"], "output_sha256": record["output_sha256"],
-                **{name: m["value"] for name, m in record["result"]["metrics"].items()}}
+                **{name: m["value"] for name, m in record["result"]["metrics"].items()},
+                "busy_share": busy_shares(record)}
         save(args.out, out)
     return 0
 
