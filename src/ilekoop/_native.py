@@ -1,8 +1,9 @@
 """Compiled kernels: the build, cache, load and probe path, the C emitter, and
 the pullback march.
 
-A kernel is one C function, built once per source with the system
-compiler, ``cc -O3 -fPIC -shared -ffp-contract=off`` (no contraction, no
+A kernel library is one C source of one or more functions (the text
+library has three), built once per source with the system compiler,
+``cc -O3 -fPIC -shared -ffp-contract=off`` (no contraction, no
 reassociation: the bits of the Python code it replaces), cached in
 ``ilekoop/__pycache__/`` (at most ``_CACHE_LIBRARIES``, the least recently
 loaded pruned first; a private temporary directory where the cache cannot be
@@ -57,7 +58,7 @@ _MAX_SOURCE_BYTES = 45056
 _CACHE = Path(__file__).resolve().parent / "__pycache__"
 
 #: The most libraries the cache keeps; publishing one more deletes the least
-#: recently loaded.  A tangent plan kernel takes about 16 KB.
+#: recently loaded.  A family's tangent plan kernel takes 36-64 KB.
 _CACHE_LIBRARIES = 64
 
 # key -> the probed kernels, None where none could be had: (shapes, saddle) for

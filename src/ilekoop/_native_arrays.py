@@ -40,8 +40,8 @@ from .vectorfield import _BOUND, _STEP_SIZES, _rk4_factory, _rk4_lines
 #: The tangent kernel's clones on x86-64, where the compiler has the attribute.
 _CLONES = '__attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))'
 
-#: Nodes per block of the plan kernel: six doubles a node, 12 KB a block, so
-#: a block's state stays in a 32 KB L1 data cache.  The plan is bound by its
+#: Nodes per block of the plan kernel: six doubles a node, 12 KB a block,
+#: which an L1 data cache of 32 KB or more holds.  The plan is bound by its
 #: arithmetic: blocks of 32 to 4,096 nodes all ran a cubic 101x101 plan of 50
 #: steps in 5.3-5.5 ms (2 vCPUs, medians of 25 interleaved).
 _PLAN_BLOCK_NODES = 256
@@ -510,7 +510,8 @@ def _probe_text(*lib) -> bool:
     values = np.array(_FORMAT_PROBE).reshape(2, -1)
     xs, ys = values[1], values[:, 0]
     want = "".join(f"{format_float(x)},{format_float(y)},{format_float(v)}\n"
-                   for y, row in zip(ys.tolist(), values.tolist()) for x, v in zip(xs.tolist(), row))
+                   for y, row in zip(ys.tolist(), values.tolist())
+                   for x, v in zip(xs.tolist(), row))
     pixels = np.arange(256).reshape(8, 32)
     rows = "".join(" ".join(map(str, row)) + "\n" for row in pixels[::-1].tolist())
     return ("".join(_blocks(lib, values, xs, ys)) == want

@@ -67,7 +67,8 @@ def test_busy_layers_become_shares_of_the_traced_pass():
                    "strain.write_csv.busy_ms": 120.0 * scale,
                    "flowmap.ftle_field.nodes": 301150.0, "trace.overhead_ratio": 1.02}
         return {"traced_pass_walls_s": [0.62 * scale, 0.6 * scale, 0.9 * scale],
-                "result": {"metrics": {name: {"value": v, "unit": "ms"} for name, v in metrics.items()}}}
+                "result": {"metrics": {name: {"value": v, "unit": "ms"}
+                                       for name, v in metrics.items()}}}
 
     shares = bench_pairs.busy_shares(record(1.0))
     assert shares == {"flowmap.ftle_field.busy_ms": 180.0 / 620.0,
