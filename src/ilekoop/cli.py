@@ -49,12 +49,15 @@ def run_command(argv) -> int:
         return 2
 
 
+#: argparse's negative-number test, widened: values like "-1:1:5,-0.5:0.5:5"
+#: or "-1,0" start with a dash and must read as option values, not flags.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Values like "-1:1:5,-0.5:0.5:5" or "-1,0" start with a dash; widen
-        # the negative-number test so they read as option values, not flags.
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)
@@ -352,106 +355,79 @@ def _cmd_oned(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Parser wiring
+# The command table: every subcommand and flag, declared once
 # ---------------------------------------------------------------------------
+
+_FIELD = ("--field", dict(required=True,
+                          help="'saddle', 'expr:P;Q', a field JSON path, or '-' for stdin"))
+_LAMBDA = ("--lambda", dict(dest="lam", type=_finite, required=True))
+_NUMBER = dict(type=_finite, required=True)
+_OUT = ("--out", dict(required=True))
+_PGM = ("--pgm", {})
+_STEP = ("--step", dict(type=_finite, default=1e-3))
+_THREADS = ("--threads", dict(type=_positive_int, default=1))
+
+#: Every subcommand, in the parser's order: its name (a family's as
+#: "family NAME") -> (handler, help, options).  A None handler marks a group,
+#: whose subcommands follow it.  Each option is ``add_argument``'s flag and
+#: keywords, which both ``_parser`` and ``_read`` read.
+_COMMANDS = {
+    "ile": (_cmd_ile, "sample an instantaneous rate field", [
+        _FIELD, ("--grid", dict(required=True, help="xmin:xmax:nx,ymin:ymax:ny")),
+        ("--rate", dict(choices=["s1", "s2"], default="s1")), _OUT, _PGM,
+        ("--extract", dict(choices=["ridge", "trench"])),
+        ("--grad-tol", dict(type=_finite, default=None)),
+        ("--curv-tol", dict(type=_finite, default=1e-6)), _THREADS]),
+    "ftle": (_cmd_ftle, "sample a finite-time stretching field", [
+        _FIELD, ("--time", dict(type=float, required=True)), _STEP,
+        ("--delta", dict(type=_finite, default=1e-5,
+                         help="no effect: accepted for old command lines, removed soon")),
+        ("--grid", dict(required=True)), _OUT, _PGM, _THREADS]),
+    "keig-check": (_cmd_keig_check, "residual report for a trial eigenpair", [
+        _FIELD, ("--g", dict(required=True, help="observable expression in x, y")), _LAMBDA,
+        ("--samples", dict(type=_positive_int, default=100)),
+        ("--exact", dict(action="store_true", help="report residual coefficients")),
+        ("--box", dict(default="-1:1,-1:1", help="sample box xmin:xmax,ymin:ymax"))]),
+    "pullback": (_cmd_pullback, "evaluate a pullback eigenfunction at points", [
+        _FIELD, ("--line", dict(required=True, help="x0,y0,dx,dy")),
+        ("--h", dict(required=True, help="data function: constant or expression in s")), _LAMBDA,
+        ("--points", dict(required=True, help="file of x,y lines")), _OUT, _STEP,
+        ("--tmax", dict(type=float, default=50.0))]),
+    "family": (None, "emit a family field as JSON", []),
+    "family quadratic": (_cmd_family, None, [_LAMBDA, ("--a20", _NUMBER)]),
+    "family cubic": (_cmd_family, None,
+                     [_LAMBDA, ("--c", _NUMBER), ("--k", _NUMBER), ("--a00", _NUMBER)]),
+    "family transformed": (_cmd_family, None,
+                           [_LAMBDA, ("--coeffs", dict(required=True, help="c3[,c4,...]"))]),
+    "carleman": (_cmd_carleman, "exact normal-form endpoint and rate evolution", [
+        _LAMBDA, ("--c", _NUMBER), ("--x0", dict(required=True, help="x1,x2")),
+        ("--time", _NUMBER)]),
+    "series": (_cmd_series, "eigenfunction series coefficients and partial sums", [
+        ("--target", dict(choices=["s1", "3y2", "y"], required=True)),
+        ("--N", dict(dest="n", type=int, required=True)), ("--y", _NUMBER)]),
+    "oned": (_cmd_oned, "one-dimensional rate/eigenfunction obstruction", [
+        ("--f", dict(required=True, help="polynomial in x")), ("--xmin", _NUMBER),
+        ("--xmax", _NUMBER), ("--n", dict(type=int, required=True))]),
+}
+
 
 @functools.cache
 def _parser() -> _Parser:
-    """The argument parser, built on first use and reused: ``parse_args``
-    does not mutate it, and building it costs more than most requests."""
+    """The argument parser of ``_COMMANDS``, built on first use and reused:
+    ``parse_args`` does not mutate it, and building it costs more than most
+    requests.  It alone gives usage errors, ``--help`` and abbreviations."""
     top = _Parser(prog="ilekoop", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ile", parents=[], help="sample an instantaneous rate field")
-    _add_field(p)
-    p.add_argument("--grid", required=True, help="xmin:xmax:nx,ymin:ymax:ny")
-    p.add_argument("--rate", choices=["s1", "s2"], default="s1")
-    p.add_argument("--out", required=True)
-    p.add_argument("--pgm")
-    p.add_argument("--extract", choices=["ridge", "trench"])
-    p.add_argument("--grad-tol", type=_finite, default=None)
-    p.add_argument("--curv-tol", type=_finite, default=1e-6)
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.set_defaults(handler=_cmd_ile)
-
-    p = sub.add_parser("ftle", help="sample a finite-time stretching field")
-    _add_field(p)
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--step", type=_finite, default=1e-3)
-    p.add_argument("--delta", type=_finite, default=1e-5,
-                   help="no effect: accepted for old command lines, removed soon")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pgm")
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.set_defaults(handler=_cmd_ftle)
-
-    p = sub.add_parser("keig-check", help="residual report for a trial eigenpair")
-    _add_field(p)
-    p.add_argument("--g", required=True, help="observable expression in x, y")
-    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--exact", action="store_true", help="report residual coefficients")
-    p.add_argument("--box", default="-1:1,-1:1", help="sample box xmin:xmax,ymin:ymax")
-    p.set_defaults(handler=_cmd_keig_check)
-
-    p = sub.add_parser("pullback", help="evaluate a pullback eigenfunction at points")
-    _add_field(p)
-    p.add_argument("--line", required=True, help="x0,y0,dx,dy")
-    p.add_argument("--h", required=True, help="data function: constant or expression in s")
-    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
-    p.add_argument("--points", required=True, help="file of x,y lines")
-    p.add_argument("--out", required=True)
-    p.add_argument("--step", type=_finite, default=1e-3)
-    p.add_argument("--tmax", type=float, default=50.0)
-    p.set_defaults(handler=_cmd_pullback)
-
-    p = sub.add_parser("family", help="emit a family field as JSON")
-    fam = p.add_subparsers(dest="family", required=True)
-    q = fam.add_parser("quadratic")
-    q.add_argument("--lambda", dest="lam", type=_finite, required=True)
-    q.add_argument("--a20", type=_finite, required=True)
-    q.set_defaults(handler=_cmd_family)
-    cub = fam.add_parser("cubic")
-    cub.add_argument("--lambda", dest="lam", type=_finite, required=True)
-    cub.add_argument("--c", type=_finite, required=True)
-    cub.add_argument("--k", type=_finite, required=True)
-    cub.add_argument("--a00", type=_finite, required=True)
-    cub.set_defaults(handler=_cmd_family)
-    tr = fam.add_parser("transformed")
-    tr.add_argument("--lambda", dest="lam", type=_finite, required=True)
-    tr.add_argument("--coeffs", required=True, help="c3[,c4,...]")
-    tr.set_defaults(handler=_cmd_family)
-
-    p = sub.add_parser("carleman", help="exact normal-form endpoint and rate evolution")
-    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
-    p.add_argument("--c", type=_finite, required=True)
-    p.add_argument("--x0", required=True, help="x1,x2")
-    p.add_argument("--time", type=_finite, required=True)
-    p.set_defaults(handler=_cmd_carleman)
-
-    p = sub.add_parser("series", help="eigenfunction series coefficients and partial sums")
-    p.add_argument("--target", choices=["s1", "3y2", "y"], required=True)
-    p.add_argument("--N", dest="n", type=int, required=True)
-    p.add_argument("--y", type=_finite, required=True)
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("oned", help="one-dimensional rate/eigenfunction obstruction")
-    p.add_argument("--f", required=True, help="polynomial in x")
-    p.add_argument("--xmin", type=_finite, required=True)
-    p.add_argument("--xmax", type=_finite, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_oned)
-
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for name, (handler, help_text, options) in _COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        p = groups[group].add_parser(word, **({"help": help_text} if help_text else {}))
+        if handler is None:
+            groups[name] = p.add_subparsers(dest=word, required=True)
+            continue
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return top
-
-
-def _add_field(p) -> None:
-    p.add_argument(
-        "--field",
-        required=True,
-        help="'saddle', 'expr:P;Q', a field JSON path, or '-' for stdin",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,52 +436,43 @@ def _add_field(p) -> None:
 
 def _read(argv: list):
     """The Namespace ``_parser().parse_args(argv)`` returns, read straight
-    from the parser's own actions, or None: then argparse parses ``argv``
-    itself, and it alone gives usage errors, ``--help`` and abbreviations.
+    from ``_COMMANDS``, or None: then argparse parses ``argv`` itself.
 
     After the subcommand names, the reader takes exact option strings and
-    ``--opt=value``, each action's own ``type`` and ``choices``, flags,
+    ``--opt=value``, each option's own ``type`` and ``choices``, flags,
     repeated options (the last wins), and a value that starts with '-' only
-    where the parser's negative-number test matches it.  Anything else,
-    a missing required option included, returns None."""
+    where ``_NEGATIVE_NUMBER`` matches it.  Anything else, a missing
+    required option included, returns None."""
     if {type(arg) for arg in argv} != {str}:
         return None
-    plan, values, i, n = _plan(), {}, 0, len(argv)
-    while True:  # down the subcommand names to the parser of the options
-        if plan is None:
-            return None
-        defaults, dest, commands, options, required, negative = plan
-        values.update(defaults)
-        if commands is None:
-            break
-        if i == n:
-            return None
-        values[dest] = argv[i]
-        plan = commands.get(argv[i])
-        i += 1
-    seen = set()
+    name = " ".join(argv[:2])
+    if name not in _COMMANDS:
+        name = argv[0]
+    if _COMMANDS.get(name, (None,))[0] is None:  # unknown, or a group
+        return None
+    words, defaults, options, required = _plan(name)
+    i, n = len(words), len(argv)
+    if argv[:i] != words:  # a name that holds a space
+        return None
+    values, seen = dict(defaults), set()
     while i < n:
-        token = argv[i]
+        flag, eq, text = argv[i].partition("=")
         i += 1
-        entry = options.get(token)
-        text = None
+        entry = options.get(flag)
         if entry is None:
-            name, eq, text = token.partition("=")
-            entry = options.get(name) if eq else None
-            if entry is None:
-                return None
-        action, convert = entry
+            return None
+        dest, convert, choices = entry
         if convert is None:  # store_true takes no value
-            if text is not None:
+            if eq:
                 return None
-            value = action.const
+            value = True
         else:
-            if text is None:
+            if not eq:
                 if i == n:
                     return None
                 text = argv[i]
                 i += 1
-                if text[:1] == "-" and not negative(text):
+                if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
                     return None
             if text == "--":
                 return None
@@ -513,60 +480,40 @@ def _read(argv: list):
                 value = convert(text)
             except (argparse.ArgumentTypeError, TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-        values[action.dest] = value
-        seen.add(action)
+        values[dest] = value
+        seen.add(flag)
     if not required <= seen:
         return None
     return argparse.Namespace(**values)
 
 
 @functools.cache
-def _plan():
-    return _plan_of(_parser())
-
-
-def _plan_of(parser):
-    """What ``_read`` needs of ``parser``: ``(defaults, dest, commands,
-    options, required, negative)``.  ``defaults`` is what ``parse_args``
-    puts in the namespace for every action it does not see.  A parser with
-    a subparsers action has that action's ``dest`` and ``commands`` (name ->
-    plan).  ``options`` maps the option strings of store and store_true
-    actions to ``(action, convert)``, convert None for store_true;
-    ``required`` holds the actions ``parse_args`` requires, and ``negative``
-    is the parser's negative-number test.  None for a parser with options
-    that look like negative numbers, or with required actions besides its
-    subcommands: ``_read`` leaves those to argparse."""
-    if parser._has_negative_number_optionals:
-        return None
-    defaults, options, required, dest, commands = {}, {}, set(), None, None
-    # parse_args puts each dest's first default in the namespace, then the
-    # parser's own defaults, and converts a string default it did not replace.
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults.setdefault(action.dest, action.default)
-    for name, value in parser._defaults.items():
-        defaults.setdefault(name, value)
-    for action in parser._actions:
-        if isinstance(action.default, str) and defaults.get(action.dest) is action.default:
-            defaults[action.dest] = parser._get_value(action, action.default)
-        if isinstance(action, argparse._SubParsersAction):
-            dest, commands = action.dest, {n: _plan_of(p) for n, p in action.choices.items()}
-            continue
-        if action.required:
-            required.add(action)
-        if type(action) is argparse._StoreTrueAction:
-            convert = None
-        elif type(action) is argparse._StoreAction and action.nargs is None:
-            convert = parser._registry_get("type", action.type, action.type)
-        else:
-            continue
-        for option in action.option_strings:
-            options[option] = action, convert
-    if commands is not None and required:
-        return None
-    return defaults, dest, commands, options, required, parser._negative_number_matcher.match
+def _plan(name: str):
+    """What ``_read`` needs of the subcommand ``name`` of ``_COMMANDS``:
+    ``(words, defaults, options, required)``.  ``defaults`` is the namespace
+    ``parse_args`` fills before it reads an option, in its order: each
+    subcommand name under its parser's dest, each option's default (a
+    string one converted by the option's type), then the handler.
+    ``options`` maps each flag to ``(dest, convert, choices)``, convert
+    None for a store_true flag; ``required`` holds the required flags."""
+    handler, _, table = _COMMANDS[name]
+    words = name.split(" ")
+    defaults, options, required = dict(zip(["command", *words[:-1]], words)), {}, set()
+    for flag, keywords in table:
+        dest = keywords.get("dest", flag[2:].replace("-", "_"))
+        flag_only = keywords.get("action") == "store_true"
+        convert = None if flag_only else keywords.get("type", str)
+        default = keywords.get("default", False if flag_only else None)
+        if isinstance(default, str):
+            default = convert(default)
+        defaults.setdefault(dest, default)
+        options[flag] = dest, convert, keywords.get("choices")
+        if keywords.get("required"):
+            required.add(flag)
+    defaults["handler"] = handler
+    return words, defaults, options, required
 
 
 if __name__ == "__main__":

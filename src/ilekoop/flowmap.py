@@ -37,16 +37,6 @@ from .vectorfield import IntegratorConfig, VectorField2D, _check_domain, _check_
 # orbit that blows up stops within this many steps instead of running its plan.
 _FINITE_CHECK_STEPS = 64
 
-# ftle_field's fewest nodes per thread and serial block (strain._sample_grid).
-# Each block is one compiled plan call, which releases the interpreter lock
-# for the whole plan; yet on 2 vCPUs two threads took about as long as one
-# below about 40,000 nodes.  Cubic, t = -0.05, medians of 21 interleaved,
-# threads 1 / 2 in ms, with 12,288 against 4,096 here: 101x101 6.4 / 6.5
-# against 6.5 / 7.1, 121x121 8.9 / 8.8 against 9.7 / 10.1, 161x161
-# 15.1 / 15.9 against 15.5 / 16.0; two threads pay off at 201x201
-# (24.1 / 14.9) and 251x251 (37.6 / 23.8).
-_FTLE_CHUNK_NODES = 12288
-
 
 class Trajectory(_Record):
     """Sampled orbit; times run from 0 to t, strictly monotone either way."""
@@ -167,8 +157,7 @@ def ftle_field(
     which runs its whole RK4 plan in one compiled call where a kernel loads.
     ``ftle`` is elementwise, so output bytes are identical for every thread
     count.  ``delta`` is ignored, kept only for callers that still pass it."""
-    vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, cfg), threads,
-                        _FTLE_CHUNK_NODES)
+    vals = _sample_grid(grid, lambda xv, yv: ftle(f, (xv, yv), t, cfg), threads)
     return _finite_field(grid, vals, "FTLE")
 
 

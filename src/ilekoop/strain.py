@@ -135,18 +135,24 @@ def strain_rates(f: VectorField2D, x: float, y: float) -> tuple[float, float]:
     return strain_tensor(f, x, y).eigenvalues()
 
 
-# rate_field's fewest nodes per thread and serial block (see _sample_grid).
-# On 2 vCPUs threads 2 over threads 1 took 2.0-2.7x the time at 81x81 nodes
-# and 0.9-1.9x at 121x121 when split, 0.6-0.9x at 161x161; serial blocks took
-# 0.97, 0.88 and 0.61 of one array's time at 161x161, 201x201 and 301x301.
-# FTLE, ~50x dearer per node, sets its own (flowmap._FTLE_CHUNK_NODES).
-_RATE_CHUNK_NODES = 12288
+# The fewest nodes per thread and serial block of every sampled grid
+# (rate_field and flowmap.ftle_field).  On 2 vCPUs, rates: threads 2 over
+# threads 1 took 2.0-2.7x the time at 81x81 nodes and 0.9-1.9x at 121x121 when
+# split, 0.6-0.9x at 161x161; serial blocks took 0.97, 0.88 and 0.61 of one
+# array's time at 161x161, 201x201 and 301x301.  FTLE (~50x dearer per node;
+# each block is one compiled plan call, which releases the interpreter lock):
+# two threads took about as long as one below about 40,000 nodes.  Cubic,
+# t = -0.05, medians of 21 interleaved, threads 1 / 2 in ms, with 12,288
+# against 4,096 here: 101x101 6.4 / 6.5 against 6.5 / 7.1, 121x121 8.9 / 8.8
+# against 9.7 / 10.1, 161x161 15.1 / 15.9 against 15.5 / 16.0; two threads pay
+# off at 201x201 (24.1 / 14.9) and 251x251 (37.6 / 23.8).
+_CHUNK_NODES = 12288
 
 
-def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.ndarray:
+def _sample_grid(grid: Grid2D, fn, threads: int) -> np.ndarray:
     """``fn(xv, yv)`` over every node, as one ``(ny, nx)`` array.
 
-    Each thread gets at least ``min_chunk_nodes`` nodes.  The rows of n
+    Each thread gets at least ``_CHUNK_NODES`` nodes.  The rows of n
     threads are cut into a multiple of n chunks of about n times that (at
     most 1.5 times, plus a row): a serial chunk stays in cache, and threads
     hold the GIL for a short part of theirs.  Each chunk's meshgrid goes to
@@ -155,8 +161,8 @@ def _sample_grid(grid: Grid2D, fn, threads: int, min_chunk_nodes: int) -> np.nda
     """
     xs, ys = grid.xs(), grid.ys()
     out = np.empty((grid.ny, grid.nx))
-    threads = max(1, min(int(threads), grid.nx * grid.ny // min_chunk_nodes))
-    count = threads * max(1, round(grid.nx * grid.ny / (threads * threads * min_chunk_nodes)))
+    threads = max(1, min(int(threads), grid.nx * grid.ny // _CHUNK_NODES))
+    count = threads * max(1, round(grid.nx * grid.ny / (threads * threads * _CHUNK_NODES)))
     bounds = [round(grid.ny * i / count) for i in range(count + 1)]
     chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
@@ -185,8 +191,7 @@ def rate_field(f: VectorField2D, grid: Grid2D, which: str = "s1", threads: int =
     if which not in ("s1", "s2"):
         raise ValueError("which must be 's1' or 's2'")
     k = 0 if which == "s1" else 1
-    vals = _sample_grid(grid, lambda xv, yv: strain_rates(f, xv, yv)[k], threads,
-                        _RATE_CHUNK_NODES)
+    vals = _sample_grid(grid, lambda xv, yv: strain_rates(f, xv, yv)[k], threads)
     return _finite_field(grid, vals, f"{which} rate")
 
 

@@ -90,3 +90,4 @@ def test_src_lines_counts_python_files_under_src(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("pass\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+    assert bench_pairs.src_lines_by_module(tmp_path) == {"b.py": 1, "pkg/a.py": 3}

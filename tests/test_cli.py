@@ -1190,7 +1190,8 @@ def test_every_bench_request_takes_the_reader():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("argv", [
+#: Lines the reader takes: each runs its handler, or fails inside it.
+_WELL_FORMED = [
     _ILE + ["--out", "s.csv", "--pgm", "s.pgm", "--extract", "trench", "--grad-tol=1e-3"],
     ["ftle", "--field", "saddle", "--time", "-0.05", "--grid", "-1:1:5,-0.5:0.5:5",
      "--out", "f.csv", "--threads", "2"],
@@ -1205,6 +1206,10 @@ def test_every_bench_request_takes_the_reader():
     ["oned", "--f", "x - x^3", "--xmin", "-1", "--xmax", "1", "--n", "21"],
     ["series", "--target", "y", "--N", "6", "--y", "0.9"],
     ["ile", "--field", "saddle", "--grid", "bogus", "--out", "x.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", _WELL_FORMED + [
     ["family", "cubic", "--lambda", "2"],
     _ILE + ["--out", "s.csv", "--thr", "1"],
     ["--help"],
@@ -1229,3 +1234,41 @@ def test_run_command_without_the_reader_gives_the_same_output(capsys, tmp_path, 
             path.unlink()
         results.append((code, streams.out, streams.err, files))
     assert results[0] == results[1]
+
+
+def test_well_formed_lines_do_not_build_the_parser(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.csv").write_text("0.3,0.2\n0.6,-0.1\n")
+    cli._parser.cache_clear()
+    for argv in _WELL_FORMED:
+        run_command(argv)
+        assert cli._parser.cache_info().currsize == 0, argv
+    assert run(["family", "cubic", "--lambda", "2"], capsys)[0] == 1
+    assert cli._parser.cache_info().currsize == 1
+
+
+def test_unknown_names_do_not_grow_the_plan_cache():
+    for k in range(1000):
+        assert cli._read(["family", f"x{k}", "--lambda", "1", "--a20", "1"]) is None
+        assert cli._read([f"nope{k}", "--lambda", "1"]) is None
+    assert cli._plan.cache_info().currsize <= len(cli._COMMANDS)
+
+
+def test_help_and_usage_texts_equal_the_pinned_ones(capsys, monkeypatch):
+    """``--help``, every subcommand's ``-h`` and some usage errors print, at 80
+    columns, what the hand-written parser printed before ``_COMMANDS`` built
+    it (``cli_texts.json``).  argparse words its texts differently from one
+    Python version to the next, so they are pinned for one."""
+    pinned = json.loads((Path(__file__).parent / "cli_texts.json").read_text())
+    if "%d.%d" % sys.version_info[:2] != pinned["python"]:
+        pytest.skip(f"texts pinned on Python {pinned['python']}")
+    monkeypatch.setenv("COLUMNS", str(pinned["columns"]))
+    helped = {" ".join(case["argv"][:-1]) for case in pinned["cases"] if case["argv"][-1:] == ["-h"]}
+    assert helped == set(cli._COMMANDS)
+    for case in pinned["cases"]:
+        try:
+            code = run_command(case["argv"])
+        except SystemExit as exc:  # --help
+            code = f"exit {exc.code}"
+        streams = capsys.readouterr()
+        assert {**case, "code": code, "out": streams.out, "err": streams.err} == case

@@ -1,6 +1,5 @@
 """Integrator, Cauchy-Green tensors, and FTLE tests against analytic oracles."""
 
-import itertools
 import math
 import random
 
@@ -357,15 +356,15 @@ def test_grid_bytes_do_not_depend_on_threads(side):
     rates = [strain.rate_field(f, grid, "s1", threads=n).values.tobytes() for n in (1, 2, 3)]
     assert ftles[0] == ftles[1] == ftles[2]
     assert rates[0] == rates[1] == rates[2]
-    for floor, threads in itertools.product(
-            (flowmap._FTLE_CHUNK_NODES, strain._RATE_CHUNK_NODES), (1, 2)):
+    floor = strain._CHUNK_NODES
+    for threads in (1, 2):
         chunks = []
 
         def record(xv, yv):
             chunks.append(yv[:, 0].tolist())
             return xv + yv
 
-        strain._sample_grid(grid, record, threads, floor)
+        strain._sample_grid(grid, record, threads)
         # every row exactly once (in order when serial), in a multiple of the
         # threads in use of blocks of about that many times the floor
         used = max(1, min(threads, side * side // floor))
@@ -407,7 +406,7 @@ def _fields_and_boxes():
 def test_point_ftle_equals_grid_node(monkeypatch, k, t):
     """``ftle`` at a float point, ``ftle`` over arrays and every node of
     ``ftle_field`` at threads 1/2/3 agree bit for bit."""
-    monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 1)  # let 12 rows split unevenly
+    monkeypatch.setattr(strain, "_CHUNK_NODES", 1)  # let 12 rows split unevenly
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     grid = Grid2D(x0, x1, 11, y0, y1, 12)
     yv, xv = np.meshgrid(grid.ys(), grid.xs(), indexing="ij")
@@ -453,7 +452,7 @@ def _old_ftle_field(f, grid, t, delta, cfg, threads):
                               f12 * f12 + f22 * f22)
         return c.eigenvalues()[1]
 
-    lam2 = strain._sample_grid(grid, stretch, threads, flowmap._FTLE_CHUNK_NODES)
+    lam2 = strain._sample_grid(grid, stretch, threads)
     return np.log(np.maximum(lam2, _LOG_FLOOR)) / (2.0 * abs(t))
 
 
@@ -461,7 +460,7 @@ def _old_ftle_field(f, grid, t, delta, cfg, threads):
 def test_ftle_field_equals_old_stretch_path(monkeypatch, k):
     """The tangent-map FTLE equals the finite-difference one up to that
     method's own error, which reached 1.3e-9 on these grids."""
-    monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 1)
+    monkeypatch.setattr(strain, "_CHUNK_NODES", 1)
     f, (x0, x1, y0, y1) = _fields_and_boxes()[k]
     grid = Grid2D(x0, x1, 9, y0, y1, 10)
     for t, threads in ((-0.05, 1), (0.03, 3)):

@@ -218,7 +218,7 @@ def test_tangent_runs_the_step_statements(p, q, saddle):
 @pytest.mark.parametrize("k", range(5))
 def test_ftle_field_bytes_equal_on_both_paths(monkeypatch, k):
     """At threads 1 and 2, with rows split into many blocks."""
-    monkeypatch.setattr(flowmap, "_FTLE_CHUNK_NODES", 30)
+    monkeypatch.setattr(strain, "_CHUNK_NODES", 30)
     x0, x1, y0, y1 = _fields_and_boxes()[k][1]
     grid = Grid2D(x0, x1, 13, y0, y1, 11)
     compiled = [ftle_field(_fields_and_boxes()[k][0], grid, t, None, CFG, threads).values.tobytes()

@@ -145,7 +145,7 @@ def test_rate_field_threads_bitwise_identical():
 
 
 def test_rate_field_split_rows_bitwise_identical(monkeypatch):
-    monkeypatch.setattr(strain, "_RATE_CHUNK_NODES", 1)  # let 37 rows split unevenly
+    monkeypatch.setattr(strain, "_CHUNK_NODES", 1)  # let 37 rows split unevenly
     grid = Grid2D(-1.0, 1.0, 40, -0.7, 0.7, 37)
     for f, which in ((VectorField2D.saddle(), "s1"), (cubic_example_field(), "s2")):
         whole = rate_field(f, grid, which, threads=1).values.tobytes()
@@ -157,7 +157,7 @@ def test_rate_field_split_rows_bitwise_identical(monkeypatch):
 def test_rate_field_on_affine_field(monkeypatch, threads):
     # every derivative is a constant, so each chunk's rate is one float that
     # fills its rows, and a point's rate equals every node's
-    monkeypatch.setattr(strain, "_RATE_CHUNK_NODES", 1)  # let 6 rows split
+    monkeypatch.setattr(strain, "_CHUNK_NODES", 1)  # let 6 rows split
     f = VectorField2D(parse_polynomial("0.3 + 2*x - 0.7*y"),
                       parse_polynomial("-1 + 0.4*x + 1.1*y"))
     rates = (1.0756583509747433, 2.024341649025257)
@@ -179,7 +179,7 @@ def test_rate_field_chunk_floor(side, chunks):
         rows.append(len(yv))
         return xv + yv
 
-    strain._sample_grid(grid, record, 2, strain._RATE_CHUNK_NODES)
+    strain._sample_grid(grid, record, 2)
     assert sorted(rows) == sorted([side // chunks + (k < side % chunks) for k in range(chunks)])
 
 

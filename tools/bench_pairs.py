@@ -52,9 +52,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(record.read_text())
 
 
+def src_lines_by_module(tree: Path) -> dict:
+    """Lines in each Python file under ``tree/src``, keyed by its path there."""
+    src = tree / "src"
+    return {path.relative_to(src).as_posix(): len(path.read_text().splitlines())
+            for path in sorted(src.rglob("*.py"))}
+
+
 def src_lines(tree: Path) -> int:
     """Lines in the Python files under ``tree/src``."""
-    return sum(len(path.read_text().splitlines()) for path in (tree / "src").rglob("*.py"))
+    return sum(src_lines_by_module(tree).values())
 
 
 # Per-family figures, each better when lower.
@@ -154,6 +161,7 @@ def main(argv=None) -> int:
         "parent_commit": args.parent_commit, "change_commit": args.change_commit,
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} --trace 0|1",
         "machine": None, "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        "src_lines_by_module": {side: src_lines_by_module(tree) for side, tree in trees.items()},
         "workloads": {}, "traced_seed1": {},
         "notes": [f"Seeds {args.seeds[0]}-{args.seeds[-1]} per workload; pair k ran the parent "
                   "first when k is odd, the change first otherwise."] + args.note,
