@@ -13,7 +13,9 @@ seed 1.  Workloads, run length and which direction of each metric is better
 come from the change tree's ``BENCHMARK.json``.  Each run's record is read
 back from the tree's ``bench/results/<workload>-seed<seed>-trace<0|1>.json``.
 
-The output holds each side's ``src/`` Python line count and, per workload,
+The output holds each side's ``src/`` Python line count, in all and per
+file (``src_lines_by_module``, so a change shows where its lines went), and,
+per workload,
 every pair's end-to-end metrics, pass count, output digest and family
 figures; per metric the median and inclusive quartiles of each side, the
 pairs the change wins, and whether the gap between the medians exceeds the
