@@ -8,7 +8,7 @@ import importlib
 _EXPORTS = {
     "errors": "DomainError NoCrossingError NumericalError",
     "expr": "ParseError Poly2 parse_expression parse_polynomial to_polynomial to_text",
-    "families": "CarlemanModel CubicParams QuadraticParams carleman_solve claimed_s1_report"
+    "families": "CubicParams QuadraticParams carleman_solve claimed_s1_report"
                 " cubic_attraction_rate equilibrium_and_r_solution make_cubic_family"
                 " make_quadratic_family make_transformed_family one_d_residual"
                 " quadratic_repulsion_rate s1_evolution_check transformed_claimed_attraction_rate",

@@ -224,79 +224,37 @@ def one_d_residual(fpoly: Poly2, lam: float, samples) -> tuple[float, float]:
 # Exact solution of the normal form via a monomial lift
 # ---------------------------------------------------------------------------
 
-class CarlemanModel(_Record):
-    """Linear lift of the normal form on the observables (x1, x2, x1^3)."""
-
-    __slots__ = ("lam", "c")
-
-    def __init__(self, lam: float, c: float):
-        self.lam = lam
-        self.c = c
-
-    @property
-    def matrix(self) -> tuple:
-        lam, c = self.lam, self.c
-        return (
-            (0.5 * lam, 0.0, 0.0),
-            (-lam, 0.5 * lam, c),
-            (0.0, 0.0, 1.5 * lam),
-        )
-
-    def flow_matrix(self, t: float) -> tuple:
-        """Closed-form exp(A t) using the triangular structure."""
-        lam, c = self.lam, self.c
-        e1 = math.exp(0.5 * lam * t)
-        e3 = math.exp(1.5 * lam * t)
-        m21 = -lam * t * e1
-        m23 = c * t * e1 if lam == 0.0 else (c / lam) * (e3 - e1)
-        return ((e1, 0.0, 0.0), (m21, e1, m23), (0.0, 0.0, e3))
-
-
 def carleman_solve(lam: float, c: float, x0: tuple[float, float], t: float) -> tuple[float, float]:
     """Exact endpoint of the normal-form flow at time t.
 
-    The closed-form lift exponential is cross-checked against a Taylor
-    scaling-and-squaring exponential at relative tolerance 1e-12.
+    On the lift (x1, x2, x1^3) the flow is linear with a triangular matrix,
+    whose exponential gives, with e = e^{lam t/2}, x1(t) = e x1 and
+    x2(t) = -lam t e x1 + e x2 + m x1^3, m = (c/lam) e (e^{lam t} - 1).
+    ``expm1`` keeps the digits of m as lam t -> 0.  Below |lam t| = 2^-53,
+    expm1(lam t)/(lam t) rounds to 1, so m is c t e there, and c/lam cannot
+    overflow at a tiny lam.
     """
-    model = CarlemanModel(lam, c)
     x1, x2 = float(x0[0]), float(x0[1])
-    lift = (x1, x2, x1**3)
-    m = model.flow_matrix(t)
-    closed = tuple(sum(m[i][j] * lift[j] for j in range(3)) for i in range(3))
-    if not (math.isfinite(closed[0]) and math.isfinite(closed[1])):
+    try:
+        e = math.exp(0.5 * lam * t)
+        m = (c * t * e if abs(lam * t) < 2.0**-53
+             else (c / lam) * (e * math.expm1(lam * t)))
+        x1t = 0.0 + e * x1
+        x2t = 0.0 + -lam * t * e * x1 + e * x2 + m * x1**3
+    except OverflowError:
+        x1t = x2t = math.inf
+    if not (math.isfinite(x1t) and math.isfinite(x2t)):
         raise NumericalError("normal-form endpoint overflows a double")
-    check = _expm3(model.matrix, t) @ lift
-    for a, b in zip(closed, check):
-        if abs(a - b) > 1e-12 * max(1.0, abs(a), abs(b)):
-            raise NumericalError("lift exponential cross-check failed")
-    return (closed[0], closed[1])
-
-
-def _expm3(matrix, t: float):
-    """Taylor series with scaling and squaring for a 3x3 matrix (an array)."""
-    import numpy as np  # only this cross-check needs numpy; the exact commands skip it
-    b = np.array(matrix) * t
-    norm = float(np.max(np.sum(np.abs(b), axis=1)))
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b /= 2.0**squarings
-    out = np.eye(3)
-    term = np.eye(3)
-    for k in range(1, 40):
-        term = term @ b / k
-        out = out + term
-        if float(np.max(np.abs(term))) < 1e-20:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    return (x1t, x2t)
 
 
 def s1_evolution_check(lam: float, c: float, x0: tuple[float, float], t: float) -> float:
     """Relative defect of the attraction-rate evolution along the exact flow:
-    g = -(3/2) c x1^2 should satisfy g(t) = e^{lam t} g(0)."""
+    g = -(3/2) c x1^2 should satisfy g(t) = e^{lam t} g(0).  ValueError where
+    g(0) is 0.0: x1 = 0, c = 0, or an underflow."""
     g0 = -1.5 * c * x0[0] * x0[0]
     if g0 == 0.0:
-        raise ValueError("the rate vanishes at the start point (x1 = 0 or c = 0)")
+        raise ValueError("the rate vanishes at the start point")
     x1t, _ = carleman_solve(lam, c, x0, t)
     gt = -1.5 * c * x1t * x1t
     return abs(gt - math.exp(lam * t) * g0) / abs(g0)

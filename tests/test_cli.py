@@ -317,11 +317,22 @@ def test_carleman_command(capsys):
 
 
 def test_carleman_zero_start_reports_null(capsys):
+    # at x1 = 1e-200 the rate -1.5*c*x1^2 underflows to 0 although x1 does not
+    for x0 in ("0,1", "1e-200,0"):
+        code, out, _ = run(
+            ["carleman", "--lambda", "1", "--c", "1", "--x0", x0, "--time", "1"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["s1_evolution_relative_error"] is None
+
+
+def test_carleman_tiny_eigenvalue(capsys):
+    # the lift's exponentials e^{lam t/2} and e^{3 lam t/2} agree to 10 digits here
     code, out, _ = run(
-        ["carleman", "--lambda", "1", "--c", "1", "--x0", "0,1", "--time", "1"], capsys
+        ["carleman", "--lambda", "1e-10", "--c", "1", "--x0", "1,0", "--time", "1"], capsys
     )
     assert code == 0
-    assert json.loads(out)["s1_evolution_relative_error"] is None
+    assert abs(json.loads(out)["x2"] - (1.0 + 4.2e-22)) <= 1e-15
 
 
 def test_series_command(capsys):
@@ -901,12 +912,16 @@ def test_keig_check_samples_must_be_positive(capsys, value):
 
 
 def test_carleman_overflow_is_one_error_line(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(
-            ["carleman", "--lambda", "1e308", "--c", "1", "--x0", "1,0", "--time", "10"], capsys)
-    assert (code, out) == (2, "")
-    assert err == "error: normal-form endpoint overflows a double\n"
+    # overflow in lam*t, in x1^3, and in e^{lam t/2} forward and backward in time
+    for args in ("--lambda 1e308 --c 1 --x0 1,0 --time 10",
+                 "--lambda 1 --c 1 --x0 1e200,0 --time 1",
+                 "--lambda 1 --c 1 --x0 1,0 --time 2000",
+                 "--lambda -1 --c 1 --x0 1,0 --time -2000"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["carleman", *args.split()], capsys)
+        assert (code, out) == (2, ""), args
+        assert err == "error: normal-form endpoint overflows a double\n", args
 
 
 @pytest.mark.parametrize("argv,code", [

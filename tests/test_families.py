@@ -1,6 +1,7 @@
 """Vector-field family constructors, the 1-D obstruction, and the exact
 normal-form solution."""
 
+import decimal
 import math
 import random
 
@@ -8,7 +9,6 @@ import pytest
 
 from ilekoop.expr import Poly2, parse_polynomial
 from ilekoop.families import (
-    CarlemanModel,
     CubicParams,
     QuadraticParams,
     carleman_solve,
@@ -306,13 +306,6 @@ def test_one_d_rejects_bivariate_input():
 
 # -- exact normal-form solution ----------------------------------------------------------
 
-def test_carleman_matrix_structure():
-    m = CarlemanModel(-1.0, -1.0).matrix
-    assert m[0][1] == m[0][2] == m[2][0] == m[2][1] == 0.0
-    assert m[1][0] == 1.0 and m[1][2] == -1.0
-    assert (m[0][0], m[1][1], m[2][2]) == (-0.5, -0.5, -1.5)
-
-
 def test_carleman_example_endpoint():
     x1, x2 = carleman_solve(-1.0, -1.0, (1.0, 0.0), 1.0)
     assert x1 == pytest.approx(math.exp(-0.5), rel=1e-14)
@@ -352,6 +345,49 @@ def test_carleman_zero_eigenvalue():
     x1, x2 = carleman_solve(0.0, 2.0, (0.5, 1.0), 3.0)
     assert x1 == 0.5
     assert x2 == pytest.approx(1.0 + 2.0 * 0.5**3 * 3.0, rel=1e-14)
+
+
+def _decimal_endpoint(lam, c, x0, t):
+    """x1(t), x2(t) and the term scale of x2(t), in 50-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lam, c, t, x1, x2 = (decimal.Decimal(v) for v in (lam, c, t, *x0))
+        e = (lam * t / 2).exp()
+        m = c * t * e if lam == 0 else c / lam * e * ((lam * t).exp() - 1)
+        terms = (-lam * t * e * x1, e * x2, m * x1**3)
+        return e * x1, sum(terms), sum(abs(term) for term in terms)
+
+
+def test_carleman_matches_a_decimal_reference():
+    # lam * t from 5e-13 to 50, where the lift's two exponentials nearly cancel
+    lattice = [-2.0 + 4.0 * i / 6.0 for i in range(7)]
+    lams = [0.0] + [s * 10.0**k for k in range(-12, 2) for s in (1.0, -1.0)]
+    worst = 0.0
+    for lam in lams:
+        for c in (-2.0, 0.5, 1.75):
+            for t in (0.5, -0.5, 2.0, -2.0, 5.0, -5.0):
+                for x0 in ((a, b) for a in lattice for b in lattice):
+                    x1, x2 = carleman_solve(lam, c, x0, t)
+                    assert x1 == 0.0 + math.exp(0.5 * lam * t) * x0[0]
+                    _, ref, scale = _decimal_endpoint(lam, c, x0, t)
+                    err = abs(decimal.Decimal(x2) - ref)
+                    assert err <= decimal.Decimal(1e-14) * scale, (lam, c, x0, t)
+                    if scale:
+                        worst = max(worst, float(err / scale))
+    assert worst > 0.0
+
+
+@pytest.mark.parametrize("lam", [1e-300, -1e-300])
+def test_carleman_tiny_eigenvalue_is_the_zero_eigenvalue(lam):
+    lattice = [-2.0 + 4.0 * i / 6.0 for i in range(7)]
+    for c in (-2.0, 0.5, 1.75):
+        for t in (0.5, -2.0, 5.0):
+            for x0 in ((a, b) for a in lattice for b in lattice):
+                x1, x2 = carleman_solve(lam, c, x0, t)
+                x1_zero, x2_zero = carleman_solve(0.0, c, x0, t)
+                scale = abs(x0[1]) + abs(c * t * x0[0] ** 3)
+                assert x1 == x1_zero
+                assert abs(x2 - x2_zero) <= math.ulp(scale), (c, x0, t)
 
 
 def test_rate_evolution_exact():

@@ -10,7 +10,7 @@ import pytest
 
 from ilekoop.errors import NumericalError
 from ilekoop.expr import Neg, Num, Poly2, Pow, Product, Sum, Var, parse_expression
-from ilekoop.families import CarlemanModel, CubicParams, QuadraticParams
+from ilekoop.families import CubicParams, QuadraticParams
 from ilekoop.flowmap import Trajectory
 from ilekoop.koopman import DataSurface, KeigCandidate
 from ilekoop.series import SaddleEigenfunction, SeriesTerm
@@ -37,7 +37,6 @@ SIGNATURES = {
     DataSurface: [("base", _EMPTY), ("direction", _EMPTY), ("h", _EMPTY)],
     QuadraticParams: [("lam", _EMPTY), ("a20", _EMPTY)],
     CubicParams: [("a10", _EMPTY), ("k", _EMPTY), ("a20", _EMPTY), ("b00", _EMPTY)],
-    CarlemanModel: [("lam", _EMPTY), ("c", _EMPTY)],
     SaddleEigenfunction: [("lam", _EMPTY), ("h_degree", 0), ("h_scale", 1.0)],
     SeriesTerm: [("k", _EMPTY), ("coefficient", _EMPTY)],
 }
@@ -106,7 +105,6 @@ def test_value_type_reprs_are_the_dataclass_form():
     assert repr(QuadraticParams(1.0, 0.5)) == "QuadraticParams(lam=1.0, a20=0.5)"
     assert repr(CubicParams(1.0, -0.5, 2.0, 0.25)) == \
         "CubicParams(a10=1.0, k=-0.5, a20=2.0, b00=0.25)"
-    assert repr(CarlemanModel(-1.0, 0.5)) == "CarlemanModel(lam=-1.0, c=0.5)"
     assert repr(SaddleEigenfunction(2.0)) == "SaddleEigenfunction(lam=2.0, h_degree=0, h_scale=1.0)"
     assert repr(SeriesTerm(3, 0.125)) == "SeriesTerm(k=3, coefficient=0.125)"
     assert repr(KeigCandidate(Poly2.x(), 1.0)) == "KeigCandidate(g=Poly2({(1, 0): 1.0}), lam=1.0)"
@@ -125,7 +123,6 @@ _FROZEN = [
     lambda: DataSurface((0.0, 0.5), (3.0, 4.0), abs),
     lambda: QuadraticParams(1.0, 0.5),
     lambda: CubicParams(1.0, -0.5, 2.0, 0.25),
-    lambda: CarlemanModel(-1.0, 0.5),
     lambda: SaddleEigenfunction(2.0, 1, 0.5),
     lambda: SeriesTerm(3, 0.125),
 ]

@@ -124,7 +124,7 @@ def test_no_module_imports_dataclasses_or_typing():
 
 
 #: The commands that load numpy; every other command of the tool must not.
-NUMPY = {"ile", "ftle", "carleman"}
+NUMPY = {"ile", "ftle"}
 
 #: The commands that load the compiled kernels: grids step or write CSV, and
 #: the pullback marches.
@@ -136,7 +136,7 @@ PINNED = {
     "ile": "89cf87c573d305eefb522cfa15ef3ee9fc0b2090c92ad3bd40a4e1903c307d6c",
     "ftle": "536fa43400ad9bc980aae10a10fd0882e97b4ec8cffa2eaddc8dd175087728f2",
     "pullback": "6a77c7a9ce3b31cbcb98cd30cfd96ea06e86ece28ef382ded6c33710f0eadf65",
-    "carleman": "6a7e9e9b2f3bd3d71a3fc841eeadb1ec997b12aa74f57a6bd8d45d0f82328e23",
+    "carleman": "a273a5d8c4b9c3774304b2a918ea60fa627c9479af396b495d9988723432f9f2",
 }
 
 
@@ -182,8 +182,15 @@ def test_startup_tool_smoke(tree):
                            "--only", "family-cubic,oned,cli-import"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = [line.split()[0] for line in proc.stdout.splitlines()[1:]]
-    assert rows == ["family-cubic", "oned", "cli-import"], proc.stdout
+    header, *lines = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["ratio", "q1-q3"], proc.stdout
+    rows = [line.split() for line in lines]
+    assert [row[0] for row in rows] == ["family-cubic", "oned", "cli-import"], proc.stdout
+    for row in rows:
+        # one repeat: the ratio's quartiles are the ratio itself, the parent's
+        # median over the change's
+        q1, q3 = row[-1].split("-")
+        assert q1 == q3 == row[-2], proc.stdout
     assert "MISMATCH" not in proc.stdout
 
 
@@ -207,7 +214,7 @@ def test_startup_tool_reports_changed_bytes(tmp_path, tree):
 
 #: What ``from ilekoop import *`` bound when the package imported every module.
 STAR_NAMES = {
-    "CarlemanModel", "CubicParams", "DataSurface", "DomainError", "Grid2D", "IntegratorConfig",
+    "CubicParams", "DataSurface", "DomainError", "Grid2D", "IntegratorConfig",
     "KeigCandidate", "NoCrossingError", "NumericalError", "ParseError", "Poly2",
     "QuadraticParams", "SaddleEigenfunction", "ScalarField", "SeriesTerm", "SymTensor2",
     "Trajectory", "VectorField2D", "analytic_saddle_flow", "attraction_series_coefficients",

@@ -19,10 +19,13 @@ gives the reference output), then ``--repeats`` times per tree; repeat k
 (counting from 1) runs the parent first when k is odd and the change first
 otherwise, so a slow drift of the machine's speed favours neither side.
 Every run's exit code, stdout, stderr and output files must equal the parent's
-reference run; a mismatch is printed and the script exits 1.
+reference run; each command and side that differs prints one line with the
+number of differing repeats, and the script exits 1.
 
-It prints one line per command: each side's median and quartiles in ms and
-the parent's median over the change's.  The interpreter's environment passes through unchanged: with
+It prints one line per command: each side's median and quartiles in ms, the
+parent's median over the change's, and the quartiles of the per-repeat ratios
+(parent over change within one repeat), which show how far the machine drifted
+between repeats.  The interpreter's environment passes through unchanged: with
 ``PYTHONDONTWRITEBYTECODE`` set, every run compiles every module it imports,
 and without it the first run caches bytecode under each tree's ``src/``.
 """
@@ -109,11 +112,10 @@ class Tree:
         return seconds, (proc.returncode, proc.stdout, proc.stderr, files)
 
 
-def spread_ms(times: list[float]) -> dict:
-    ms = [t * 1e3 for t in times]
-    if len(ms) == 1:
-        return {"median": ms[0], "q1": ms[0], "q3": ms[0]}
-    q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+def spread(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
@@ -131,6 +133,7 @@ def main(argv=None) -> int:
 
     mismatches = []
     times = {name: {"parent": [], "change": []} for name in names}
+    differing = {name: {"parent": 0, "change": 0} for name in names}
     with tempfile.TemporaryDirectory() as scratch:
         trees = {side: Tree(getattr(args, side), Path(scratch) / side)
                  for side in ("parent", "change")}
@@ -143,15 +146,22 @@ def main(argv=None) -> int:
                 for side in ("parent", "change") if k % 2 else ("change", "parent"):
                     seconds, result = trees[side].run(argv, outputs)
                     times[name][side].append(seconds)
-                    if result != reference:
-                        mismatches.append(f"{name}: {side} repeat {k} differs from the reference")
+                    differing[name][side] += result != reference
+            for side, count in differing[name].items():
+                if count:
+                    mismatches.append(f"{name}: {side} differs from the reference in {count} "
+                                      f"of {args.repeats} repeats")
 
-    print(f"{'command':<20} {'parent ms (q1-q3)':>24} {'change ms (q1-q3)':>24} {'ratio':>6}")
+    print(f"{'command':<20} {'parent ms (q1-q3)':>24} {'change ms (q1-q3)':>24} {'ratio':>6} "
+          f"{'ratio q1-q3':>12}")
     for name in names:
-        parent, change = spread_ms(times[name]["parent"]), spread_ms(times[name]["change"])
+        sides = times[name]["parent"], times[name]["change"]
+        parent, change = (spread([t * 1e3 for t in side]) for side in sides)
+        ratios = spread([p / c for p, c in zip(*sides)])
         cells = [f"{s['median']:7.1f} ({s['q1']:.1f}-{s['q3']:.1f})" for s in (parent, change)]
+        band = f"{ratios['q1']:.2f}-{ratios['q3']:.2f}"
         print(f"{name:<20} {cells[0]:>24} {cells[1]:>24} "
-              f"{parent['median'] / change['median']:6.2f}")
+              f"{parent['median'] / change['median']:6.2f} {band:>12}")
     for line in mismatches:
         print(f"MISMATCH {line}")
     return 1 if mismatches else 0
