@@ -133,7 +133,6 @@ def main(argv=None) -> int:
 
     mismatches = []
     times = {name: {"parent": [], "change": []} for name in names}
-    differing = {name: {"parent": 0, "change": 0} for name in names}
     with tempfile.TemporaryDirectory() as scratch:
         trees = {side: Tree(getattr(args, side), Path(scratch) / side)
                  for side in ("parent", "change")}
@@ -142,12 +141,13 @@ def main(argv=None) -> int:
             reference = trees["parent"].run(argv, outputs)[1]
             if trees["change"].run(argv, outputs)[1] != reference:
                 mismatches.append(f"{name}: change differs from parent")
+            differing = {"parent": 0, "change": 0}
             for k in range(1, args.repeats + 1):
                 for side in ("parent", "change") if k % 2 else ("change", "parent"):
                     seconds, result = trees[side].run(argv, outputs)
                     times[name][side].append(seconds)
-                    differing[name][side] += result != reference
-            for side, count in differing[name].items():
+                    differing[side] += result != reference
+            for side, count in differing.items():
                 if count:
                     mismatches.append(f"{name}: {side} differs from the reference in {count} "
                                       f"of {args.repeats} repeats")
